@@ -34,6 +34,13 @@ import time
 from repro.campaign.pool import run_campaign
 from repro.campaign.report import results_markdown
 from repro.campaign.spec import BACKENDS, CampaignError, CampaignSpec
+from repro.campaign.status import (
+    events_path_for,
+    reliability_summary,
+    status_summary,
+    status_text,
+)
+from repro.journal import read_events
 from repro.telemetry import flight
 
 EXIT_INCOMPLETE = 3
@@ -135,8 +142,8 @@ def _cmd_run(args, *, resume: bool) -> int:
 
     reliability = None
     if args.checkpoint:
-        reliability = flight.reliability_summary(
-            flight.read_events(flight.events_path_for(args.checkpoint)))
+        reliability = reliability_summary(
+            read_events(events_path_for(args.checkpoint)))
     if args.flight:
         fallbacks = flight.fallback_rollup(run.outcomes)
         if reliability is None:
@@ -183,14 +190,14 @@ def _cmd_status(args) -> int:
                   file=sys.stderr)
             return 2
     try:
-        summary = flight.status_summary(args.checkpoint, spec)
+        summary = status_summary(args.checkpoint, spec)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(summary, indent=1, sort_keys=True))
     else:
-        print(flight.status_text(summary))
+        print(status_text(summary))
     if summary.get("complete"):
         return 0
     return EXIT_INCOMPLETE

@@ -34,6 +34,8 @@ from repro.campaign.checkpoint import open_checkpoint
 from repro.campaign.runners import run_shard
 from repro.campaign.sharding import ShardTask, build_shards
 from repro.campaign.spec import CampaignSpec
+from repro.campaign.status import events_path_for
+from repro.journal import Journal
 from repro.pool import RetryingTaskPool
 from repro.telemetry import flight
 from repro.telemetry.metrics import get_metrics
@@ -161,8 +163,8 @@ def run_campaign(spec: CampaignSpec, *, workers: int = 1,
              "failed_shards": 0, "skipped_shards": 0, "retries": 0}
 
     if events_path is None and checkpoint_path is not None:
-        events_path = flight.events_path_for(checkpoint_path)
-    events = flight.EventLog(events_path) if events_path is not None else None
+        events_path = events_path_for(checkpoint_path)
+    events = Journal(events_path) if events_path is not None else None
     state = _RunState(spec, outcomes, ck, stats, progress, len(tasks),
                       events)
     if events is not None:

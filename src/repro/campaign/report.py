@@ -38,7 +38,7 @@ def _point_label(job: dict) -> str:
 
 def _reliability_lines(rel: dict) -> list:
     """The ``## Reliability`` section from a
-    :func:`repro.telemetry.flight.reliability_summary` dict."""
+    :func:`repro.campaign.status.reliability_summary` dict."""
     lines = ["## Reliability", ""]
     lines.append(f"- **shards finished**: {rel.get('shards_finished', 0)}")
     lines.append(f"- **retries**: {rel.get('retries', 0)}")
@@ -71,7 +71,7 @@ def results_markdown(results: dict, stats: Optional[dict] = None,
     """Human-readable curve report of a campaign's aggregate.
 
     ``reliability`` (optional) is a
-    :func:`repro.telemetry.flight.reliability_summary` fold of the
+    :func:`repro.campaign.status.reliability_summary` fold of the
     campaign's lifecycle event log; when given, the report gains a
     wall-clock reliability section (retries, timeouts, degraded
     shards, per-shard p50/p95).

@@ -1,19 +1,13 @@
-"""The session journal: a multi-appender JSONL lifecycle log.
+"""The session journal: the service's multi-appender lifecycle log.
 
 The broker and every shard worker append structured events to one
-JSONL file — admission, assignment, checkpoints, migrations,
-completions from the broker; per-step heartbeats from the shards.
-Appends are single ``write()`` calls of one ``\\n``-terminated line in
-``O_APPEND`` mode, so concurrent appenders interleave at line
-granularity.
-
-Reading follows the campaign checkpoint discipline, adapted for many
-writers: a line that does not parse is **skipped**, not treated as the
-end of the file — with interleaved appenders a torn line (a writer
-killed mid-write, a kill -9 truncation) is not necessarily the last
-one.  Every intact record survives, which is what
-:func:`recover_sessions` relies on to rebuild a killed service from
-its admitted specs and their latest checkpoints.
+:class:`repro.journal.Journal` — admission, assignment, checkpoints,
+migrations, completions from the broker; per-step heartbeats from the
+shards.  Reading skips torn lines wherever they are (see
+:mod:`repro.journal` for the durability guarantee), so every intact
+record survives, which is what :func:`recover_sessions` relies on to
+rebuild a killed service from its admitted specs and their latest
+checkpoints.
 """
 
 from __future__ import annotations
@@ -23,62 +17,10 @@ import os
 import time
 from typing import Optional
 
+from repro.journal import Journal, read_events
 
-class ServeJournal:
-    """Append-only JSONL event log safe for concurrent appenders.
-
-    Each :meth:`emit` writes exactly one line in append mode and
-    flushes, so a crash loses at most the line in flight and
-    concurrent writers never interleave *within* a line (POSIX
-    ``O_APPEND`` single-write semantics for short lines).
-    """
-
-    def __init__(self, path):
-        self.path = os.fspath(path)
-        self._fh = None
-
-    def emit(self, event: str, **fields) -> dict:
-        rec = {"t": round(time.time(), 3), "event": event, **fields}
-        if self._fh is None:
-            self._fh = open(self.path, "a")
-        self._fh.write(json.dumps(rec, sort_keys=True) + "\n")
-        self._fh.flush()
-        return rec
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
-
-    def __enter__(self) -> "ServeJournal":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-def read_journal(path) -> list:
-    """All intact records of a session journal (``[]`` if absent).
-
-    Undecodable lines — torn tails from killed writers — are skipped
-    rather than ending the read, because later lines from *other*
-    appenders are still intact.
-    """
-    if not os.path.exists(path):
-        return []
-    records = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError:
-                continue                # torn line from one appender
-            if isinstance(rec, dict) and "event" in rec:
-                records.append(rec)
-    return records
+ServeJournal = Journal
+read_journal = read_events
 
 
 # -- drain flag ----------------------------------------------------------------------

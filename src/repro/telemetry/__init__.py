@@ -22,9 +22,8 @@ so this package records *cycle-stamped* events rather than wall time:
   JSON/Markdown artifact, with ASCII constellation and bar renderers;
 * :mod:`~repro.telemetry.flight` — the cross-process flight recorder:
   per-shard capture of traces/metrics/probes that rides campaign
-  checkpoints, campaign-wide Chrome-trace merge with per-shard lanes,
-  metric rollups, and the lifecycle event log behind
-  ``repro-campaign status``.
+  checkpoints, campaign-wide Chrome-trace merge with per-shard lanes
+  and metric rollups.
 
 Typical use::
 
@@ -39,18 +38,12 @@ Typical use::
 from repro.telemetry.flight import (
     DEFAULT_MAX_EVENTS,
     CappedTracer,
-    EventLog,
     FlightRecorder,
     ShardTelemetry,
-    events_path_for,
     merge_histogram_dicts,
     merged_chrome_trace,
     metric_rollups,
     probe_rollups,
-    read_events,
-    reliability_summary,
-    status_summary,
-    status_text,
     write_merged_trace,
 )
 from repro.telemetry.export import (
@@ -137,7 +130,6 @@ __all__ = [
     "Alert",
     "CappedTracer",
     "Counter",
-    "EventLog",
     "FlightRecorder",
     "ShardTelemetry",
     "Gauge",
@@ -161,7 +153,6 @@ __all__ = [
     "enable_metrics",
     "enable_probes",
     "enable_tracing",
-    "events_path_for",
     "evm_rms",
     "get_metrics",
     "get_probes",
@@ -176,8 +167,6 @@ __all__ = [
     "nearest_qpsk",
     "probe_rollups",
     "probing",
-    "read_events",
-    "reliability_summary",
     "render_bars",
     "render_constellation",
     "render_timeline",
@@ -185,8 +174,6 @@ __all__ = [
     "set_probes",
     "set_tracer",
     "span_names_in_order",
-    "status_summary",
-    "status_text",
     "tracing",
     "write_chrome_trace",
     "write_merged_trace",

@@ -9,6 +9,13 @@ from repro.campaign import CampaignSpec, ShardOutcome, run_campaign
 from repro.campaign.report import results_markdown
 from repro.campaign.runners import run_shard
 from repro.campaign.sharding import build_shards
+from repro.campaign.status import (
+    events_path_for,
+    reliability_summary,
+    status_summary,
+    status_text,
+)
+from repro.journal import read_events
 from repro.telemetry import flight
 
 
@@ -198,7 +205,7 @@ class TestEventLog:
     def test_lifecycle_events_written(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         run_campaign(_spec(shards=1), workers=1, checkpoint_path=ck)
-        events = flight.read_events(flight.events_path_for(ck))
+        events = read_events(events_path_for(ck))
         kinds = [e["event"] for e in events]
         assert kinds[0] == "campaign_start"
         assert kinds[-1] == "campaign_end"
@@ -219,10 +226,10 @@ class TestEventLog:
         run = run_campaign(spec, workers=1, checkpoint_path=ck,
                            retries=1, backoff_s=0.0)
         assert run.stats["failed_shards"] == 1
-        events = flight.read_events(flight.events_path_for(ck))
+        events = read_events(events_path_for(ck))
         kinds = [e["event"] for e in events]
         assert "shard_retry" in kinds and "shard_degraded" in kinds
-        rel = flight.reliability_summary(events)
+        rel = reliability_summary(events)
         assert rel["retries"] == 1
         assert rel["degraded_shards"] == 1
         assert rel["shards_finished"] == 0
@@ -231,14 +238,8 @@ class TestEventLog:
         events = [{"event": "shard_retry", "reason": "timeout: 1s"},
                   {"event": "shard_degraded",
                    "reason": "timeout: shard exceeded 1s"}]
-        rel = flight.reliability_summary(events)
+        rel = reliability_summary(events)
         assert rel["timeouts"] == 2
-
-    def test_torn_tail_tolerated(self, tmp_path):
-        path = tmp_path / "ev.jsonl"
-        path.write_text('{"event": "campaign_start", "t": 1}\n{"eve')
-        assert [e["event"] for e in flight.read_events(path)] \
-            == ["campaign_start"]
 
     def test_no_checkpoint_no_event_log(self, tmp_path):
         run = run_campaign(_spec(shards=1), workers=1)
@@ -252,25 +253,25 @@ class TestStatus:
         spec = _spec()
         run_campaign(spec, workers=1, checkpoint_path=ck,
                      flight_recorder=True)
-        s = flight.status_summary(ck, spec)
+        s = status_summary(ck, spec)
         assert s["shards_recorded"] == s["total_shards"] == 6
         assert s["shards_with_telemetry"] == 6
         assert s["complete"] is True
         assert s["fingerprint"] == spec.fingerprint()
-        text = flight.status_text(s)
+        text = status_text(s)
         assert "6/6 shards" in text
 
     def test_status_summary_without_spec(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         run_campaign(_spec(), workers=1, checkpoint_path=ck,
                      max_shards=2)
-        s = flight.status_summary(ck)
+        s = status_summary(ck)
         assert s["shards_recorded"] == 2
         assert s["total_shards"] == 6       # from the campaign_start event
         assert s["fingerprint"] is not None
 
     def test_status_of_missing_checkpoint(self, tmp_path):
-        s = flight.status_summary(tmp_path / "nope.jsonl")
+        s = status_summary(tmp_path / "nope.jsonl")
         assert s["shards_recorded"] == 0
         assert s["total_shards"] is None
 
@@ -279,8 +280,8 @@ class TestReliabilityReport:
     def test_report_gains_reliability_section(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         run = run_campaign(_spec(), workers=1, checkpoint_path=ck)
-        rel = flight.reliability_summary(
-            flight.read_events(flight.events_path_for(ck)))
+        rel = reliability_summary(
+            read_events(events_path_for(ck)))
         md = results_markdown(run.results, run.stats, reliability=rel)
         assert "## Reliability" in md
         assert "p95" in md
