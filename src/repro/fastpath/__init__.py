@@ -27,6 +27,7 @@ or through the drop-in sibling of :func:`repro.xpp.execute`::
 
 from __future__ import annotations
 
+from repro.diagnostics import REASON_CODES
 from repro.fastpath.cache import (
     CACHE_DIR_ENV,
     CACHE_VERSION,
@@ -38,7 +39,6 @@ from repro.fastpath.cache import (
 from repro.fastpath.capture import capture, capture_sets, check_runtime_state
 from repro.fastpath.explain import CompileReport, ObjectVerdict, explain
 from repro.fastpath.ir import (
-    REASON_CODES,
     Edge,
     Graph,
     Node,

@@ -9,11 +9,13 @@ runtime snapshots state separately each time it opens a trace session.
 
 from __future__ import annotations
 
-from repro.fastpath.ir import (
+from repro.diagnostics import (
     REASON_DANGLING_WIRE,
     REASON_EMPTY_NETLIST,
     REASON_FAULT_TAP,
     REASON_INSTANCE_OVERRIDE,
+)
+from repro.fastpath.ir import (
     Edge,
     Graph,
     Node,

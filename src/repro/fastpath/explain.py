@@ -7,7 +7,7 @@ manager and reports what happened as a structured
 :class:`CompileReport`:
 
 * a per-object classify verdict (kind tag, or the machine-readable
-  rejection ``code`` from :data:`repro.fastpath.ir.REASON_CODES` plus
+  rejection ``code`` from :data:`repro.diagnostics.REASON_CODES` plus
   the human message) and, once the graph is scheduled, the lowering
   strategy the node landed on (``trace`` — vectorized whole-trace value
   pass — or ``epoch`` — inside a feedback SCC's time-stepped kernel);

@@ -22,55 +22,35 @@ strongly-connected components and lowered by a second strategy — a
 generated time-stepped *epoch kernel* per SCC (see
 :func:`repro.fastpath.lower.emit_epoch`) — while the acyclic remainder
 keeps the whole-trace numpy value pass.  :func:`build_schedule`
-computes the condensation order that interleaves both.
+computes the condensation order that interleaves both, with the SCC
+pass shared with place-and-route (:mod:`repro.graphcore`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.xpp import alu, io, objects as xobjects, ram
-
-
-#: Machine-readable rejection reasons.  Every ``UnsupportedGraphError``
-#: raised by the compiler carries exactly one of these on ``.code``;
-#: :mod:`repro.fastpath.explain` and the fallback warning surface them,
-#: and campaign rollups key per-kernel fallback rates off them.
-REASON_UNSUPPORTED_TYPE = "unsupported-type"
-REASON_INSTANCE_OVERRIDE = "instance-override"
-REASON_UNBOUND_INPUT = "unbound-input"
-REASON_DYNAMIC_SHIFT = "dynamic-shift"
-REASON_SHIFT_RANGE = "shift-range"
-REASON_CONST_RANGE = "const-range"
-REASON_COUNTER_STEP = "counter-step"
-REASON_COUNTER_RANGE = "counter-range"
-REASON_CIRCULAR_FIFO = "circular-fifo-input"
-REASON_EMPTY_NETLIST = "empty-netlist"
-REASON_DANGLING_WIRE = "dangling-wire"
-REASON_FAULT_TAP = "fault-tap"
-
-#: Retired codes: cycles compile since the epoch-kernel lowering landed.
-#: Kept as importable names so old tooling that buckets by code keeps
-#: working, but no compiler branch raises them anymore and they are no
-#: longer part of :data:`REASON_CODES`.
-REASON_SELF_LOOP = "self-loop"
-REASON_FEEDBACK_CYCLE = "feedback-cycle"
-
-#: All reason codes, for docs/CLI validation.
-REASON_CODES = (
-    REASON_UNSUPPORTED_TYPE, REASON_INSTANCE_OVERRIDE,
-    REASON_UNBOUND_INPUT, REASON_DYNAMIC_SHIFT, REASON_SHIFT_RANGE,
-    REASON_CONST_RANGE, REASON_COUNTER_STEP, REASON_COUNTER_RANGE,
-    REASON_CIRCULAR_FIFO, REASON_EMPTY_NETLIST, REASON_DANGLING_WIRE,
-    REASON_FAULT_TAP,
+from repro.diagnostics import (
+    REASON_CIRCULAR_FIFO,
+    REASON_CONST_RANGE,
+    REASON_COUNTER_RANGE,
+    REASON_COUNTER_STEP,
+    REASON_DYNAMIC_SHIFT,
+    REASON_INSTANCE_OVERRIDE,
+    REASON_SHIFT_RANGE,
+    REASON_UNBOUND_INPUT,
+    REASON_UNSUPPORTED_TYPE,
 )
+from repro.graphcore import condensation, is_feedback
+from repro.xpp import alu, io, objects as xobjects, ram
 
 
 class UnsupportedGraphError(Exception):
     """The captured graph cannot be compiled; run it on the golden path.
 
     ``code`` is the machine-readable rejection reason (one of
-    :data:`REASON_CODES`); the message stays the human explanation.
+    :data:`repro.diagnostics.REASON_CODES`); the message stays the
+    human explanation.
     """
 
     def __init__(self, message: str, *, code: str = REASON_UNSUPPORTED_TYPE):
@@ -260,62 +240,6 @@ def classify(obj) -> str:
     return kind
 
 
-def strongly_connected(nodes, edges) -> list:
-    """Tarjan SCCs of the wiring graph (iterative, no recursion limit).
-
-    Returns the components as sorted tuples of node indices, in
-    *reverse* topological order of the condensation (Tarjan's natural
-    emission order: a component is finished only after everything it
-    reaches).
-    """
-    out = [[] for _ in nodes]
-    for e in edges:
-        out[e.src].append(e.dst)
-    index = [None] * len(nodes)
-    low = [0] * len(nodes)
-    on_stack = [False] * len(nodes)
-    stack = []
-    comps = []
-    counter = [0]
-
-    for root in range(len(nodes)):
-        if index[root] is not None:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work.pop()
-            if pi == 0:
-                index[v] = low[v] = counter[0]
-                counter[0] += 1
-                stack.append(v)
-                on_stack[v] = True
-            recurse = False
-            for k in range(pi, len(out[v])):
-                w = out[v][k]
-                if index[w] is None:
-                    work.append((v, k + 1))
-                    work.append((w, 0))
-                    recurse = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if recurse:
-                continue
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                comps.append(tuple(sorted(comp)))
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-    return comps
-
-
 def _scc_member_order(scc, nodes, edges) -> list:
     """Deterministic firing order inside one SCC for the epoch kernel.
 
@@ -354,13 +278,14 @@ def build_schedule(nodes, edges) -> tuple:
     ``("scc", s)`` units lowered by epoch kernels.  ``topo`` is the
     flat node order of the same walk.
     """
-    self_loops = {e.src for e in edges if e.src == e.dst}
-    comps = list(reversed(strongly_connected(nodes, edges)))
+    out = [[] for _ in nodes]
+    for e in edges:
+        out[e.src].append(e.dst)
     topo = []
     schedule = []
     sccs = []
-    for comp in comps:
-        if len(comp) > 1 or comp[0] in self_loops:
+    for comp in condensation(range(len(nodes)), out):
+        if is_feedback(comp, out):
             ordered = _scc_member_order(comp, nodes, edges)
             schedule.append(("scc", len(sccs)))
             sccs.append(tuple(ordered))

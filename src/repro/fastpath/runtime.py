@@ -26,9 +26,10 @@ from __future__ import annotations
 import warnings
 from collections import deque
 
+from repro.diagnostics import REASON_UNSUPPORTED_TYPE
 from repro.fastpath.cache import compile_graph
 from repro.fastpath.capture import capture, check_runtime_state
-from repro.fastpath.ir import REASON_UNSUPPORTED_TYPE, UnsupportedGraphError
+from repro.fastpath.ir import UnsupportedGraphError
 from repro.telemetry.metrics import get_metrics
 from repro.fastpath.lower import (
     FIRES_CHECK,
@@ -47,7 +48,7 @@ class FastpathFallbackWarning(RuntimeWarning):
     compilation is refused.
 
     ``code`` carries the machine-readable rejection reason (one of
-    :data:`repro.fastpath.ir.REASON_CODES`) so tooling — campaign
+    :data:`repro.diagnostics.REASON_CODES`) so tooling — campaign
     rollups, ``fastpath explain`` — can bucket fallbacks without
     parsing the message.  The ``fastpath.fallback{,.<code>}`` metrics
     counters still increment on *every* fallback; only the Python

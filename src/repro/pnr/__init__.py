@@ -30,7 +30,8 @@ from repro.pnr.compile import (
     report_graph,
 )
 from repro.pnr.check import lint
-from repro.pnr.diag import PNR_CODES, Diagnostic, PnrError
+from repro.diagnostics import PNR_CODES, Diagnostic
+from repro.pnr.diag import PnrError
 from repro.pnr.graph import Edge, KernelGraph, Node, NodeRef, PortRef
 from repro.pnr.place import Placement, levelize, place
 from repro.pnr.route import RoutingResult, infer_capacities, route_placement

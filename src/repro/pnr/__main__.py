@@ -3,7 +3,7 @@
 ``compile`` runs the full pipeline on the DSL kernels (or a graph JSON
 file), prints the report, and exits nonzero on any legality
 diagnostic — which is exactly what the CI compile-smoke step asserts.
-``codes`` prints the diagnostic vocabulary.
+``codes`` prints the diagnostic vocabulary of both compilers.
 """
 
 from __future__ import annotations
@@ -13,8 +13,9 @@ import json
 import sys
 from pathlib import Path
 
+from repro.diagnostics import CODES
 from repro.pnr.compile import report_graph
-from repro.pnr.diag import CODE_DESCRIPTIONS, PnrError
+from repro.pnr.diag import PnrError
 from repro.pnr.graph import KernelGraph
 
 
@@ -87,9 +88,9 @@ def _cmd_compile(args) -> int:
 
 
 def _cmd_codes(_args) -> int:
-    width = max(len(c) for c in CODE_DESCRIPTIONS)
-    for code, desc in CODE_DESCRIPTIONS.items():
-        print(f"{code:<{width}}  {desc}")
+    width = max(len(c) for c in CODES)
+    for code, (compiler, desc) in CODES.items():
+        print(f"{code:<{width}}  {compiler:<8}  {desc}")
     return 0
 
 
@@ -117,7 +118,7 @@ def main(argv=None) -> int:
                            help="compare placements against goldens")
     p_compile.set_defaults(func=_cmd_compile)
 
-    p_codes = sub.add_parser("codes", help="print the diagnostic table")
+    p_codes = sub.add_parser("codes", help="print the diagnostic table of both compilers")
     p_codes.set_defaults(func=_cmd_codes)
 
     args = parser.parse_args(argv)

@@ -20,8 +20,8 @@ real configuration objects.
 
 from __future__ import annotations
 
-from repro.pnr import diag as d
-from repro.pnr.diag import Diagnostic
+from repro import diagnostics as d
+from repro.diagnostics import Diagnostic
 from repro.pnr.place import levelize
 from repro.xpp.alu import BinaryAlu, Reg, make_alu, opcodes
 from repro.xpp.array import XppArray

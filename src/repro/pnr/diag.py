@@ -1,105 +1,18 @@
-"""Coded compile diagnostics for the place-and-route pipeline.
+"""The place-and-route rejection: a :class:`PnrError` of coded diagnostics.
 
-Every way a kernel graph can be rejected has a stable machine-readable
-code, mirroring the reason codes of :mod:`repro.fastpath.explain`: a
-tool (or a test) branches on ``diag.code``, a human reads
-``diag.message``.  The compiler front end (:mod:`repro.pnr.check`)
-collects *all* diagnostics for a graph instead of stopping at the
-first, so one compile run reports every legality problem at once; the
-fuzz contract is that a hostile graph always surfaces as a
-:class:`PnrError` carrying coded diagnostics, never as a crash.
+The codes and the :class:`~repro.diagnostics.Diagnostic` record live in
+the registry shared with the fastpath backend, :mod:`repro.diagnostics`.
+The compiler front end (:mod:`repro.pnr.check`) collects *all*
+diagnostics for a graph instead of stopping at the first, so one
+compile run reports every legality problem at once; the fuzz contract
+is that a hostile graph always surfaces as a :class:`PnrError`
+carrying coded diagnostics, never as a crash.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
-
+from repro.diagnostics import PNR_MALFORMED, Diagnostic
 from repro.xpp.errors import XppError
-
-# -- the diagnostic vocabulary ------------------------------------------------------
-
-#: the graph payload is not structurally a graph (bad JSON shapes ...)
-PNR_MALFORMED = "malformed-graph"
-#: an Op/Const node names an opcode outside :func:`repro.xpp.alu.opcodes`
-PNR_UNKNOWN_OPCODE = "unknown-opcode"
-#: node parameters were rejected by the object constructor
-PNR_BAD_PARAMS = "bad-params"
-#: two nodes share a name
-PNR_DUPLICATE_NODE = "duplicate-node"
-#: an edge references a node that does not exist
-PNR_UNKNOWN_NODE = "unknown-node"
-#: an edge references a port its endpoint does not have
-PNR_UNKNOWN_PORT = "unknown-port"
-#: two edges drive the same input port
-PNR_DOUBLE_DRIVEN = "double-driven-input"
-#: an input the firing rule waits on is unconnected
-PNR_UNDRIVEN_INPUT = "undriven-input"
-#: producer and consumer disagree on the token width (12/24-bit rule)
-PNR_WIDTH_MISMATCH = "width-mismatch"
-#: an explicit wire capacity below the hardware minimum of 1
-PNR_WIRE_CAPACITY = "wire-capacity"
-#: a Mem node larger than one RAM-PAE (512 words)
-PNR_RAM_WORDS = "ram-words"
-#: more ALU ops than the fabric has ALU-PAEs
-PNR_ALU_CAPACITY = "alu-capacity"
-#: more Mem nodes than RAM-PAEs in the side columns
-PNR_RAM_CAPACITY = "ram-capacity"
-#: more streams than I/O channels
-PNR_IO_CAPACITY = "io-capacity"
-#: a feedback cycle with no initial token (REG init / FIFO preload)
-PNR_DEADLOCK_CYCLE = "deadlock-cycle"
-#: routing tracks of a row/column exhausted by the placement
-PNR_ROUTING_TRACKS = "routing-tracks"
-#: the graph has no nodes at all
-PNR_EMPTY_GRAPH = "empty-graph"
-
-#: every code the pipeline can emit, with the one-line description the
-#: CLI and docs table print
-CODE_DESCRIPTIONS = {
-    PNR_MALFORMED: "graph payload is not structurally a graph",
-    PNR_UNKNOWN_OPCODE: "op names an opcode outside the ALU opcode table",
-    PNR_BAD_PARAMS: "node parameters rejected by the object constructor",
-    PNR_DUPLICATE_NODE: "two nodes share a name",
-    PNR_UNKNOWN_NODE: "edge references a node that does not exist",
-    PNR_UNKNOWN_PORT: "edge references a port its endpoint does not have",
-    PNR_DOUBLE_DRIVEN: "two edges drive the same input port",
-    PNR_UNDRIVEN_INPUT: "an input the firing rule waits on is unconnected",
-    PNR_WIDTH_MISMATCH: "producer and consumer disagree on token width",
-    PNR_WIRE_CAPACITY: "explicit wire capacity below the hardware minimum",
-    PNR_RAM_WORDS: "Mem node larger than one RAM-PAE (512 words)",
-    PNR_ALU_CAPACITY: "more ALU ops than the fabric has ALU-PAEs",
-    PNR_RAM_CAPACITY: "more Mem nodes than RAM-PAEs in the side columns",
-    PNR_IO_CAPACITY: "more streams than I/O channels",
-    PNR_DEADLOCK_CYCLE: "feedback loop with no initial token",
-    PNR_ROUTING_TRACKS: "row/column routing tracks exhausted",
-    PNR_EMPTY_GRAPH: "graph has no nodes",
-}
-
-PNR_CODES = tuple(CODE_DESCRIPTIONS)
-
-
-@dataclass
-class Diagnostic:
-    """One legality problem, attributed to a node or edge when known."""
-
-    code: str
-    message: str
-    node: Optional[str] = None      # offending node name
-    edge: Optional[str] = None      # offending edge as "src.port->dst.port"
-
-    def to_dict(self) -> dict:
-        d = {"code": self.code, "message": self.message}
-        if self.node is not None:
-            d["node"] = self.node
-        if self.edge is not None:
-            d["edge"] = self.edge
-        return d
-
-    def __str__(self) -> str:
-        where = self.node or self.edge
-        loc = f" at {where}" if where else ""
-        return f"[{self.code}]{loc}: {self.message}"
 
 
 class PnrError(XppError):

@@ -38,7 +38,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
-from repro.pnr.diag import PNR_MALFORMED, Diagnostic, PnrError
+from repro.diagnostics import PNR_MALFORMED, Diagnostic
+from repro.pnr.diag import PnrError
 
 #: node kinds a graph may contain
 NODE_KINDS = ("op", "const", "in", "out", "mem")

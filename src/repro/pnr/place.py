@@ -8,7 +8,7 @@ The strategy follows how the hand-wired kernels are laid out in
 practice:
 
 1. **Levelize.**  Collapse feedback loops (strongly connected
-   components, found with an iterative Tarjan) into single
+   components, found by the shared :mod:`repro.graphcore`) into single
    super-nodes, then compute longest-path levels over the resulting
    DAG.  The level of a node is its pipeline depth from the inputs.
 2. **Place ALU ops one column per level.**  Dataflow runs left to
@@ -35,68 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.graphcore import condensation, is_feedback
 from repro.xpp.array import XppArray
 
 #: graph node kind -> array slot kind
 KIND_TO_SLOT = {"op": "alu", "const": "alu", "in": "io", "out": "io",
                 "mem": "ram"}
-
-
-# -- strongly connected components -------------------------------------------------
-
-
-def strongly_connected_components(names, adjacency):
-    """Tarjan's SCC algorithm, iterative (graphs may be deep).
-
-    ``names`` fixes the iteration order, so the result is deterministic:
-    components come out in reverse topological order.
-    """
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list = []
-    components: list[list] = []
-    counter = [0]
-
-    for root in names:
-        if root in index:
-            continue
-        # each work item: (node, iterator over successors)
-        work = [(root, iter(adjacency.get(root, ())))]
-        index[root] = low[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
-        while work:
-            node, successors = work[-1]
-            advanced = False
-            for succ in successors:
-                if succ not in index:
-                    index[succ] = low[succ] = counter[0]
-                    counter[0] += 1
-                    stack.append(succ)
-                    on_stack.add(succ)
-                    work.append((succ, iter(adjacency.get(succ, ()))))
-                    advanced = True
-                    break
-                if succ in on_stack:
-                    low[node] = min(low[node], index[succ])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                component = []
-                while True:
-                    member = stack.pop()
-                    on_stack.discard(member)
-                    component.append(member)
-                    if member == node:
-                        break
-                components.append(component)
-    return components
 
 
 def levelize(graph):
@@ -110,35 +54,24 @@ def levelize(graph):
     names = [n.name for n in graph.nodes]
     known = set(names)
     adjacency: dict = {name: [] for name in names}
-    self_loops = set()
     for e in graph.edges:
         if e.src.node in known and e.dst.node in known:
             adjacency[e.src.node].append(e.dst.node)
-            if e.src.node == e.dst.node:
-                self_loops.add(e.src.node)
 
-    components = strongly_connected_components(names, adjacency)
-    comp_of = {}
-    for i, members in enumerate(components):
-        for m in members:
-            comp_of[m] = i
-
-    # condensation edges; Tarjan emits components in reverse topological
-    # order, so iterating components in reverse IS a topological order.
-    comp_succ: dict = {i: set() for i in range(len(components))}
-    for src, succs in adjacency.items():
-        for dst in succs:
-            if comp_of[src] != comp_of[dst]:
-                comp_succ[comp_of[src]].add(comp_of[dst])
-
-    comp_level = {i: 0 for i in range(len(components))}
-    for i in range(len(components) - 1, -1, -1):
-        for succ in comp_succ[i]:
-            comp_level[succ] = max(comp_level[succ], comp_level[i] + 1)
+    components = condensation(names, adjacency)
+    comp_of = {m: i for i, members in enumerate(components) for m in members}
+    comp_level = [0] * len(components)
+    for i, members in enumerate(components):    # producers first
+        for src in members:
+            for dst in adjacency[src]:
+                j = comp_of[dst]
+                if j != i:
+                    comp_level[j] = max(comp_level[j], comp_level[i] + 1)
 
     levels = {name: comp_level[comp_of[name]] for name in names}
-    cyclic = [sorted(members) for members in components
-              if len(members) > 1 or members[0] in self_loops]
+    # sinks first: the order deadlock-cycle diagnostics are reported in
+    cyclic = [list(members) for members in reversed(components)
+              if is_feedback(members, adjacency)]
     return levels, cyclic
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.pnr.diag import PNR_ROUTING_TRACKS, Diagnostic
+from repro.diagnostics import PNR_ROUTING_TRACKS, Diagnostic
 from repro.pnr.place import levelize
 from repro.xpp.port import DEFAULT_CAPACITY
 from repro.xpp.router import Router

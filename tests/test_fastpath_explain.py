@@ -19,8 +19,7 @@ from repro.fastpath import (
     explain,
 )
 from repro.fastpath.__main__ import main as fastpath_main
-from repro.fastpath.ir import (
-    GENERATORS,
+from repro.diagnostics import (
     REASON_CIRCULAR_FIFO,
     REASON_CONST_RANGE,
     REASON_COUNTER_RANGE,
@@ -29,13 +28,12 @@ from repro.fastpath.ir import (
     REASON_DYNAMIC_SHIFT,
     REASON_EMPTY_NETLIST,
     REASON_FAULT_TAP,
-    REASON_FEEDBACK_CYCLE,
     REASON_INSTANCE_OVERRIDE,
-    REASON_SELF_LOOP,
     REASON_SHIFT_RANGE,
     REASON_UNBOUND_INPUT,
     REASON_UNSUPPORTED_TYPE,
 )
+from repro.fastpath.ir import GENERATORS
 from repro.kernels import build_descrambler_config
 from repro.telemetry.metrics import MetricsRegistry, set_metrics
 from repro.telemetry.tracer import Tracer
@@ -165,10 +163,6 @@ SCENARIOS = {
 def test_reason_code_table_is_complete():
     assert len(REASON_CODES) == len(set(REASON_CODES))
     assert set(SCENARIOS) == set(REASON_CODES)
-    # cycles compile since the epoch lowering: the codes are retired —
-    # importable for old tooling but no longer rejection reasons
-    assert REASON_SELF_LOOP not in REASON_CODES
-    assert REASON_FEEDBACK_CYCLE not in REASON_CODES
 
 
 @pytest.mark.parametrize("code", sorted(SCENARIOS))

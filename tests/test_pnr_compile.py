@@ -1,9 +1,12 @@
 """Unit tests for the pnr compile pipeline, report and CLI."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.diagnostics import CODES, PNR_UNKNOWN_OPCODE, REASON_CODES
 from repro.kernels.dsl import (
     GOLDEN_DESPREADER,
     descrambler_graph,
@@ -19,7 +22,6 @@ from repro.pnr import (
     report_graph,
 )
 from repro.pnr.__main__ import main
-from repro.pnr.diag import CODE_DESCRIPTIONS, PNR_UNKNOWN_OPCODE
 from repro.xpp.array import XppArray
 from repro.xpp.manager import ConfigurationManager
 from repro.xpp.port import DEFAULT_CAPACITY
@@ -184,5 +186,21 @@ class TestCli:
     def test_codes_subcommand_prints_whole_table(self, capsys):
         assert main(["codes"]) == 0
         out = capsys.readouterr().out
-        for code, desc in CODE_DESCRIPTIONS.items():
-            assert code in out and desc in out
+        lines = out.splitlines()
+        assert len(lines) == len(CODES)
+        for line, (code, (compiler, desc)) in zip(lines, CODES.items()):
+            assert line.split()[:2] == [code, compiler]
+            assert line.endswith(desc)
+        # both compilers' vocabularies, not only place-and-route's
+        fastpath = {line.split()[0] for line in lines
+                    if line.split()[1] == "fastpath"}
+        assert fastpath == set(REASON_CODES)
+
+    def test_docs_code_table_lists_exactly_the_registry(self):
+        doc = Path(__file__).resolve().parents[1] / "docs" / "pnr.md"
+        section = doc.read_text().split("## Diagnostics")[1].split("\n## ")[0]
+        rows = re.findall(r"^\| `([^`]+)` \| (\w+) \| (.+?) \|$",
+                          section, flags=re.MULTILINE)
+        assert {code: (compiler, desc) for code, compiler, desc in rows} \
+            == CODES
+        assert len(rows) == len(CODES)

@@ -33,7 +33,7 @@ from repro.pnr import (
     compile_graph,
     report_graph,
 )
-from repro.pnr.diag import (
+from repro.diagnostics import (
     PNR_BAD_PARAMS,
     PNR_DEADLOCK_CYCLE,
     PNR_DOUBLE_DRIVEN,
