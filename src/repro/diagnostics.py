@@ -90,6 +90,9 @@ REASON_DANGLING_WIRE = _code(
     FASTPATH, "dangling-wire", "wire without a producer or a consumer port")
 REASON_FAULT_TAP = _code(
     FASTPATH, "fault-tap", "fault-injector tap installed on a wire")
+REASON_RAM_CONTROL = _code(
+    FASTPATH, "ram-control",
+    "RAM read data reaches a select or loops back to a RAM read address")
 
 
 #: the codes each compiler raises, in registry order

@@ -6,9 +6,11 @@ as batched NumPy int64 operations instead of object-at-a-time
 plan/commit dispatch.  Results are bit-exact with the event and naive
 schedulers.  Feedback rings compile too: each strongly-connected
 component is lowered into a generated time-stepped *epoch kernel*
-while the acyclic remainder keeps the whole-trace value pass.  Graphs
-the compiler cannot prove (custom firing rules, RAM-backed objects,
-fault taps) transparently fall back to the event scheduler with a
+while the acyclic remainder keeps the whole-trace value pass, and
+RAM-PAE reads take their values after the trace, which stamps each
+read with the writes committed before it.  Graphs the compiler cannot
+prove (custom firing rules, RAM read data steering a select, fault
+taps) transparently fall back to the event scheduler with a
 :class:`FastpathFallbackWarning` (deduplicated per netlist shape and
 reason per process).  Compiled kernels are cached content-addressed —
 in-process LRU plus an optional on-disk artifact store

@@ -81,6 +81,7 @@ _PARAMS = {
     "cinteg": ("half_bits",),
     "reg": ("bits",),
     "fifo": ("depth", "circular", "bits"),
+    "ram": ("words", "bits"),
 }
 
 

@@ -78,9 +78,9 @@ def capture_sets(objs, wires) -> Graph:
         nodes.append(Node(i=i, obj=o, kind=kind,
                           in_edges=in_edges, out_ports=out_ports))
 
-    topo, schedule, sccs = build_schedule(nodes, edges)
+    topo, schedule, sccs, late = build_schedule(nodes, edges)
     return Graph(nodes=nodes, edges=edges, topo=topo,
-                 schedule=schedule, sccs=sccs)
+                 schedule=schedule, sccs=sccs, late=late)
 
 
 def check_runtime_state(graph: Graph) -> None:

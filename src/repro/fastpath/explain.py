@@ -257,9 +257,10 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
         from repro.fastpath.lower import state_spec
         from repro.fastpath.runtime import initial_state
         sv = [None] * len(graph.edges)
-        for j in sorted({n.in_edges[0] for n in graph.nodes
-                         if n.kind in ("demux", "merge", "gate")}):
+        for j in graph.select_edges():
             sv[j] = edge_vals[j].tolist()
+        for j in graph.stamp_edges():
+            sv[j] = []
         masks: list = []
         done, _ = trace(initial_state(graph, state_spec(graph)),
                         sv, masks, [], [], cycles)

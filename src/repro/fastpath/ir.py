@@ -24,6 +24,18 @@ generated time-stepped *epoch kernel* per SCC (see
 keeps the whole-trace numpy value pass.  :func:`build_schedule`
 computes the condensation order that interleaves both, with the SCC
 pass shared with place-and-route (:mod:`repro.graphcore`).
+
+A RAM-PAE is the one node whose output values depend on *when* it
+fires: a read returns the memory image with every write committed in
+earlier cycles applied.  For scheduling, its write port is a sink (the
+write edges do not order the value pass), and the RAM plus everything
+downstream of its read data form the graph's *late* set: their values
+are computed after the count-level trace has stamped every read with
+the number of writes committed before it (see
+:func:`repro.fastpath.lower.late_streams`).  That split needs the
+trace itself to be independent of RAM contents, so read data reaching
+a DEMUX/MERGE/GATE select, or looping back to a RAM read address, is
+rejected (:data:`~repro.diagnostics.REASON_RAM_CONTROL`).
 """
 
 from __future__ import annotations
@@ -37,6 +49,7 @@ from repro.diagnostics import (
     REASON_COUNTER_STEP,
     REASON_DYNAMIC_SHIFT,
     REASON_INSTANCE_OVERRIDE,
+    REASON_RAM_CONTROL,
     REASON_SHIFT_RANGE,
     REASON_UNBOUND_INPUT,
     REASON_UNSUPPORTED_TYPE,
@@ -91,10 +104,14 @@ KIND_OF = {
     alu.ComplexIntegrator: "cinteg",
     alu.Reg: "reg",
     ram.FifoPae: "fifo",
+    ram.RamPae: "ram",
 }
 
 #: kinds whose plan is the default firing rule gated by a token budget
 GENERATORS = frozenset({"source", "const", "seq", "counter"})
+
+#: kinds whose first input edge is a select the trace kernel peeks at
+SELECTS = ("demux", "merge", "gate")
 
 #: largest safe constant shift: 24-bit operands stay well inside int64
 MAX_SHIFT = 32
@@ -150,12 +167,30 @@ class Graph:
     topo: list          # flat node order (schedule order, SCCs inlined)
     schedule: list = None   # ("node", i) | ("scc", s) units, topo order
     sccs: list = None       # non-trivial SCCs: tuples of node indices
+    late: frozenset = frozenset()   # RAMs and nodes fed by RAM read data
 
     def __post_init__(self):
         if self.schedule is None:
             self.schedule = [("node", i) for i in self.topo]
         if self.sccs is None:
             self.sccs = []
+
+    def is_late(self, unit) -> bool:
+        """Whether a schedule unit's values wait for the trace's RAM
+        read stamps (an SCC is late iff its members are)."""
+        tag, x = unit
+        return (x if tag == "node" else self.sccs[x][0]) in self.late
+
+    def select_edges(self) -> list:
+        """Edges whose values the trace kernel peeks at (selects)."""
+        return sorted({n.in_edges[0] for n in self.nodes
+                       if n.kind in SELECTS})
+
+    def stamp_edges(self) -> list:
+        """Read-address edges of RAMs with an enabled read port: the
+        trace kernel stamps every read popped off one of them."""
+        return [n.in_edges[0] for n in self.nodes
+                if n.kind == "ram" and n.in_edges[0] is not None]
 
     def epoch_nodes(self) -> set:
         """Node indices lowered by an epoch kernel (inside an SCC)."""
@@ -227,6 +262,7 @@ def classify(obj) -> str:
         if not obj.inputs[0].bound:
             raise UnsupportedGraphError(f"{obj.name}: unbound input",
                                         code=REASON_UNBOUND_INPUT)
+    # a RAM's unbound port just disables its half: nothing to refuse
     if kind in ("cadd", "csub", "cmul", "pack", "mux", "swap",
                 "demux", "merge", "gate", "unpack", "sink", "probe"):
         for p in obj.inputs:
@@ -270,17 +306,24 @@ def _scc_member_order(scc, nodes, edges) -> list:
 
 
 def build_schedule(nodes, edges) -> tuple:
-    """(topo, schedule, sccs) of the captured wiring.
+    """(topo, schedule, sccs, late) of the captured wiring.
 
     ``schedule`` walks the condensation in topological order; trivial
     components become ``("node", i)`` units for the vectorized value
     pass, feedback components (size > 1, or a self-loop) become
     ``("scc", s)`` units lowered by epoch kernels.  ``topo`` is the
-    flat node order of the same walk.
+    flat node order of the same walk.  RAM write edges do not order
+    the walk: a write port is a sink for the value pass.  ``late`` is
+    the RAM nodes plus every node their read data reaches.
+
+    Raises :class:`UnsupportedGraphError` when RAM read data reaches a
+    select (the trace would depend on memory contents) or loops back
+    to a RAM read address (a RAM inside a feedback component).
     """
     out = [[] for _ in nodes]
     for e in edges:
-        out[e.src].append(e.dst)
+        if not (nodes[e.dst].kind == "ram" and e.dst_port > 0):
+            out[e.src].append(e.dst)
     topo = []
     schedule = []
     sccs = []
@@ -293,4 +336,29 @@ def build_schedule(nodes, edges) -> tuple:
         else:
             schedule.append(("node", comp[0]))
             topo.append(comp[0])
-    return topo, schedule, sccs
+    return topo, schedule, sccs, _late_nodes(nodes, edges, sccs, out)
+
+
+def _late_nodes(nodes, edges, sccs, out) -> frozenset:
+    rams = [n.i for n in nodes if n.kind == "ram"]
+    if not rams:
+        return frozenset()
+    for scc in sccs:
+        for i in scc:
+            if nodes[i].kind == "ram":
+                raise UnsupportedGraphError(
+                    f"{nodes[i].obj.name}: RAM read data loops back to a "
+                    "RAM read address", code=REASON_RAM_CONTROL)
+    late = set(rams)
+    stack = list(rams)
+    while stack:
+        for d in out[stack.pop()]:
+            if d not in late:
+                late.add(d)
+                stack.append(d)
+    for n in nodes:
+        if n.kind in SELECTS and edges[n.in_edges[0]].src in late:
+            raise UnsupportedGraphError(
+                f"{n.obj.name}: select driven by RAM read data",
+                code=REASON_RAM_CONTROL)
+    return frozenset(late)

@@ -24,6 +24,15 @@ Data-dependent routing (DEMUX/MERGE/GATE) is the one place values feed
 back into scheduling; those select streams are handed to the trace
 kernel as plain Python lists indexed by the select edge's pop counter.
 
+RAM-PAEs run the other way round: timing never depends on memory
+contents, but a read's value depends on which writes committed before
+it.  The trace kernel stamps every read with the number of writes
+committed in earlier cycles (appended to a list handed in where the
+read-address edge's select slot would be), and :func:`late_streams`
+computes the RAM's read values — and everything downstream of them —
+after the trace: read ``k`` returns the session's memory image with
+the first ``stamps[k]`` writes applied.
+
 Feedback cycles get a third piece.  The count pass is already
 cycle-safe (every plan boolean is computed before any commit and each
 edge has exactly one consumer, so node order is irrelevant), but the
@@ -336,25 +345,118 @@ def value_streams(graph: Graph, limit: int, epochs=None,
     runs the epoch kernels over the *new* window instead of replaying
     from cycle zero — TraceSession passes its own so repeated
     ``ensure`` growth stays O(total), matching the trace kernel's
-    incremental count state."""
+    incremental count state.
+
+    Edges of the graph's late units (RAM read data and everything
+    downstream) stay None: their values wait for the trace's read
+    stamps, see :func:`late_streams`."""
     edge_vals = [None] * len(graph.edges)
-    for tag, x in graph.schedule:
-        if tag == "node":
-            node = graph.nodes[x]
-            ins = [edge_vals[j] if j is not None else None
-                   for j in node.in_edges]
-            ports = _node_streams(node, ins, limit)
-            for k, js in enumerate(node.out_ports):
-                for j in js:
-                    init = _arr(graph.edges[j].wire._q)
-                    edge_vals[j] = np.concatenate([init, ports[k][:limit]])
-        else:
-            fn = epochs[x] if epochs is not None else compile_epoch(graph, x)
-            env = _run_epoch(graph, x, fn, edge_vals, limit, epoch_rt)
-            for idx, (_, tag2, key) in enumerate(epoch_spec(graph, x)):
-                if tag2 == "seed":
-                    edge_vals[key] = _arr(env[idx])
+    for unit in graph.schedule:
+        if not graph.is_late(unit):
+            _run_unit(graph, unit, edge_vals, limit, epochs, epoch_rt)
     return edge_vals
+
+
+def _store(graph: Graph, node, ports, edge_vals: list, limit: int) -> None:
+    """Per-edge streams of a node's output ports (queued tokens first)."""
+    for k, js in enumerate(node.out_ports):
+        for j in js:
+            init = _arr(graph.edges[j].wire._q)
+            edge_vals[j] = np.concatenate([init, ports[k][:limit]])
+
+
+def _run_unit(graph: Graph, unit, edge_vals: list, limit: int, epochs,
+              epoch_rt) -> None:
+    """Compute one schedule unit's output streams into ``edge_vals``."""
+    tag, x = unit
+    if tag == "node":
+        node = graph.nodes[x]
+        ins = [edge_vals[j] if j is not None else None
+               for j in node.in_edges]
+        _store(graph, node, _node_streams(node, ins, limit), edge_vals,
+               limit)
+    else:
+        fn = epochs[x] if epochs is not None else compile_epoch(graph, x)
+        env = _run_epoch(graph, x, fn, edge_vals, limit, epoch_rt)
+        for idx, (_, tag2, key) in enumerate(epoch_spec(graph, x)):
+            if tag2 == "seed":
+                edge_vals[key] = _arr(env[idx])
+
+
+def _ram_reads(graph: Graph, node, edge_vals: list, stamps: list) -> tuple:
+    """``(values, exact)`` of a RAM's traced reads.
+
+    Read ``k`` returns the memory image at session open with the first
+    ``stamps[k]`` writes applied, at address ``raddr[k] % words`` (a
+    write in the read's own cycle is not among them: read-before-write).
+    Write streams still None, or produced by late nodes, may be missing
+    or provisional; ``exact`` is False when the result leaned on one.
+    """
+    o = node.obj
+    ra, wa, wd = node.in_edges
+    n = len(stamps)
+    addr = edge_vals[ra][:n] % o.words
+    vals = _arr(o.mem)[addr]
+    w = stamps[-1] if n else 0          # stamps never decrease
+    if not w:
+        return vals, True
+    late = graph.late
+    wav = edge_vals[wa]
+    if wav is None:
+        return vals, False
+    # last write to each read's address before its stamp: sort writes
+    # by (address, index) and search for (address, stamp)
+    key = (wav[:w] % o.words) * (w + 1) + np.arange(w, dtype=np.int64)
+    order = np.argsort(key)
+    key = key[order]
+    pos = np.searchsorted(key, addr * (w + 1) + _arr(stamps)) - 1
+    at = np.maximum(pos, 0)
+    hit = (pos >= 0) & (key[at] // (w + 1) == addr)
+    waddr_exact = graph.edges[wa].src not in late
+    if not hit.any():
+        return vals, waddr_exact
+    wdv = edge_vals[wd]
+    if wdv is None:
+        return vals, False
+    wvals = _wrap(wdv[:w][order], o.bits)
+    exact = waddr_exact and graph.edges[wd].src not in late
+    return np.where(hit, wvals[at], vals), exact
+
+
+def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
+                 epochs=None) -> None:
+    """Fill in the late units' streams of ``edge_vals`` in place, once
+    the trace kernel has appended every read's stamp to
+    ``sv[raddr edge]``.
+
+    Only stamped (traced) reads produce values, so every late stream is
+    exact and prefix-consistent across regrowth.  When a read observes
+    a write whose address or data itself derives from RAM read data,
+    the sweep repeats until the read values stop changing: a write
+    only carries data read in earlier cycles, so each sweep settles at
+    least one more read and the fixpoint is the simulated one.  Late
+    SCCs replay from their session snapshot on every sweep."""
+    units = [u for u in graph.schedule if graph.is_late(u)]
+    prev = None
+    for _ in range(2 + sum(len(sv[j]) for j in graph.stamp_edges())):
+        reads = []
+        exact = True
+        for unit in units:
+            tag, x = unit
+            node = graph.nodes[x] if tag == "node" else None
+            if node is None or node.kind != "ram":
+                _run_unit(graph, unit, edge_vals, limit, epochs, None)
+            elif node.in_edges[0] is not None:
+                vals, ok = _ram_reads(graph, node, edge_vals,
+                                      sv[node.in_edges[0]])
+                reads.append(vals)
+                exact = exact and ok
+                _store(graph, node, [vals], edge_vals, limit)
+        if exact or prev is not None and all(
+                np.array_equal(a, b) for a, b in zip(prev, reads)):
+            return
+        prev = reads
+    raise AssertionError("RAM read values did not settle")  # unreachable
 
 
 # ---------------------------------------------------------------------------
@@ -813,6 +915,13 @@ def _plan_line(n, graph):
         chk = _chk(outs, graph)
         return [f"b{i} = ({chk}) if pre{i} > 0 else "
                 f"(o{x} > 0 and ({chk}))"]
+    if k == "ram":
+        ra, wa, wd = n.in_edges
+        rd = (f"o{ra} > 0 and ({_chk(outs, graph)})" if ra is not None
+              else "False")
+        wr = (f"o{wa} > 0 and o{wd} > 0" if wa is not None
+              and wd is not None else "False")
+        return [f"dr{i} = {rd}", f"dw{i} = {wr}", f"b{i} = dr{i} or dw{i}"]
     if k == "fifo":
         x = n.in_edges[0]
         lines = []
@@ -910,6 +1019,18 @@ def _commit_block(n, graph):
             body.append(f"    p{x} += 1")
             body.append(f"    fin{i} += 1")
             body.append(f"    fl{i} += 1")
+    elif k == "ram":
+        ra, wa, wd = n.in_edges
+        writable = wa is not None and wd is not None
+        if ra is not None:
+            # stamp the read with the writes committed in earlier
+            # cycles (this cycle's write commits below it)
+            body += [f"if dr{i}:", f"    o{ra} -= 1", f"    p{ra} += 1",
+                     f"    _rs{i}({f'p{wa}' if writable else 0})"]
+            push(outs, "    ")
+        if writable:
+            body += [f"if dw{i}:", f"    o{wa} -= 1", f"    p{wa} += 1",
+                     f"    o{wd} -= 1", f"    p{wd} += 1"]
     else:
         for j in pops:
             pop(j)
@@ -927,12 +1048,13 @@ def emit_trace(graph: Graph) -> str:
     names = [_name(t, x) for t, x in state_spec(graph)]
     unpack = ", ".join(names)
     fnames = ", ".join(f"f{n.i}" for n in graph.nodes)
-    peeked = sorted({n.in_edges[0] for n in graph.nodes
-                     if n.kind in ("demux", "merge", "gate")})
     lines = ["def _trace(state, sv, masks, fchk, schk, limit):"]
     lines.append(f"    ({unpack}) = state")
-    for j in peeked:
+    for j in graph.select_edges():
         lines.append(f"    sv{j} = sv[{j}]")
+    for n in graph.nodes:
+        if n.kind == "ram" and n.in_edges[0] is not None:
+            lines.append(f"    _rs{n.i} = sv[{n.in_edges[0]}].append")
     lines.append("    _ma = masks.append")
     lines.append("    _fa = fchk.append")
     lines.append("    _sa = schk.append")

@@ -35,6 +35,7 @@ from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
     _vunpack,
+    late_streams,
     node_budget,
     state_spec,
     value_streams,
@@ -115,9 +116,12 @@ class TraceSession:
         self.limit = 0      # value-stream window (= trace cycle limit)
         self.edge_vals = None
         self._epoch_rt = {}     # per-SCC incremental kernel state
+        # trace side streams: select values in, RAM read stamps out
         self.sv = [None] * len(graph.edges)
-        self._peeked = sorted({n.in_edges[0] for n in graph.nodes
-                               if n.kind in ("demux", "merge", "gate")})
+        self._peeked = graph.select_edges()
+        self._stamped = graph.stamp_edges()
+        for j in self._stamped:
+            self.sv[j] = []
         # node index -> [live list, value list, consumed count]
         self.collect = {}
         for n in graph.nodes:
@@ -163,21 +167,31 @@ class TraceSession:
             return tuple(o._preload)
         if k == "fifo":
             return tuple(o._q)
+        if k == "ram":
+            return tuple(o.mem)
         return None
 
     # -- tracing -------------------------------------------------------------
 
     def _grow_values(self, limit: int) -> None:
-        """(Re)run the value pass over a longer window.  The live state
-        is frozen during a session, so the recompute is deterministic and
+        """(Re)run the value pass over a longer window, up to what the
+        trace needs (every stream but the late ones).  The live state is
+        frozen during a session, so the recompute is deterministic and
         prefix-consistent with every list already handed out."""
         self.edge_vals = value_streams(self.graph, limit, self.epochs,
                                        self._epoch_rt)
         for j in self._peeked:
             self.sv[j] = self.edge_vals[j].tolist()
+        self.limit = limit
+
+    def _grow_late(self) -> None:
+        """Complete the value pass once the trace has stamped the RAM
+        reads, and refresh the sink/probe value lists."""
+        if self.graph.late:
+            late_streams(self.graph, self.limit, self.edge_vals, self.sv,
+                         self.epochs)
         for i, rec in self.collect.items():
             rec[1] = self.edge_vals[self.graph.nodes[i].in_edges[0]].tolist()
-        self.limit = limit
 
     def ensure(self, t: int) -> None:
         """Extend the trace to cover at least ``t`` cycles (or quiet)."""
@@ -186,6 +200,7 @@ class TraceSession:
             self._grow_values(limit)
             done, self.state = self.trace(self.state, self.sv, self.masks,
                                           self.fchk, self.schk, limit)
+            self._grow_late()
             if done:
                 self.z = len(self.masks) - 1
 
@@ -276,13 +291,21 @@ class TraceSession:
 
     def _state_at(self, t: int) -> tuple:
         """Exact count state after ``t`` cycles, via the nearest full
-        checkpoint plus a deterministic re-run of the trace kernel."""
-        t = min(t, len(self.masks))
+        checkpoint plus a deterministic re-run of the trace kernel.
+        At or past the traced end it is the kernel's returned state (a
+        zero mask is absorbing), with no re-run."""
+        if t >= len(self.masks):
+            return self.state
         j = t // STATE_CHECK
         base = self.schk[j - 1] if j else self.s0
         if base[0] == t:
             return base
-        _, st = self.trace(base, self.sv, [], [], [], t)
+        sv = self.sv
+        if self._stamped:
+            sv = list(sv)       # the re-run must not stamp reads twice
+            for k in self._stamped:
+                sv[k] = []
+        _, st = self.trace(base, sv, [], [], [], t)
         return st
 
     def materialize(self) -> None:
@@ -364,6 +387,16 @@ class TraceSession:
                 o._q = deque(full[fout:])
             o._do_in = False
             o._do_out = False
+        elif k == "ram":
+            _, wa, wd = n.in_edges
+            if wa is not None and wd is not None:
+                w = sd[("p", wa)]
+                addrs = self.edge_vals[wa][:w].tolist()
+                vals = self.edge_vals[wd][:w].tolist()
+                for a, v in zip(addrs, vals):
+                    o.mem[a % o.words] = wrap(v, o.bits)
+            o._do_read = False
+            o._do_write = False
 
     @staticmethod
     def _acc_state(x, length, n0, s0):

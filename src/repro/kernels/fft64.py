@@ -157,9 +157,12 @@ def build_fft_stage_config(stage_index: int, data: list, *,
 class Fft64Kernel:
     """Executes the three-stage FFT64 on the simulated array.
 
-    The same butterfly hardware is iterated over the three stages; each
-    iteration reloads only the address/twiddle lookup FIFOs (a partial
-    reconfiguration), exactly as the paper's RAM read-back scheme.
+    The same butterfly netlist is iterated over the three stages, as in
+    the paper's RAM read-back scheme.  Each iteration builds a fresh
+    stage configuration (that stage's address/twiddle lookup FIFOs and
+    the previous stage's RAM image), loads it into a fresh manager and
+    drains it on a fresh simulator; every stage runs 85 cycles and
+    stops quiescent.
     """
 
     def __init__(self, *, twiddle_bits: int = TWIDDLE_BITS,
@@ -190,9 +193,7 @@ class Fft64Kernel:
             mgr.load(cfg)
             sim = Simulator(mgr)
             ram = cfg.object("data_ram")
-            waddr = cfg.object("waddr_lut")
-            stats = sim.run(20_000, until=lambda: len(waddr) == 0
-                            and ram.fired >= 2 * N)
+            stats = sim.drain(20_000)
             self.last_stats.append(stats)
             data = list(ram.mem)
             mgr.remove(cfg)

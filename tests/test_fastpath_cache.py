@@ -18,10 +18,16 @@ import pytest
 from repro.campaign import CampaignSpec, run_campaign
 from repro.fastpath import cache
 from repro.fastpath.capture import capture
-from repro.kernels import build_descrambler_config, build_despreader_config
+from repro.kernels import (
+    build_descrambler_config,
+    build_despreader_config,
+    build_fft_stage_config,
+)
 from repro.telemetry import flight
 from repro.xpp import execute
+from repro.xpp.config import Configuration
 from repro.xpp.manager import ConfigurationManager
+from repro.xpp.objects import DataflowObject
 
 
 @pytest.fixture(autouse=True)
@@ -73,6 +79,30 @@ def test_fingerprint_tracks_baked_parameters():
     fp_a = cache.graph_fingerprint(_graph(build_despreader_config(2, 4)))
     fp_b = cache.graph_fingerprint(_graph(build_despreader_config(2, 8)))
     assert fp_a != fp_b     # sf changes comparator consts baked in source
+
+
+def test_fft_stages_share_one_kernel():
+    # stage schedules and RAM images are preloads, which ride in at
+    # call time: all three stages of every FFT64 hit one compiled kernel
+    fps = {cache.graph_fingerprint(_graph(build_fft_stage_config(
+        stage, list(range(64))))) for stage in range(3)}
+    assert len(fps) == 1
+    g = _graph(build_fft_stage_config(0, [0] * 64, name="other"))
+    assert cache.graph_fingerprint(g) in fps
+
+
+def test_fingerprint_tracks_ram_geometry():
+    def ram_graph(**params):
+        from repro.xpp import ConfigBuilder
+        b = ConfigBuilder("ram")
+        ram = b.ram(name="ram", **params)
+        b.connect(b.source("a"), 0, ram, "raddr")
+        b.connect(ram, "rdata", b.sink("y"), 0)
+        return _graph(b.build())
+    fp = cache.graph_fingerprint(ram_graph(words=8))
+    assert fp == cache.graph_fingerprint(ram_graph(words=8, preload=[1]))
+    assert fp != cache.graph_fingerprint(ram_graph(words=16))
+    assert fp != cache.graph_fingerprint(ram_graph(words=8, bits=16))
 
 
 def test_version_bump_invalidates(monkeypatch):
@@ -337,11 +367,20 @@ def test_prefetch_with_removal_matches_post_swap_netlist():
     assert cache.graph_fingerprint(capture(mgr)) == fp
 
 
+class _Custom(DataflowObject):
+    """A user-defined object: no exact-type entry in KIND_OF."""
+
+    def __init__(self):
+        super().__init__("custom", 1, 1)
+
+    def compute(self, args):
+        return args
+
+
 def test_prefetch_unsupported_netlist_returns_none():
-    from repro.xpp import ConfigBuilder
-    b = ConfigBuilder("ram_mode")
-    b.ram()
-    assert ConfigurationManager().prefetch(b.build()) is None
+    cfg = Configuration("custom_mode")
+    cfg.add(_Custom())
+    assert ConfigurationManager().prefetch(cfg) is None
 
 
 def test_prefetch_background_thread():

@@ -29,6 +29,7 @@ from repro.diagnostics import (
     REASON_EMPTY_NETLIST,
     REASON_FAULT_TAP,
     REASON_INSTANCE_OVERRIDE,
+    REASON_RAM_CONTROL,
     REASON_SHIFT_RANGE,
     REASON_UNBOUND_INPUT,
     REASON_UNSUPPORTED_TYPE,
@@ -42,6 +43,23 @@ from repro.xpp.alu import make_alu
 from repro.xpp.config import Configuration
 from repro.xpp.io import StreamSink, StreamSource
 from repro.xpp.manager import ConfigurationManager
+from repro.xpp.objects import DataflowObject
+
+
+class Custom(DataflowObject):
+    """A user-defined object: no exact-type entry in KIND_OF."""
+
+    def __init__(self):
+        super().__init__("custom", 1, 1)
+
+    def compute(self, args):
+        return args
+
+
+def custom_config() -> Configuration:
+    cfg = Configuration("custom_mode")
+    cfg.add(Custom())
+    return cfg
 
 
 def _load(cfg) -> ConfigurationManager:
@@ -54,9 +72,7 @@ def _load(cfg) -> ConfigurationManager:
 
 
 def _mgr_unsupported_type():
-    b = ConfigBuilder("ram_mode")
-    b.ram()                             # RamPae is not in KIND_OF
-    return _load(b.build())
+    return _load(custom_config())
 
 
 def _mgr_instance_override():
@@ -144,6 +160,20 @@ def _mgr_fault_tap():
     return mgr
 
 
+def _mgr_ram_control():
+    # RAM read data steers a GATE: when tokens pass would depend on
+    # the memory contents, which the trace kernel never sees
+    b = ConfigBuilder("ram_gate")
+    ram = b.ram(words=4, preload=[1, 0, 1, 1])
+    gate = b.alu("GATE")
+    b.connect(b.alu("SEQ", name="addr", values=[0, 1, 2, 3]), 0,
+              ram, "raddr")
+    b.connect(ram, "rdata", gate, "ctrl")
+    b.connect(b.source("a", [5, 6, 7, 8]), 0, gate, "a")
+    b.connect(gate, 0, b.sink("y"), 0)
+    return _load(b.build())
+
+
 SCENARIOS = {
     REASON_UNSUPPORTED_TYPE: _mgr_unsupported_type,
     REASON_INSTANCE_OVERRIDE: _mgr_instance_override,
@@ -157,6 +187,7 @@ SCENARIOS = {
     REASON_EMPTY_NETLIST: _mgr_empty_netlist,
     REASON_DANGLING_WIRE: _mgr_dangling_wire,
     REASON_FAULT_TAP: _mgr_fault_tap,
+    REASON_RAM_CONTROL: _mgr_ram_control,
 }
 
 
@@ -347,18 +378,29 @@ def test_cli_explain_despreader_compiles_via_epoch(capsys):
     assert "cache:" in out
 
 
+def test_cli_explain_fft_stage_compiles(capsys):
+    # the RAM-PAE lowers into the trace: no feedback component is left
+    # (its write port is a sink for scheduling) and the replay probe
+    # traces the stage's 77 firing cycles plus the absorbing idle one
+    # (a simulator run waits 7 more idle cycles: 85 in all)
+    rc = fastpath_main(["explain", "--kernel", "fft_stage", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert payload["ok"] is True
+    assert payload["lowering"]["ram"] == 1
+    assert payload["scc_count"] == 0
+    assert payload["absorbed"] and payload["trace_cycles"] == 78
+    ram = [o for o in payload["objects"] if o["name"] == "data_ram"]
+    assert ram == [{"name": "data_ram", "type": "RamPae", "ok": True,
+                    "kind": "ram", "strategy": "trace"}]
+
+
 def test_cli_explain_reports_fallback(capsys, monkeypatch):
-    # every demo kernel compiles now, so force a rejection: a RAM PAE
-    # is not in the supported-kind table
+    # every demo kernel compiles now, so force a rejection: a user
+    # object type is not in the supported-kind table
     import repro.fastpath.__main__ as cli
-    from repro.xpp import ConfigBuilder
 
-    def _ram_kernel(name):
-        b = ConfigBuilder("ram_mode")
-        b.ram()
-        return b.build()
-
-    monkeypatch.setattr(cli, "_build_kernel", _ram_kernel)
+    monkeypatch.setattr(cli, "_build_kernel", lambda name: custom_config())
     rc = fastpath_main(["explain", "--kernel", "descrambler"])
     out = capsys.readouterr().out
     assert rc == 1

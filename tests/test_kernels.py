@@ -25,6 +25,7 @@ from repro.kernels.combining import build_combiner_config
 from repro.kernels.complex_macros import run_scalar_cmul
 from repro.ofdm.fft import fft64_fixed
 from repro.wcdma import code_from_2bit, scrambling_code_2bit
+from repro.xpp.scheduler import SCHEDULER_ENV
 
 
 def rand_complex_ints(rng, n, mag):
@@ -251,6 +252,17 @@ class TestFft64Kernel:
         with pytest.raises(ValueError):
             Fft64Kernel().run(np.zeros(10, dtype=np.int64),
                               np.zeros(10, dtype=np.int64))
+
+    @pytest.mark.parametrize("scheduler", ["naive", "event", "fastpath"])
+    def test_every_stage_drains_quiescent_in_85_cycles(self, scheduler,
+                                                       monkeypatch):
+        monkeypatch.setenv(SCHEDULER_ENV, scheduler)
+        rng = np.random.default_rng(9)
+        x = rand_complex_ints(rng, 64, 500)
+        kernel = Fft64Kernel()
+        kernel.run(x.real.astype(np.int64), x.imag.astype(np.int64))
+        assert [(s.cycles, s.stop_reason) for s in kernel.last_stats] \
+            == [(85, "quiescent")] * 3
 
 
 class TestScalarMacroAblation:

@@ -27,6 +27,7 @@ from repro.kernels import (
     RakeChainKernel,
     build_descrambler_config,
 )
+from repro.telemetry.metrics import MetricsRegistry, set_metrics
 from repro.wlan import Fig10Schedule
 from repro.xpp import Simulator, execute
 from repro.xpp.scheduler import SCHEDULER_ENV
@@ -96,11 +97,20 @@ WORKLOADS = {
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
 def test_kernel_config_equivalence(workload, monkeypatch):
     """Outputs, firings, cycles, energy and stop reasons must be
-    identical under both schedulers (fresh config per run)."""
+    identical under every scheduler (fresh config per run), and the
+    fastpath run must really be compiled: zero fallbacks, or the
+    comparison would be event against event."""
     results = {}
     for sched in SCHEDULERS:
         monkeypatch.setenv(SCHEDULER_ENV, sched)
-        results[sched] = WORKLOADS[workload]()
+        registry = MetricsRegistry()
+        previous = set_metrics(registry)
+        try:
+            results[sched] = WORKLOADS[workload]()
+        finally:
+            set_metrics(previous)
+        if sched == "fastpath":
+            assert registry.counter("fastpath.fallback").value == 0
     out_naive, stats_naive = results["naive"]
     for sched in SCHEDULERS[1:]:
         out, stats = results[sched]
