@@ -18,6 +18,7 @@ from repro.fixed.word import (
     saturate,
     to_fixed,
     wrap,
+    wrap_list,
 )
 from repro.fixed.complexfx import (
     cmac,
@@ -51,4 +52,5 @@ __all__ = [
     "unpack_array",
     "unpack_complex",
     "wrap",
+    "wrap_list",
 ]

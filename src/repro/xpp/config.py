@@ -93,6 +93,32 @@ class Configuration:
         for w in self.wires:
             w.reset()
 
+    def reload(self, contents: dict) -> None:
+        """Replace the configured contents of FIFO/RAM PAEs, then
+        :meth:`reset`.
+
+        ``contents`` maps RAM-PAE names (FIFO or RAM mode) to their new
+        preloads, checked and wrapped as the constructors do; nothing
+        changes when any of them is refused.  This is the paper's
+        RAM read-back (Fig. 9): a resident configuration gets new data
+        words without a ``load``/``remove``, so the manager's
+        ``version`` stays put and schedulers keep their structure.
+        Call it between runs that ended quiescent: a run cut short
+        leaves a fastpath session open, which the next run would write
+        back over the new contents (``scheduler.invalidate()`` first
+        closes it).
+        """
+        images = []
+        for name, data in contents.items():
+            obj = self.object(name)
+            if not isinstance(obj, (RamPae, FifoPae)):
+                raise ConfigurationError(
+                    f"{self.name}: {name!r} is not a RAM-PAE")
+            images.append((obj, obj.image(data)))
+        for obj, image in images:
+            obj._preload = image
+        self.reset()
+
     def validate(self) -> None:
         """Check the netlist is runnable: inputs that an object's firing
         rule waits on must be driven."""

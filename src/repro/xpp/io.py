@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from repro.fixed import wrap
+from repro.fixed import wrap, wrap_list
 from repro.xpp.objects import DataflowObject
 
 
@@ -32,7 +32,7 @@ class StreamSource(DataflowObject):
 
     def set_data(self, data: Iterable) -> None:
         """Attach (or replace) the sample stream this port will emit."""
-        self._data = [wrap(int(v), self.bits) for v in data]
+        self._data = wrap_list(data, self.bits)
         self._pos = 0
 
     def reset(self) -> None:
@@ -103,7 +103,7 @@ class MemoryPort(DataflowObject):
                          out_names=["rdata"])
         self.bits = bits
         if memory is not None:
-            self.memory = [wrap(int(v), bits) for v in memory]
+            self.memory = wrap_list(memory, bits)
         else:
             self.memory = [0] * size
         self._do_read = False

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.fixed import wrap
+from repro.fixed import wrap, wrap_list
 from repro.xpp.errors import ConfigurationError
 from repro.xpp.objects import DataflowObject
 
@@ -41,16 +41,19 @@ class RamPae(DataflowObject):
                 f"{name}: RAM-PAE holds at most {RAM_WORDS} words")
         self.words = words
         self.bits = bits
-        self.mem = [0] * words
-        if preload is not None:
-            data = list(preload)
-            if len(data) > words:
-                raise ConfigurationError(f"{name}: preload exceeds {words} words")
-            for i, v in enumerate(data):
-                self.mem[i] = wrap(v, bits)
-        self._preload = list(self.mem)
+        self._preload = self.image(() if preload is None else preload)
+        self.mem = list(self._preload)
         self._do_read = False
         self._do_write = False
+
+    def image(self, data) -> list:
+        """The memory image a preload of ``data`` configures: values
+        wrapped to ``bits``, zero-filled to ``words``."""
+        mem = wrap_list(data, self.bits)
+        if len(mem) > self.words:
+            raise ConfigurationError(
+                f"{self.name}: preload exceeds {self.words} words")
+        return mem + [0] * (self.words - len(mem))
 
     def reset(self) -> None:
         """Restore the configured memory image (configuration reload)."""
@@ -115,15 +118,18 @@ class FifoPae(DataflowObject):
         self.depth = depth
         self.bits = bits
         self.circular = circular
-        self._q: deque = deque()
-        if preload is not None:
-            data = [wrap(v, bits) for v in preload]
-            if len(data) > depth:
-                raise ConfigurationError(f"{name}: preload exceeds depth")
-            self._q.extend(data)
-        self._preload = list(self._q)
+        self._preload = self.image(() if preload is None else preload)
+        self._q: deque = deque(self._preload)
         self._do_in = False
         self._do_out = False
+
+    def image(self, data) -> list:
+        """The FIFO contents a preload of ``data`` configures: values
+        wrapped to ``bits``, at most ``depth`` of them."""
+        q = wrap_list(data, self.bits)
+        if len(q) > self.depth:
+            raise ConfigurationError(f"{self.name}: preload exceeds depth")
+        return q
 
     def __len__(self) -> int:
         return len(self._q)

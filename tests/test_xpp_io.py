@@ -1,6 +1,9 @@
 """Tests for the I/O port objects, including RAM-addressing mode."""
 
+import numpy as np
+import pytest
 
+from repro.fixed import wrap
 from repro.xpp import ConfigBuilder, ConfigurationManager, MemoryPort, \
     Simulator, StreamSource, execute
 
@@ -15,6 +18,20 @@ class TestStreamSource:
         src = StreamSource("s", bits=8)
         src.set_data([130])
         assert src._data == [-126]
+
+    @pytest.mark.parametrize("data", [
+        np.array([0, 127, 128, -129, 1 << 40, -(1 << 40) - 3, 255, -1],
+                 dtype=np.int64),
+        np.array([0, 200, 255, 1 << 33], dtype=np.uint64),
+        [0, 127, 128, -129, 1 << 40, -(1 << 70) - 3],
+        [np.int64(300), np.int32(-200), np.uint8(255), np.int64(1 << 50)],
+    ], ids=["int64", "uint64", "list", "numpy-scalars"])
+    def test_set_data_vector_and_scalar_paths_agree(self, data):
+        """Integer arrays wrap in one vectorised pass, anything else
+        per sample; both give the same list of plain Python ints."""
+        src = StreamSource("s", data, bits=8)
+        assert src._data == [wrap(int(v), 8) for v in data]
+        assert all(type(v) is int for v in src._data)
 
     def test_replacing_data_resets_position(self):
         b = ConfigBuilder("t")
