@@ -36,11 +36,10 @@ from repro.campaign.report import results_markdown
 from repro.campaign.spec import BACKENDS, CampaignError, CampaignSpec
 from repro.campaign.status import (
     events_path_for,
-    reliability_summary,
     status_summary,
     status_text,
 )
-from repro.journal import read_events
+from repro.journal import read_events, summarize
 from repro.telemetry import flight
 
 EXIT_INCOMPLETE = 3
@@ -142,7 +141,7 @@ def _cmd_run(args, *, resume: bool) -> int:
 
     reliability = None
     if args.checkpoint:
-        reliability = reliability_summary(
+        reliability = summarize(
             read_events(events_path_for(args.checkpoint)))
     if args.flight:
         fallbacks = flight.fallback_rollup(run.outcomes)

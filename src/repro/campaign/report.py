@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.campaign.aggregate import KIND_METRICS
+from repro.journal import reliability_markdown
 from repro.telemetry import RunReport, render_bars
 
 
@@ -36,42 +37,12 @@ def _point_label(job: dict) -> str:
     return parts[1] if len(parts) == 2 else parts[0]
 
 
-def _reliability_lines(rel: dict) -> list:
-    """The ``## Reliability`` section from a
-    :func:`repro.campaign.status.reliability_summary` dict."""
-    lines = ["## Reliability", ""]
-    lines.append(f"- **shards finished**: {rel.get('shards_finished', 0)}")
-    lines.append(f"- **retries**: {rel.get('retries', 0)}")
-    lines.append(f"- **timeouts**: {rel.get('timeouts', 0)}")
-    lines.append(f"- **degraded shards**: {rel.get('degraded_shards', 0)}")
-    lines.append(f"- **skipped shards**: {rel.get('skipped_shards', 0)}")
-    wc = rel.get("wall_clock_s") or {}
-    if wc.get("count"):
-        lines.append(
-            f"- **shard wall-clock**: mean {wc['mean']:.3f}s, "
-            f"p50 {wc['p50']:.3f}s, p95 {wc['p95']:.3f}s, "
-            f"max {wc['max']:.3f}s over {wc['count']} shards")
-    prog = rel.get("progress")
-    if prog and prog.get("shards_per_s") is not None:
-        lines.append(f"- **throughput**: {prog['shards_per_s']:.2f} "
-                     f"shards/s ({prog.get('slots_per_s') or 0:.1f} "
-                     f"slots/s)")
-    fb = rel.get("fastpath_fallbacks")
-    if fb is not None:
-        by_code = ", ".join(f"{code}: {n}" for code, n in
-                            fb.get("by_code", {}).items())
-        lines.append(f"- **fastpath fallbacks**: {fb.get('total', 0)}"
-                     + (f" ({by_code})" if by_code else ""))
-    lines.append("")
-    return lines
-
-
 def results_markdown(results: dict, stats: Optional[dict] = None,
                      reliability: Optional[dict] = None) -> str:
     """Human-readable curve report of a campaign's aggregate.
 
     ``reliability`` (optional) is a
-    :func:`repro.campaign.status.reliability_summary` fold of the
+    :func:`repro.journal.summarize` fold of the
     campaign's lifecycle event log; when given, the report gains a
     wall-clock reliability section (retries, timeouts, degraded
     shards, per-shard p50/p95).
@@ -91,7 +62,7 @@ def results_markdown(results: dict, stats: Optional[dict] = None,
     lines.append("")
 
     if reliability is not None:
-        lines.extend(_reliability_lines(reliability))
+        lines.extend(reliability_markdown(reliability))
 
     # one ASCII curve per sweep group with a primary metric
     for prefix, jobs in _groups(results).items():

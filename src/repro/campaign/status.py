@@ -4,8 +4,8 @@ With a checkpoint, a run appends structured lifecycle events (shard
 start/finish/retry/timeout/degrade, periodic progress with ETA and
 throughput) to a :class:`repro.journal.Journal` next to it.
 ``repro-campaign status`` reads that log — and the checkpoint — without
-touching the running pool, and :func:`reliability_summary` turns it
-into the report's reliability section (retries, timeouts, degraded
+touching the running pool, and :func:`repro.journal.summarize` turns
+it into the report's reliability section (retries, timeouts, degraded
 shards, wall-clock p50/p95).  Wall-clock lives *only* here: the event
 log is the one intentionally nondeterministic campaign artifact.
 """
@@ -15,59 +15,12 @@ from __future__ import annotations
 import os
 
 from repro.campaign.checkpoint import Checkpoint, read_checkpoint
-from repro.journal import read_events
-from repro.telemetry.flight import _exact_percentile
+from repro.journal import read_events, reliability_text, summarize
 
 
 def events_path_for(checkpoint_path) -> str:
     """The conventional event-log path next to a checkpoint."""
     return os.fspath(checkpoint_path) + ".events.jsonl"
-
-
-def reliability_summary(events) -> dict:
-    """Fold a lifecycle event log into the report's reliability facts.
-
-    Counts retries, timeouts, degraded (retry-exhausted) and skipped
-    shards, and summarizes per-shard wall-clock (successful attempts
-    only) as count/mean/p50/p95/max.  Throughput and ETA come from the
-    latest ``progress`` event, which the pool emits after every
-    recorded shard.
-    """
-    durations = []
-    counts = {"shards_finished": 0, "retries": 0, "timeouts": 0,
-              "degraded_shards": 0, "skipped_shards": 0}
-    progress = None
-    for rec in events:
-        kind = rec.get("event")
-        if kind == "shard_finish":
-            counts["shards_finished"] += 1
-            if rec.get("duration_s") is not None:
-                durations.append(rec["duration_s"])
-        elif kind == "shard_retry":
-            counts["retries"] += 1
-            if "timeout" in (rec.get("reason") or ""):
-                counts["timeouts"] += 1
-        elif kind == "shard_degraded":
-            counts["degraded_shards"] += 1
-            if "timeout" in (rec.get("reason") or ""):
-                counts["timeouts"] += 1
-        elif kind == "shard_skip":
-            counts["skipped_shards"] += 1
-        elif kind == "progress":
-            progress = rec
-    out = dict(counts)
-    out["wall_clock_s"] = {
-        "count": len(durations),
-        "mean": sum(durations) / len(durations) if durations else None,
-        "p50": _exact_percentile(durations, 50),
-        "p95": _exact_percentile(durations, 95),
-        "max": max(durations) if durations else None,
-    }
-    if progress is not None:
-        out["progress"] = {k: progress.get(k) for k in
-                           ("done", "total", "eta_s", "shards_per_s",
-                            "slots_per_s")}
-    return out
 
 
 def status_summary(checkpoint_path, spec=None) -> dict:
@@ -105,8 +58,8 @@ def status_summary(checkpoint_path, spec=None) -> dict:
         "shards_skipped": skipped,
         "shards_with_telemetry": with_telemetry,
         "total_shards": total,
-        "complete": (total is not None and done >= total) or None,
-        "reliability": reliability_summary(events),
+        "complete": done >= total if total is not None else None,
+        "reliability": summarize(events),
     }
 
 
@@ -125,20 +78,5 @@ def status_text(summary: dict) -> str:
     lines.append(f"failed: {summary['shards_failed']}  "
                  f"skipped: {summary['shards_skipped']}  "
                  f"telemetry: {summary['shards_with_telemetry']}")
-    rel = summary["reliability"]
-    lines.append(f"retries: {rel['retries']}  "
-                 f"timeouts: {rel['timeouts']}  "
-                 f"degraded: {rel['degraded_shards']}")
-    wc = rel["wall_clock_s"]
-    if wc["count"]:
-        lines.append(f"shard wall-clock: p50 {wc['p50']:.3f}s  "
-                     f"p95 {wc['p95']:.3f}s  max {wc['max']:.3f}s")
-    prog = rel.get("progress")
-    if prog and prog.get("shards_per_s") is not None:
-        eta = prog.get("eta_s")
-        eta_txt = f"  eta {eta:.0f}s" if eta is not None else ""
-        slots = prog.get("slots_per_s")
-        slots_txt = f"  {slots:.1f} slots/s" if slots else ""
-        lines.append(f"throughput: {prog['shards_per_s']:.2f} shards/s"
-                     f"{slots_txt}{eta_txt}")
+    lines.extend(reliability_text(summary["reliability"]))
     return "\n".join(lines)

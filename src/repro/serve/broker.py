@@ -21,9 +21,13 @@ which is where the service earns its keep:
   :data:`~repro.telemetry.ALERT_DEADLINE`, mirroring the paper's
   hard real-time framing of the slot schedule.
 
-The broker journals the whole lifecycle through
-:class:`repro.serve.journal.ServeJournal`; a killed service resumes
-from :func:`repro.serve.journal.recover_sessions`.
+Every lifecycle record — admission, shedding, placement, migration,
+alerts, checkpoints — goes through one ``_emit``, which folds it into
+the broker's live :class:`repro.journal.Reliability` books and, with a
+journal, appends it to :class:`repro.serve.journal.ServeJournal`.  The
+reliability keys of :attr:`ServiceResult.stats` therefore equal
+:func:`repro.journal.summarize` of the journal, and a killed service
+resumes from :func:`repro.serve.journal.recover_sessions`.
 """
 
 from __future__ import annotations
@@ -33,6 +37,7 @@ from collections import deque
 from types import SimpleNamespace
 from typing import Optional
 
+from repro.journal import Reliability, reliability_markdown
 from repro.serve.journal import (
     ServeJournal,
     clear_drain,
@@ -42,13 +47,7 @@ from repro.serve.journal import (
 )
 from repro.serve.session import SessionSpec
 from repro.serve.shard import ShardPool
-from repro.telemetry import (
-    ALERT_DEADLINE,
-    ALERT_QUEUE_SATURATED,
-    MetricsRegistry,
-    ProbeBoard,
-    RunReport,
-)
+from repro.telemetry import ALERT_DEADLINE, ALERT_QUEUE_SATURATED, ProbeBoard
 from repro.telemetry.flight import _exact_percentile, merged_chrome_trace
 
 #: Consecutive rounds with no slot progress before the broker declares
@@ -80,12 +79,11 @@ class SessionEntry:
 class ServiceResult:
     """What a broker run produced: session fates plus service stats."""
 
-    def __init__(self, *, sessions, stats, alerts, session_reports,
-                 flight_payloads, status):
+    def __init__(self, *, sessions, stats, alerts, flight_payloads,
+                 status):
         self.sessions = sessions
         self.stats = stats
         self.alerts = alerts
-        self.session_reports = session_reports
         self.flight_payloads = flight_payloads
         self.status = status            # "complete" | "drained" | "stalled"
 
@@ -124,22 +122,7 @@ def service_report(result: ServiceResult) -> str:
             text = f"{value:.4g}" if isinstance(value, float) else value
             lines.append(f"- **{key}**: {text}")
     lines.append("")
-
-    lines.append("## Reliability")
-    lines.append("")
-    for key in ("shed_sessions", "migrations", "shard_deaths",
-                "shard_respawns", "deadline_misses"):
-        lines.append(f"- **{key}**: {stats.get(key, 0)}")
-    lines.append("")
-    if result.alerts:
-        lines.append("| kind | probe | value | message |")
-        lines.append("|---|---|---|---|")
-        for a in result.alerts:
-            lines.append(f"| {a['kind']} | `{a['probe']}` "
-                         f"| {a['value']:g} | {a['message']} |")
-    else:
-        lines.append("no alerts")
-    lines.append("")
+    lines.extend(reliability_markdown(stats, result.alerts))
 
     if result.sessions:
         lines.append(f"## Sessions ({len(result.sessions)})")
@@ -169,7 +152,6 @@ class SessionBroker:
                  checkpoint_interval: int = 4,
                  journal_path=None,
                  mp_context: Optional[str] = None,
-                 backend: Optional[str] = None,
                  cache_dir: Optional[str] = None,
                  flight: bool = False,
                  chaos: Optional[dict] = None,
@@ -177,7 +159,7 @@ class SessionBroker:
                  warmup: bool = True,
                  step_timeout_s: float = 120.0):
         self.pool = ShardPool(n_shards, mp_context=mp_context,
-                              backend=backend, cache_dir=cache_dir,
+                              cache_dir=cache_dir,
                               journal_path=journal_path, flight=flight,
                               chaos=chaos)
         self.journal = ServeJournal(journal_path) \
@@ -194,15 +176,28 @@ class SessionBroker:
         self.step_timeout_s = step_timeout_s
 
         self.probes = ProbeBoard(keep_samples=0)
-        self.metrics = MetricsRegistry()
+        self.books = Reliability()
         self.entries: dict = {}
         self.queue: deque = deque()
         self.shed: list = []
         self._warmed: dict = {}         # shard index -> set of kinds
         self._slot_s: list = []
-        self._deadline_misses = 0
-        self._migrations = 0
         self._rounds = 0
+
+    def _emit(self, event: str, **fields) -> None:
+        """Fold one lifecycle record into the live books and journal it
+        (when the broker has a journal)."""
+        rec = self.journal.emit(event, **fields) if self.journal \
+            else {"event": event, **fields}
+        self.books.add(rec)
+
+    def _alert(self, kind: str, source: str, *, value: float,
+               message: str, once: bool = True) -> None:
+        """Raise a watchdog alert and record it as an ``alert`` event."""
+        if self.probes.alert(kind, source, value=value, message=message,
+                             once=once) is not None:
+            self._emit("alert", kind=kind, source=source, value=value,
+                       message=message)
 
     # -- admission -----------------------------------------------------------
 
@@ -223,7 +218,7 @@ class SessionBroker:
         reason = None
         if len(self.queue) >= self.queue_depth:
             reason = f"queue full ({self.queue_depth})"
-            self.probes.alert(
+            self._alert(
                 ALERT_QUEUE_SATURATED, "serve.admission_queue",
                 value=len(self.queue),
                 message=f"admission queue saturated at "
@@ -235,20 +230,14 @@ class SessionBroker:
         if reason is not None:
             self.shed.append({"session_id": spec.session_id,
                               "tenant": spec.tenant, "reason": reason})
-            self.metrics.counter("serve.sessions_shed").inc()
-            if self.journal is not None:
-                self.journal.emit("session_shed",
-                                  session_id=spec.session_id,
-                                  tenant=spec.tenant, reason=reason)
+            self._emit("session_shed", session_id=spec.session_id,
+                       tenant=spec.tenant, reason=reason)
             return False
         self.entries[spec.session_id] = SessionEntry(spec, state)
         self.queue.append(spec.session_id)
-        self.metrics.counter("serve.sessions_admitted").inc()
-        if self.journal is not None:
-            self.journal.emit("session_admitted",
-                              session_id=spec.session_id,
-                              tenant=spec.tenant, spec=spec.to_dict(),
-                              resumed=state is not None)
+        self._emit("session_admitted", session_id=spec.session_id,
+                   tenant=spec.tenant, spec=spec.to_dict(),
+                   resumed=state is not None)
         return True
 
     # -- placement & rounds --------------------------------------------------
@@ -265,6 +254,7 @@ class SessionBroker:
 
     def _place_queued(self) -> None:
         admits = []
+        lost = []
         while self.queue and self._active() < self.max_active:
             shard = self._pick_shard()
             if shard is None:
@@ -276,98 +266,61 @@ class SessionBroker:
             if not self.pool.send(shard, ("admit", entry.spec.to_dict(),
                                           entry.state, warm)):
                 self.queue.appendleft(sid)
+                lost.append((shard, "pipe closed"))
                 continue
             warmed.add(entry.spec.kind)
             entry.shard = shard.index
             entry.shard_history.append(shard.index)
             shard.resident.add(sid)
             admits.append((shard, sid))
-            if self.journal is not None:
-                self.journal.emit("session_placed", session_id=sid,
-                                  shard=shard.index,
-                                  slot_cursor=entry.slots_done)
+            self._emit("session_placed", session_id=sid,
+                       shard=shard.index, slot_cursor=entry.slots_done)
         if admits:
             replies, dead = self.pool.collect(self.step_timeout_s)
             for shard, reply in replies:
                 if reply[0] != "ok":
                     raise RuntimeError(
                         f"admit failed on shard {shard.index}: {reply[1]}")
-            self._handle_dead(dead)
+            lost += dead
+        self._handle_dead(lost)
 
     def _handle_dead(self, dead) -> None:
         """Migrate every session resident on a dead shard."""
         for shard, reason in dead:
-            self.metrics.counter("serve.shard_deaths").inc()
-            if self.journal is not None:
-                self.journal.emit("shard_dead", shard=shard.index,
-                                  reason=reason,
-                                  resident=sorted(shard.resident))
+            self._emit("shard_dead", shard=shard.index, reason=reason,
+                       resident=sorted(shard.resident))
             for sid in sorted(shard.resident):
                 entry = self.entries[sid]
                 if entry.done:
                     continue
                 entry.shard = None
                 entry.migrations += 1
-                self._migrations += 1
-                self.metrics.counter("serve.migrations").inc()
                 self.queue.appendleft(sid)
-                if self.journal is not None:
-                    self.journal.emit(
-                        "session_migrated", session_id=sid,
-                        from_shard=shard.index, reason=reason,
-                        slot_cursor=entry.slots_done)
+                self._emit("session_migrated", session_id=sid,
+                           from_shard=shard.index, reason=reason,
+                           slot_cursor=entry.slots_done)
             shard.resident = set()
             if self.respawn_dead:
                 self.pool.respawn(shard)
-                if self.journal is not None:
-                    self.journal.emit("shard_start", shard=shard.index,
-                                      respawn=True)
-
-    def _drain_session(self, sid: str) -> Optional[dict]:
-        """Live-migrate one session off its shard: drain -> re-queue.
-
-        Returns the drained state (also stored on the entry), or None
-        if the shard died during the drain — the entry's last stepped
-        state then stands in, via the normal dead-shard path.
-        """
-        entry = self.entries[sid]
-        if entry.shard is None or entry.done:
-            return entry.state
-        shard = self.pool.shards[entry.shard]
-        if not shard.alive or not self.pool.send(shard, ("drain", sid)):
-            return None
-        replies, dead = self.pool.collect(self.step_timeout_s)
-        self._handle_dead(dead)
-        for rshard, reply in replies:
-            if reply[0] == "ok" and reply[1] == "drain" \
-                    and reply[2]["session_id"] == sid:
-                entry.state = reply[2]["state"]
-                shard.resident.discard(sid)
-                entry.shard = None
-                entry.migrations += 1
-                self._migrations += 1
-                self.metrics.counter("serve.migrations").inc()
-                self.queue.appendleft(sid)
-                if self.journal is not None:
-                    self.journal.emit("session_migrated", session_id=sid,
-                                      from_shard=shard.index,
-                                      reason="drain",
-                                      slot_cursor=entry.slots_done)
-                return entry.state
-        return None
+                self._emit("shard_start", shard=shard.index, respawn=True)
 
     def _step_round(self) -> int:
         """Advance every resident session one slot; returns how many
         slots actually ran."""
         stepped = []
+        lost = []
         for shard in self.pool.alive_shards():
             if not shard.resident:
                 continue
             if self.pool.send(shard, ("step",)):
                 stepped.append(shard)
+            else:
+                lost.append((shard, "pipe closed"))
         if not stepped:
+            self._handle_dead(lost)
             return 0
         replies, dead = self.pool.collect(self.step_timeout_s)
+        dead = lost + dead
         advanced = 0
         for shard, reply in replies:
             if reply[0] != "ok" or reply[1] != "step":
@@ -377,12 +330,9 @@ class SessionBroker:
             payload = reply[2]
             for slot_s in payload["slot_s"]:
                 self._slot_s.append(slot_s)
-                self.probes.record("serve.slot_s", slot_s, unit="s")
                 if self.slot_deadline_s is not None \
                         and slot_s > self.slot_deadline_s:
-                    self._deadline_misses += 1
-                    self.metrics.counter("serve.deadline_misses").inc()
-                    self.probes.alert(
+                    self._alert(
                         ALERT_DEADLINE, "serve.slot_s", value=slot_s,
                         message=f"slot ran {slot_s:.4f}s, deadline "
                                 f"{self.slot_deadline_s:g}s", once=False)
@@ -393,25 +343,19 @@ class SessionBroker:
                 entry.digest = rec["digest"]
                 entry.counts = rec["counts"]
                 entry.slots_done = rec["slot_cursor"]
-                self.metrics.counter("serve.slots_total").inc()
                 if rec["done"]:
                     entry.done = True
                     entry.shard = None
                     shard.resident.discard(rec["session_id"])
-                    self.metrics.counter("serve.sessions_completed").inc()
-                    if self.journal is not None:
-                        self.journal.emit(
-                            "session_complete",
-                            session_id=rec["session_id"],
-                            digest=rec["digest"], counts=rec["counts"],
-                            shard=shard.index,
-                            migrations=entry.migrations)
+                    self._emit("session_complete",
+                               session_id=rec["session_id"],
+                               digest=rec["digest"], counts=rec["counts"],
+                               shard=shard.index,
+                               migrations=entry.migrations)
                 elif entry.slots_done % self.checkpoint_interval == 0:
-                    if self.journal is not None:
-                        self.journal.emit(
-                            "session_checkpoint",
-                            session_id=rec["session_id"],
-                            state=rec["state"], shard=shard.index)
+                    self._emit("session_checkpoint",
+                               session_id=rec["session_id"],
+                               state=rec["state"], shard=shard.index)
         self._handle_dead(dead)
         return advanced
 
@@ -426,10 +370,8 @@ class SessionBroker:
             else:
                 self.submit(item)
         self.pool.start()
-        if self.journal is not None:
-            for shard in self.pool.shards:
-                self.journal.emit("shard_start", shard=shard.index,
-                                  respawn=False)
+        for shard in self.pool.shards:
+            self._emit("shard_start", shard=shard.index, respawn=False)
         t0 = time.monotonic()
         status = "complete"
         stalled = 0
@@ -455,11 +397,10 @@ class SessionBroker:
                         break
                 else:
                     stalled = 0
-                if self.journal is not None:
-                    self._emit_progress(t0)
+                self._emit_progress(t0)
         finally:
             self.pool.stop()
-            if self.journal is not None:
+            if self.journal:
                 self.journal.close()
         return self._result(time.monotonic() - t0, status)
 
@@ -478,17 +419,15 @@ class SessionBroker:
                     continue
                 entry.state = state
                 entry.shard = None
-                if self.journal is not None:
-                    self.journal.emit("session_checkpoint",
-                                      session_id=sid, state=state,
-                                      shard=shard.index, drain=True)
+                self._emit("session_checkpoint", session_id=sid,
+                           state=state, shard=shard.index, drain=True)
             shard.resident = set()
 
     def _emit_progress(self, t0: float) -> None:
         wall = max(time.monotonic() - t0, 1e-9)
         completed = sum(1 for e in self.entries.values() if e.done)
         slots = len(self._slot_s)
-        self.journal.emit(
+        self._emit(
             "progress", completed=completed, admitted=len(self.entries),
             sessions_per_s=round(completed / wall, 4),
             slots_per_s=round(slots / wall, 4),
@@ -498,7 +437,6 @@ class SessionBroker:
 
     def _result(self, wall: float, status: str) -> ServiceResult:
         sessions = {}
-        reports = {}
         for sid, entry in sorted(self.entries.items()):
             sessions[sid] = {
                 "kind": entry.spec.kind, "tenant": entry.spec.tenant,
@@ -508,15 +446,6 @@ class SessionBroker:
                 "migrations": entry.migrations,
                 "shard_history": list(entry.shard_history),
             }
-            report = RunReport(
-                f"session {sid}",
-                meta={"session_id": sid, "kind": entry.spec.kind,
-                      "tenant": entry.spec.tenant,
-                      "seed": entry.spec.seed,
-                      "migrations": entry.migrations,
-                      "shards": ",".join(map(str, entry.shard_history))})
-            report.add_section("session", sessions[sid])
-            reports[sid] = report
         completed = sum(1 for rec in sessions.values() if rec["done"])
         stats = {
             "shards": len(self.pool.shards),
@@ -529,19 +458,14 @@ class SessionBroker:
             "slots_per_s": round(len(self._slot_s) / max(wall, 1e-9), 4),
             "p50_slot_s": _exact_percentile(self._slot_s, 50.0),
             "p95_slot_s": _exact_percentile(self._slot_s, 95.0),
-            "shed_sessions": len(self.shed),
-            "migrations": self._migrations,
-            "shard_deaths": sum(s.deaths for s in self.pool.shards),
-            "shard_respawns": self.pool.respawns,
-            "deadline_misses": self._deadline_misses,
+            **self.books.counts,
         }
         flight_payloads = {s.index: s.flight_payload
                            for s in self.pool.shards}
         return ServiceResult(
             sessions=sessions, stats=stats,
             alerts=[a.to_dict() for a in self.probes.alerts],
-            session_reports=reports, flight_payloads=flight_payloads,
-            status=status)
+            flight_payloads=flight_payloads, status=status)
 
 
 def resumable_sessions(journal_path) -> list:

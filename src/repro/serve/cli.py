@@ -12,9 +12,11 @@ Subcommands
     re-admitted from their last checkpoints first.
 
 ``status``
-    Fold a journal into service-level facts (admitted / complete /
-    migrations / shed / last progress).  Exit 0 when the journal is
-    readable, even mid-run — status is a read-only observer.
+    Fold a journal into service-level facts: the session fates
+    (admitted / complete / checkpointed / active) and the reliability
+    summary every log shares (:func:`repro.journal.summarize`).  Exit
+    0 when the journal is readable, even mid-run — status is a
+    read-only observer.
 
 ``drain``
     Drop the drain flag next to the journal; the running broker polls
@@ -32,6 +34,7 @@ import argparse
 import json
 import sys
 
+from repro.journal import reliability_text
 from repro.serve.broker import SessionBroker, service_report
 from repro.serve.journal import (
     journal_summary,
@@ -74,7 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--deadline", type=float, default=None,
                      help="per-slot deadline in seconds")
     run.add_argument("--checkpoint-interval", type=int, default=4)
-    run.add_argument("--backend", help="REPRO_XPP_SCHEDULER for shards")
     run.add_argument("--cache-dir",
                      help="shared fastpath compile cache directory")
     run.add_argument("--mp-context", choices=("fork", "spawn"))
@@ -137,7 +139,7 @@ def _cmd_run(args) -> int:
         slot_deadline_s=args.deadline,
         checkpoint_interval=args.checkpoint_interval,
         journal_path=args.journal, mp_context=args.mp_context,
-        backend=args.backend, cache_dir=args.cache_dir,
+        cache_dir=args.cache_dir,
         flight=args.flight or bool(args.trace), chaos=chaos,
         respawn_dead=not args.no_respawn, warmup=not args.no_warmup)
     result = broker.run(list(resumed) + list(specs))
@@ -175,14 +177,9 @@ def _cmd_status(args) -> int:
     if args.json_out:
         print(json.dumps(summary, indent=1, sort_keys=True))
         return 0
-    for key in ("admitted", "complete", "checkpointed", "active", "shed",
-                "migrations", "shard_deaths", "shards_seen",
-                "shard_steps", "alerts"):
-        print(f"{key:>14}: {summary[key]}")
-    progress = summary.get("progress")
-    if progress:
-        parts = [f"{k}={v}" for k, v in progress.items() if v is not None]
-        print(f"{'progress':>14}: " + " ".join(parts))
+    for key in ("admitted", "complete", "checkpointed", "active"):
+        print(f"{key:>16}: {summary[key]}")
+    print("\n".join(reliability_text(summary)))
     return 0
 
 

@@ -15,9 +15,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from typing import Optional
 
-from repro.journal import Journal, read_events
+from repro.journal import Journal, read_events, summarize
 
 ServeJournal = Journal
 read_journal = read_events
@@ -85,41 +84,14 @@ def recover_sessions(records) -> dict:
 
 
 def journal_summary(records) -> dict:
-    """Service-level facts folded from a journal (for ``status``)."""
-    sessions = recover_sessions(records)
-    counts = {"admitted": len(sessions),
-              "complete": sum(1 for s in sessions.values()
-                              if s["complete"]),
-              "checkpointed": sum(1 for s in sessions.values()
-                                  if s["state"] is not None
-                                  and not s["complete"]),
-              "shed": 0, "migrations": 0, "shard_deaths": 0,
-              "shard_steps": 0, "alerts": 0}
-    shards = set()
-    last_progress: Optional[dict] = None
-    for rec in records:
-        event = rec.get("event")
-        if event == "session_shed":
-            counts["shed"] += 1
-        elif event == "session_migrated":
-            counts["migrations"] += 1
-        elif event == "shard_dead":
-            counts["shard_deaths"] += 1
-        elif event == "shard_step":
-            counts["shard_steps"] += 1
-            if rec.get("shard") is not None:
-                shards.add(rec["shard"])
-        elif event == "shard_start" and rec.get("shard") is not None:
-            shards.add(rec["shard"])
-        elif event == "alert":
-            counts["alerts"] += 1
-        elif event == "progress":
-            last_progress = rec
-    out = dict(counts)
-    out["active"] = counts["admitted"] - counts["complete"]
-    out["shards_seen"] = len(shards)
-    if last_progress is not None:
-        out["progress"] = {k: last_progress.get(k) for k in
-                           ("completed", "admitted", "sessions_per_s",
-                            "slots_per_s", "p95_slot_s")}
-    return out
+    """Service-level facts folded from a journal (for ``status``): the
+    session fates plus the :func:`repro.journal.summarize` schema."""
+    sessions = recover_sessions(records).values()
+    admitted = len(sessions)
+    complete = sum(1 for s in sessions if s["complete"])
+    return {"admitted": admitted, "complete": complete,
+            "checkpointed": sum(1 for s in sessions
+                                if s["state"] is not None
+                                and not s["complete"]),
+            "active": admitted - complete,
+            **summarize(records)}

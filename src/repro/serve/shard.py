@@ -14,7 +14,6 @@ parent -> child              child -> parent
 warmup)``                    slot_cursor})``
 ``("step",)``                ``("ok", "step", {advanced: [...],
                              slot_s: [...]})``
-``("drain", sid)``           ``("ok", "drain", {session_id, state})``
 ``("drain_all",)``           ``("ok", "drain_all", {states: {...}})``
 ``("stop",)``                ``("ok", "stop", {flight}])`` then exit
 ===========================  ==========================================
@@ -27,7 +26,7 @@ Every ``step`` reply carries each advanced session's full resumable
 state (:meth:`repro.serve.session.SessionWorkload.state`), so the
 broker always holds a current checkpoint: migration after a shard
 death is "re-admit the last returned state on another shard", with no
-replay gap, and planned (live) migration is ``drain`` -> ``admit``.
+replay gap.
 
 Shards mount the shared fastpath compile cache
 (``REPRO_FASTPATH_CACHE_DIR``) and can warm it on admit via
@@ -46,9 +45,8 @@ from repro.pool import WorkerHandle, resolve_mp_context, wait_workers
 from repro.serve.journal import ServeJournal
 from repro.serve.session import SessionSpec, workload_from_state
 
-#: Environment keys exported into every shard worker (kept in sync with
+#: Environment key exported into every shard worker (kept in sync with
 #: the campaign runner's no-import rule).
-_SCHEDULER_ENV = "REPRO_XPP_SCHEDULER"
 _CACHE_DIR_ENV = "REPRO_FASTPATH_CACHE_DIR"
 
 
@@ -87,8 +85,6 @@ def _warmup_kernels(kind: str) -> int:
 def shard_main(conn, shard_index: int, options: Optional[dict] = None):
     """Worker-process body: serve commands until ``stop`` or EOF."""
     options = options or {}
-    if options.get("backend"):
-        os.environ[_SCHEDULER_ENV] = options["backend"]
     if options.get("cache_dir"):
         os.environ[_CACHE_DIR_ENV] = options["cache_dir"]
 
@@ -178,37 +174,24 @@ def _handle(msg, resident, shard_index, journal, steps, die_after):
             journal.emit("shard_step", shard=shard_index,
                          sessions=len(advanced), step=steps + 1)
         return ("ok", "step", {"advanced": advanced, "slot_s": slot_s})
-    if cmd == "drain":
-        _cmd, sid = msg
-        workload = resident.pop(sid, None)
-        if workload is None:
-            return ("error", f"session {sid!r} is not resident on "
-                             f"shard {shard_index}")
-        return ("ok", "drain", {"session_id": sid,
-                                "state": workload.state()})
     if cmd == "drain_all":
         states = {sid: w.state() for sid, w in sorted(resident.items())}
         resident.clear()
         return ("ok", "drain_all", {"states": states})
-    if cmd == "ping":
-        return ("ok", "ping", {"resident": len(resident),
-                               "steps": steps})
     return ("error", f"unknown command {cmd!r}")
 
 
 class ShardState:
     """Parent-side bookkeeping for one shard worker."""
 
-    __slots__ = ("index", "handle", "resident", "outstanding", "steps",
-                 "deaths", "flight_payload")
+    __slots__ = ("index", "handle", "resident", "outstanding",
+                 "flight_payload")
 
     def __init__(self, index: int):
         self.index = index
         self.handle: Optional[WorkerHandle] = None
         self.resident: set = set()
         self.outstanding: int = 0       # replies not yet collected
-        self.steps = 0
-        self.deaths = 0
         self.flight_payload = None
 
     @property
@@ -226,20 +209,18 @@ class ShardPool:
     """
 
     def __init__(self, n_shards: int, *, mp_context: Optional[str] = None,
-                 backend: Optional[str] = None,
                  cache_dir: Optional[str] = None,
                  journal_path=None, flight: bool = False,
                  max_events: int = 4096, chaos: Optional[dict] = None):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.ctx = resolve_mp_context(mp_context)
-        self.options = {"backend": backend, "cache_dir": cache_dir,
+        self.options = {"cache_dir": cache_dir,
                         "journal_path": os.fspath(journal_path)
                         if journal_path is not None else None,
                         "flight": flight, "max_events": max_events}
         self.chaos = chaos or {}
         self.shards = [ShardState(i) for i in range(n_shards)]
-        self.respawns = 0
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -275,14 +256,12 @@ class ShardPool:
             meta=shard.index, duplex=True)
         shard.outstanding = 0
         shard.resident = set()
-        self.respawns += 1
 
     def mark_dead(self, shard: ShardState) -> None:
         if shard.handle is not None:
             shard.handle.terminate()
             shard.handle = None
         shard.outstanding = 0
-        shard.deaths += 1
 
     def stop(self, timeout_s: float = 10.0) -> None:
         """Graceful stop: collect flight payloads, then terminate."""

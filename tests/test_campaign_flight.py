@@ -11,11 +11,10 @@ from repro.campaign.runners import run_shard
 from repro.campaign.sharding import build_shards
 from repro.campaign.status import (
     events_path_for,
-    reliability_summary,
     status_summary,
     status_text,
 )
-from repro.journal import read_events
+from repro.journal import read_events, summarize
 from repro.telemetry import flight
 
 
@@ -229,7 +228,7 @@ class TestEventLog:
         events = read_events(events_path_for(ck))
         kinds = [e["event"] for e in events]
         assert "shard_retry" in kinds and "shard_degraded" in kinds
-        rel = reliability_summary(events)
+        rel = summarize(events)
         assert rel["retries"] == 1
         assert rel["degraded_shards"] == 1
         assert rel["shards_finished"] == 0
@@ -238,8 +237,31 @@ class TestEventLog:
         events = [{"event": "shard_retry", "reason": "timeout: 1s"},
                   {"event": "shard_degraded",
                    "reason": "timeout: shard exceeded 1s"}]
-        rel = reliability_summary(events)
+        rel = summarize(events)
         assert rel["timeouts"] == 2
+
+    def test_event_log_fold_equals_run_stats(self, tmp_path):
+        """Retrying, degrading and early-stop-skipped shards: the fold
+        of a fresh campaign's event log agrees with its live stats."""
+        spec = CampaignSpec.from_dict(
+            {"name": "books", "master_seed": 3,
+             "jobs": [{"job_id": "bad", "kind": "fault",
+                       "params": {"mode": "raise"}, "shards": 1},
+                      {"job_id": "flaky", "kind": "fault",
+                       "params": {"mode": "flaky"}, "shards": 2},
+                      {"job_id": "stop", "kind": "wcdma_dpch",
+                       "params": {"n_slots": 2, "snr_db": -10},
+                       "shards": 4,
+                       "early_stop": {"min_error_events": 1}}]})
+        ck = tmp_path / "ck.jsonl"
+        run = run_campaign(spec, workers=1, checkpoint_path=ck,
+                           retries=1, backoff_s=0.0)
+        rel = summarize(read_events(events_path_for(ck)))
+        assert run.stats["retries"] and run.stats["failed_shards"] \
+            and run.stats["skipped_shards"]
+        assert rel["retries"] == run.stats["retries"]
+        assert rel["degraded_shards"] == run.stats["failed_shards"]
+        assert rel["skipped_shards"] == run.stats["skipped_shards"]
 
     def test_no_checkpoint_no_event_log(self, tmp_path):
         run = run_campaign(_spec(shards=1), workers=1)
@@ -270,6 +292,14 @@ class TestStatus:
         assert s["total_shards"] == 6       # from the campaign_start event
         assert s["fingerprint"] is not None
 
+    def test_status_of_unfinished_campaign_is_not_complete(self, tmp_path):
+        ck = tmp_path / "ck.jsonl"
+        spec = _spec(shards=2)
+        run_campaign(spec, workers=1, checkpoint_path=ck, max_shards=2)
+        s = status_summary(ck, spec)
+        assert (s["shards_recorded"], s["total_shards"]) == (2, 4)
+        assert s["complete"] is False
+
     def test_status_of_missing_checkpoint(self, tmp_path):
         s = status_summary(tmp_path / "nope.jsonl")
         assert s["shards_recorded"] == 0
@@ -280,7 +310,7 @@ class TestReliabilityReport:
     def test_report_gains_reliability_section(self, tmp_path):
         ck = tmp_path / "ck.jsonl"
         run = run_campaign(_spec(), workers=1, checkpoint_path=ck)
-        rel = reliability_summary(
+        rel = summarize(
             read_events(events_path_for(ck)))
         md = results_markdown(run.results, run.stats, reliability=rel)
         assert "## Reliability" in md

@@ -8,10 +8,9 @@ import pytest
 from repro.campaign import CampaignError, CampaignSpec, run_campaign
 from repro.campaign.status import (
     events_path_for,
-    reliability_summary,
     status_summary,
 )
-from repro.journal import read_events
+from repro.journal import read_events, summarize
 
 
 def _spec(seed=5):
@@ -102,7 +101,7 @@ class TestResume:
         with open(events, "rb+") as fh:
             fh.truncate(fh.seek(0, 2) - 5)
         run_campaign(_spec(), workers=1, checkpoint_path=ck)
-        rel = reliability_summary(read_events(events))
+        rel = summarize(read_events(events))
         assert rel["shards_finished"] == 6
         assert rel["progress"]["done"] == 6
 

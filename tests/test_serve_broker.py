@@ -19,6 +19,7 @@ from repro.serve import (
     resumable_sessions,
     service_report,
 )
+from repro.journal import COUNTERS, summarize
 from repro.serve.cli import main as serve_main
 from repro.telemetry import ALERT_DEADLINE, ALERT_QUEUE_SATURATED
 
@@ -54,10 +55,6 @@ class TestService:
 
     def test_session_reports_and_markdown(self):
         result = SessionBroker(1).run(specs(2))
-        assert set(result.session_reports) == {"s0", "s1"}
-        report = result.session_reports["s0"]
-        assert report.meta["kind"] == "rake"
-        assert report.sections["session"]["done"]
         text = service_report(result)
         assert "## Reliability" in text
         assert "**migrations**: 0" in text
@@ -130,6 +127,27 @@ class TestChaos:
             == {sid for sid, rec in chaos.sessions.items()
                 if rec["migrations"]}
 
+    def test_shard_lost_on_send_is_counted_and_migrated(self, tmp_path):
+        """A pipe that breaks on ``send`` is a shard death like an EOF:
+        journaled, counted, and its residents migrate."""
+        journal = tmp_path / "j.jsonl"
+        broker = SessionBroker(2, journal_path=journal)
+        send = broker.pool.send
+
+        def send_fails_once(shard, msg):
+            if msg[0] == "step" and shard.index == 0 \
+                    and not events(journal, "shard_dead"):
+                broker.pool.mark_dead(shard)
+                return False
+            return send(shard, msg)
+
+        broker.pool.send = send_fails_once
+        result = broker.run(specs(4, n_slots=3))
+        assert result.status == "complete"
+        assert result.stats["shard_deaths"] == 1
+        assert result.stats["migrations"] >= 1
+        assert summarize(read_journal(journal))["shard_deaths"] == 1
+
     def test_dead_shard_without_respawn_stalls_single_shard(self):
         result = SessionBroker(
             1, chaos={"kill_shard": 0, "after_steps": 1},
@@ -175,6 +193,45 @@ class TestDrainResume:
         for sid, rec in result.sessions.items():
             assert fates[sid]["complete"]
             assert fates[sid]["digest"] == rec["digest"]
+
+
+class TestBooks:
+    """The broker's live stats and a fold of its journal are one set of
+    books: every reliability counter agrees, alerts included."""
+
+    @pytest.mark.parametrize("make, fleet", [
+        (lambda j: SessionBroker(2, journal_path=j), specs()),
+        (lambda j: SessionBroker(1, queue_depth=1, journal_path=j),
+         specs(3)),
+        (lambda j: SessionBroker(1, slot_deadline_s=1e-9, journal_path=j),
+         specs(2)),
+        (lambda j: SessionBroker(
+            2, chaos={"kill_shard": 0, "after_steps": 2}, journal_path=j),
+         specs(4, n_slots=4)),
+    ], ids=["plain", "queue-saturated", "deadline-missing", "chaos"])
+    def test_live_stats_equal_journal_fold(self, tmp_path, make, fleet):
+        journal = tmp_path / "j.jsonl"
+        result = make(journal).run(fleet)
+        offline = summarize(read_journal(journal))
+        assert {k: result.stats[k] for k in COUNTERS} \
+            == {k: offline[k] for k in COUNTERS}
+        assert result.stats["alerts"] == len(result.alerts)
+
+    def test_status_reports_alerts_and_deadline_misses(self, tmp_path,
+                                                       capsys):
+        journal = str(tmp_path / "j.jsonl")
+        fleet = [SessionSpec(session_id=f"r{i}", kind="rake", tenant="t",
+                             n_slots=2, seed=70 + i) for i in range(3)]
+        result = SessionBroker(1, queue_depth=1, slot_deadline_s=1e-9,
+                               journal_path=journal).run(fleet)
+        assert len(result.alerts) == 3
+        assert result.stats["deadline_misses"] == 2
+        capsys.readouterr()
+        assert serve_main(["status", "--journal", journal, "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["alerts"] == 3
+        assert summary["deadline_misses"] == 2
+        assert summary["shed_sessions"] == 2
 
 
 class TestFlight:

@@ -82,7 +82,7 @@ class TestRecovery:
         assert summary["admitted"] == 2
         assert summary["complete"] == 1
         assert summary["active"] == 1
-        assert summary["shed"] == 1
+        assert summary["shed_sessions"] == 1
         assert summary["migrations"] == 1
         assert summary["shard_deaths"] == 1
         assert summary["progress"]["sessions_per_s"] == 1.5
