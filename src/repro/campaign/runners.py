@@ -310,13 +310,13 @@ def _run_fault(task: ShardTask, attempt: int) -> dict:
 def _chaos_pass(cfg, mgr, code, packed, n_chips: int, half_bits: int):
     """One descrambler pass on whatever is currently resident."""
     from repro.fixed import unpack_array
-    from repro.xpp.simulator import Simulator
+    from repro.xpp.simulator import Simulator, SinksDone
 
     cfg.sources["code"].set_data(code)
     cfg.sources["data"].set_data(packed)
     sink = cfg.sinks["out"]
     sim = Simulator(mgr)
-    sim.run(40 * n_chips + 400, until=lambda: sink.done)
+    sim.run(40 * n_chips + 400, until=SinksDone([sink]))
     return unpack_array(np.array(sink.received, dtype=np.int64), half_bits)
 
 

@@ -4,8 +4,10 @@ A :class:`TraceSession` owns one compiled run over a frozen snapshot of
 the live netlist: the generated count kernel produces per-cycle firing
 bitmasks ahead of the simulator's clock, and ``replay_step`` /
 ``replay_step_n`` then serve the simulator's stepping interface out of
-that trace.  During replay only *observable* state is kept live —
-``obj.fired``, sink ``received`` and probe ``seen`` lists — which is
+that trace, and :meth:`TraceSession.stop` answers where a whole
+``Simulator.run`` stops (sinks done, quiescent or out of cycles)
+without stepping it.  During replay only *observable* state is kept
+live — ``obj.fired``, sink ``received`` and probe ``seen`` lists — which is
 exactly what ``Simulator`` stop predicates, telemetry counters and
 ``collect_stats`` read between steps.  Wire queues and internal object
 registers stay frozen at the session snapshot until
@@ -24,7 +26,7 @@ cannot prove.
 from __future__ import annotations
 
 import warnings
-from collections import deque
+from collections import Counter, deque
 
 from repro.diagnostics import REASON_UNSUPPORTED_TYPE
 from repro.fastpath.cache import compile_graph
@@ -42,6 +44,7 @@ from repro.fastpath.lower import (
 )
 from repro.fixed import wrap
 from repro.xpp.scheduler import EventScheduler
+from repro.xpp.stats import STOP_MAX_CYCLES, STOP_QUIESCENT, STOP_UNTIL
 
 
 class FastpathFallbackWarning(RuntimeWarning):
@@ -124,9 +127,11 @@ class TraceSession:
             self.sv[j] = []
         # node index -> [live list, value list, consumed count]
         self.collect = {}
+        self._sink_at = {}      # id(sink object) -> node index
         for n in graph.nodes:
             if n.kind == "sink":
                 self.collect[n.i] = [n.obj.received, None, 0]
+                self._sink_at[id(n.obj)] = n.i
             elif n.kind == "probe":
                 self.collect[n.i] = [n.obj.seen, None, 0]
         # flat per-node lookups for the replay hot loop
@@ -275,15 +280,93 @@ class TraceSession:
             self.materialize()          # absorbed: see replay_step
         return total
 
+    def stop(self, max_cycles: int, sinks, quiescent_limit: int):
+        """``(cycles, stop_reason)`` of a ``Simulator.run`` from the
+        cursor, read off the trace: ``sinks`` (or None for no stop
+        predicate) are those of a ``SinksDone``.  None if a sink is not
+        in the graph.
+
+        The per-cycle loop checks ``until`` before each step and
+        quiescence after it, so a sink stop at ``j`` wins over
+        quiescence only when it comes first, and quiescence at exactly
+        ``max_cycles`` still reports quiescent.  The trace grows in the
+        same doubling windows per-cycle replay uses, only as far as the
+        answer needs.
+        """
+        start = self.cursor
+        targets = None if sinks is None else []
+        for snk in sinks or ():
+            i = self._sink_at.get(id(snk))
+            if i is None:
+                return None
+            if snk.expect is None:
+                targets = None          # never done: no until stop
+            elif targets is not None:
+                targets.append((i, snk.expect - len(snk.received)))
+        if targets:
+            base = self._cum_fires(start)
+            targets = [(i, base[i] + need) for i, need in targets
+                       if need > 0]
+        q = max(quiescent_limit, 1)
+        while True:
+            u = None
+            if targets is not None:
+                u = start
+                for i, count in targets:
+                    t = self._reach(i, count)
+                    if t is None:
+                        u = None
+                        break
+                    u = max(u, t)
+            if u is not None and (self.z is None
+                                  or u < max(self.z, start) + q):
+                if u - start < max_cycles:
+                    return u - start, STOP_UNTIL
+                return max_cycles, STOP_MAX_CYCLES
+            if self.z is not None:
+                j = max(self.z, start) - start + q
+                if j <= max_cycles:
+                    return j, STOP_QUIESCENT
+                return max_cycles, STOP_MAX_CYCLES
+            n = len(self.masks)
+            if n - start >= max_cycles:
+                return max_cycles, STOP_MAX_CYCLES
+            self.ensure(n + 1)
+
+    def _reach(self, i: int, count: int):
+        """First traced cycle count ``t`` by which node ``i`` has fired
+        ``count`` times in all, or None if the trace so far falls short:
+        a bisect over the firing checkpoints, then one checkpoint
+        stride of masks."""
+        fchk = self.fchk
+        lo, hi = 0, len(fchk)
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if fchk[mid][i] >= count:
+                hi = mid
+            else:
+                lo = mid + 1
+        t = lo * FIRES_CHECK
+        have = fchk[lo - 1][i] if lo else 0
+        bit = 1 << i
+        for m in self.masks[t:t + FIRES_CHECK]:
+            t += 1
+            if m & bit:
+                have += 1
+                if have >= count:
+                    return t
+        return None
+
     def _cum_fires(self, t: int) -> list:
         """Per-node firing counts over the first ``t`` traced cycles."""
         t = min(t, len(self.masks))
         k = t // FIRES_CHECK
         fires = list(self.fchk[k - 1]) if k else [0] * len(self.graph.nodes)
-        for m in self.masks[k * FIRES_CHECK:t]:
+        # steady-state masks repeat: decode each distinct one once
+        for m, c in Counter(self.masks[k * FIRES_CHECK:t]).items():
             while m:
                 lsb = m & -m
-                fires[lsb.bit_length() - 1] += 1
+                fires[lsb.bit_length() - 1] += c
                 m ^= lsb
         return fires
 
@@ -502,3 +585,17 @@ class FastpathScheduler:
         if s is None:
             return self._inner.step_n(n)
         return s.replay_step_n(n)
+
+    def run(self, max_cycles: int, sinks, quiescent_limit: int):
+        """Whole-run replay for ``Simulator.run``: ``(cycles,
+        stop_reason)`` answered by :meth:`TraceSession.stop`, with the
+        run's firings and sink tokens applied in one :meth:`step_n`.
+        None (run the per-cycle loop) on an event fallback or when a
+        sink is not in the compiled graph."""
+        s = self._ensure_session()
+        if s is None:
+            return None
+        stop = s.stop(max_cycles, sinks, quiescent_limit)
+        if stop is not None:
+            self.step_n(stop[0])
+        return stop

@@ -56,7 +56,7 @@ from repro.xpp.power import (
     dsp_kernel_instructions,
     energy_at,
 )
-from repro.xpp.simulator import ExecResult, Simulator, execute
+from repro.xpp.simulator import ExecResult, Simulator, SinksDone, execute
 from repro.xpp.stats import (
     STOP_MAX_CYCLES,
     STOP_QUIESCENT,
@@ -90,6 +90,7 @@ __all__ = [
     "RunStats",
     "SimulationError",
     "Simulator",
+    "SinksDone",
     "Slot",
     "StreamSink",
     "StreamSource",

@@ -30,6 +30,26 @@ from repro.xpp.stats import (
 )
 
 
+class SinksDone:
+    """``until`` predicate: every sink in ``sinks`` holds its ``expect``
+    count.
+
+    Calling it is ``all(s.done for s in sinks)``, so the naive and event
+    schedulers evaluate it once per cycle like any callable.  Being
+    data rather than an opaque closure, it also lets a scheduler with a
+    ``run`` method (fastpath) answer the stop from its trace in one go;
+    see :meth:`Simulator.run`.
+    """
+
+    __slots__ = ("sinks",)
+
+    def __init__(self, sinks):
+        self.sinks = list(sinks)
+
+    def __call__(self) -> bool:
+        return all(s.done for s in self.sinks)
+
+
 class Simulator:
     """Runs the objects currently loaded by a configuration manager.
 
@@ -122,6 +142,12 @@ class Simulator:
         The returned stats carry which of the three stopped the run in
         ``stop_reason`` — a run that exhausted ``max_cycles`` with a
         stalled pipeline is not the same as one that drained cleanly.
+
+        With no recording tracer or metrics registry and ``until`` None
+        or a :class:`SinksDone`, a scheduler that has a ``run`` method
+        (fastpath) gets the whole run at once and returns ``(cycles,
+        stop_reason)`` — or None to fall through to the per-cycle loop.
+        Any other ``until`` callable is opaque and is called every cycle.
         """
         start_cycle = self.cycle
         idle = 0
@@ -133,7 +159,17 @@ class Simulator:
         sched = self.scheduler
         sched.invalidate()
         sched_step = sched.step
-        if tracing or sampling:
+        whole = None
+        if not (tracing or sampling) and (
+                until is None or isinstance(until, SinksDone)):
+            run_all = getattr(sched, "run", None)
+            if run_all is not None:
+                whole = run_all(max_cycles, getattr(until, "sinks", None),
+                                quiescent_limit)
+        if whole is not None:
+            cycles, stop_reason = whole
+            self.cycle += cycles
+        elif tracing or sampling:
             if tracing:
                 tracer.set_time(self.cycle)
             while self.cycle - start_cycle < max_cycles:
@@ -282,8 +318,7 @@ def execute(config: Configuration, *, inputs: Optional[dict] = None,
 
     expected = [s for s in config.sinks.values() if s.expect is not None]
     if expected:
-        stats = sim.run(max_cycles,
-                        until=lambda: all(s.done for s in expected))
+        stats = sim.run(max_cycles, until=SinksDone(expected))
     else:
         stats = sim.run(max_cycles)
     outputs = {name: list(sink.received) for name, sink in config.sinks.items()}

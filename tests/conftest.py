@@ -25,3 +25,20 @@ def rngs():
     """``rngs(n)`` -> n independent generators derived from the suite
     seed (see :func:`repro.testing.spawn_rngs`)."""
     return functools.partial(spawn_rngs, DEFAULT_SEED)
+
+
+@pytest.fixture
+def fastpath_steps(monkeypatch):
+    """A one-element list counting ``FastpathScheduler.step`` calls, the
+    per-cycle replay path.  No calls across a fastpath run means every
+    ``Simulator.run`` in it went through whole-run replay."""
+    from repro.fastpath.runtime import FastpathScheduler
+    calls = [0]
+    step = FastpathScheduler.step
+
+    def counted(self):
+        calls[0] += 1
+        return step(self)
+
+    monkeypatch.setattr(FastpathScheduler, "step", counted)
+    return calls

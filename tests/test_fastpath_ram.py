@@ -296,9 +296,12 @@ def test_read_address_loop_falls_back_exactly():
     assert outs["out"][:4] == [2, 1, 3, 0]
 
 
-def _fig10_with_resident_fft(scheduler):
-    """The Fig. 10 swap (2a out, 2b in) in the middle of one run while
-    the resident FFT stage is transforming a non-zero RAM image."""
+def _fig10_with_resident_fft(scheduler, *, between_runs=False):
+    """The Fig. 10 swap (2a out, 2b in) at cycle 40 while the resident
+    FFT stage is transforming a non-zero RAM image: in the middle of one
+    run (an opaque ``until`` hook, so fastpath replays per cycle), or
+    ``between_runs`` (two runs with no stop predicate, so fastpath
+    replays each run whole)."""
     sched = Fig10Schedule()
     sched.start_acquisition()
     down_cfg, fft_cfg = sched.config1
@@ -308,26 +311,44 @@ def _fig10_with_resident_fft(scheduler):
     down_cfg.sources["in"].set_data(rng.integers(0, 4000, 200))
     sched.config2a.sources["in"].set_data(rng.integers(0, 4000, 200))
     sim = Simulator(sched.manager, scheduler=scheduler)
-    state = {"swapped": False}
 
-    def maybe_swap():
-        if not state["swapped"] and sim.cycle >= 40:
-            state["swapped"] = True
-            sched.acquisition_done()
-            sched.config2b.sources["carriers"].set_data(
-                rng.integers(0, 4000, 104))
-        return False
+    def swap():
+        sched.acquisition_done()
+        sched.config2b.sources["carriers"].set_data(
+            rng.integers(0, 4000, 104))
 
-    stats = sim.run(400, until=maybe_swap)
+    if between_runs:
+        stats = [_stats_key(sim.run(40))]
+        swap()
+        stats.append(_stats_key(sim.run(360)))
+    else:
+        state = {"swapped": False}
+
+        def maybe_swap():
+            if not state["swapped"] and sim.cycle >= 40:
+                state["swapped"] = True
+                swap()
+            return False
+
+        stats = _stats_key(sim.run(400, until=maybe_swap))
     sim.scheduler.invalidate()
     fired = {o.name: o.fired for o in sched.manager.active_objects()}
-    out = (_stats_key(stats), fired, list(ram.mem),
+    out = (stats, fired, list(ram.mem),
            list(sched.config2b.sinks["out"].received))
     sched.stop()
     return out
 
 
-def test_fig10_swap_with_resident_fft_compiles_and_matches():
+def test_fig10_swap_with_resident_fft_compiles_and_matches(fastpath_steps):
+    ref = _fig10_with_resident_fft("naive", between_runs=True)
+    assert _fig10_with_resident_fft("event", between_runs=True) == ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        got = _fig10_with_resident_fft("fastpath", between_runs=True)
+    assert fastpath_steps[0] == 0
+    assert got == ref
+    assert ref[1]["data_ram"] > 0 and ref[3]
+
     ref = _fig10_with_resident_fft("naive")
     assert _fig10_with_resident_fft("event") == ref
     registry = MetricsRegistry()
@@ -337,6 +358,7 @@ def test_fig10_swap_with_resident_fft_compiles_and_matches():
     finally:
         set_metrics(previous)
     assert registry.counter("fastpath.fallback").value == 0
+    assert fastpath_steps[0] > 0
     assert got == ref
     assert ref[1]["data_ram"] > 0 and ref[3]
 

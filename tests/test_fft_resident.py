@@ -83,20 +83,24 @@ _SCRIPT = [(1, _ram_image(1)), (2, _ram_image(2)), (0, _ram_image(3)),
            (2, _ram_image(4)[:40])]       # a short image zero-fills
 
 
-def test_reload_matches_a_fresh_build_on_every_scheduler():
+def test_reload_matches_a_fresh_build_on_every_scheduler(fastpath_steps):
     expected = [_fresh(0, _ram_image(0), "naive")] + [
         _fresh(stage, data, "naive") for stage, data in _SCRIPT]
     assert all(obs[0][:2] == (85, "quiescent") for obs in expected)
     assert _reloaded("naive", _SCRIPT) == expected
     assert _reloaded("event", _SCRIPT) == expected
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        assert _reloaded("fastpath", _SCRIPT) == expected
+    assert fastpath_steps[0] == 0           # every drain replayed whole
+    # a recording registry keeps per-cycle replay: pin that path too
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", FastpathFallbackWarning)
-            got = _reloaded("fastpath", _SCRIPT)
+        got = _reloaded("fastpath", _SCRIPT)
     finally:
         set_metrics(previous)
+    assert fastpath_steps[0] > 0
     assert registry.counter("fastpath.fallback").value == 0
     assert registry.counter("fastpath.cache.hit").value \
         + registry.counter("fastpath.cache.miss").value == 1
@@ -171,29 +175,42 @@ def _inputs(n):
 
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_one_kernel_over_many_inputs_matches_the_rebuild(scheduler,
-                                                         monkeypatch):
+                                                         monkeypatch,
+                                                         fastpath_steps):
     monkeypatch.setenv(SCHEDULER_ENV, scheduler)
+    kernel = Fft64Kernel()
+    with probing() as board, warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        for k, (re, im) in enumerate(_inputs(6)):
+            yr, yi = kernel.run(re, im)
+            if k == 0:
+                manager = kernel._sim.manager
+                version = manager.version
+            gr, gi = fft64_fixed(re, im)
+            assert np.array_equal(yr, gr) and np.array_equal(yi, gi)
+            words, stats = _rebuild_fft(re, im)
+            assert list(zip(yr.tolist(), yi.tolist())) == words
+            assert [_stats_key(s) for s in kernel.last_stats] \
+                == [_stats_key(s) for s in stats]
+            assert manager.version == version
+    for stage in range(3):
+        assert board[f"xpp.fft64.overflow.stage{stage}"].count == 6
+    assert fastpath_steps[0] == 0           # every stage replayed whole
+    # a recording registry keeps per-cycle replay: it must match too,
+    # with one compile-cache lookup per kernel and no fallback
     kernel = Fft64Kernel()
     registry = MetricsRegistry()
     previous = set_metrics(registry)
     try:
-        with probing() as board:
-            for k, (re, im) in enumerate(_inputs(6)):
-                yr, yi = kernel.run(re, im)
-                if k == 0:
-                    manager = kernel._sim.manager
-                    version = manager.version
-                gr, gi = fft64_fixed(re, im)
-                assert np.array_equal(yr, gr) and np.array_equal(yi, gi)
-                words, stats = _rebuild_fft(re, im)
-                assert list(zip(yr.tolist(), yi.tolist())) == words
-                assert [_stats_key(s) for s in kernel.last_stats] \
-                    == [_stats_key(s) for s in stats]
-                assert manager.version == version
+        for re, im in _inputs(2):
+            yr, yi = kernel.run(re, im)
+            words, stats = _rebuild_fft(re, im)
+            assert list(zip(yr.tolist(), yi.tolist())) == words
+            assert [_stats_key(s) for s in kernel.last_stats] \
+                == [_stats_key(s) for s in stats]
     finally:
         set_metrics(previous)
-    for stage in range(3):
-        assert board[f"xpp.fft64.overflow.stage{stage}"].count == 6
+    assert (fastpath_steps[0] > 0) == (scheduler == "fastpath")
     assert registry.counter("fastpath.fallback").value == 0
     lookups = registry.counter("fastpath.cache.hit").value \
         + registry.counter("fastpath.cache.miss").value

@@ -15,9 +15,12 @@ same outputs, same stats, same injection log — because fault timing is
 indexed by protocol events, never by evaluation order.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
+from repro.fastpath import FastpathFallbackWarning
 from repro.faults import FaultInjector, TokenDrop, TokenDuplicate, plan_faults
 from repro.kernels import (
     ChannelCorrectionKernel,
@@ -95,24 +98,31 @@ WORKLOADS = {
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_kernel_config_equivalence(workload, monkeypatch):
+def test_kernel_config_equivalence(workload, monkeypatch, fastpath_steps):
     """Outputs, firings, cycles, energy and stop reasons must be
     identical under every scheduler (fresh config per run), and the
-    fastpath run must really be compiled: zero fallbacks, or the
-    comparison would be event against event."""
+    fastpath run must really be compiled — no fallback warning, or the
+    comparison would be event against event — and replayed whole: not
+    one per-cycle ``FastpathScheduler.step``.  A second fastpath leg
+    under a recording metrics registry, which keeps per-cycle replay,
+    must match too and count zero fallbacks."""
     results = {}
     for sched in SCHEDULERS:
         monkeypatch.setenv(SCHEDULER_ENV, sched)
-        registry = MetricsRegistry()
-        previous = set_metrics(registry)
-        try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FastpathFallbackWarning)
             results[sched] = WORKLOADS[workload]()
-        finally:
-            set_metrics(previous)
-        if sched == "fastpath":
-            assert registry.counter("fastpath.fallback").value == 0
+    assert fastpath_steps[0] == 0
+    registry = MetricsRegistry()
+    previous = set_metrics(registry)
+    try:
+        results["per_cycle"] = WORKLOADS[workload]()
+    finally:
+        set_metrics(previous)
+    assert registry.counter("fastpath.fallback").value == 0
+    assert fastpath_steps[0] > 0
     out_naive, stats_naive = results["naive"]
-    for sched in SCHEDULERS[1:]:
+    for sched in SCHEDULERS[1:] + ["per_cycle"]:
         out, stats = results[sched]
         assert out == out_naive, sched
         assert stats == stats_naive, sched
