@@ -1,25 +1,31 @@
-"""Campaign execution: serial loop or fault-tolerant worker pool.
+"""Campaign execution: one fault-tolerant executor, one set of books.
 
-``run_campaign`` drives a campaign to its aggregate.  Two executors
-share all bookkeeping (checkpointing, retries, early stopping,
-metrics):
+``run_campaign`` drives a campaign to its aggregate through the shared
+:class:`repro.pool.RetryingTaskPool`, which owns every skip, budget,
+retry and backoff decision for any worker count:
 
-* ``workers <= 1`` — an in-process serial loop, the reference
-  executor.  No processes, no timeouts; exceptions are retried with
-  the same backoff policy.
-* ``workers >= 2`` — a ``multiprocessing`` pool, one process per
-  shard, at most ``workers`` alive at a time.  A worker that *raises*
-  reports the error over its pipe; one that *dies* (segfault,
-  ``os._exit``) is detected by the closed pipe; one that *hangs* past
-  its deadline is terminated.  All three fail the attempt, which is
-  retried with exponential backoff up to ``retries`` times; a shard
-  that exhausts its retries is recorded as **failed** and the campaign
-  carries on — graceful degradation, never a fatal run.
+* ``workers <= 1`` — shards run in this process.  No child processes
+  and no timeouts; an exception fails the attempt.
+* ``workers >= 2`` — one process per shard, at most ``workers`` alive
+  at a time.  A worker that *raises* reports the error over its pipe;
+  one that *dies* (segfault, ``os._exit``) is detected by the closed
+  pipe; one that *hangs* past its deadline is terminated.
+
+A failed attempt is retried with exponential backoff up to
+``retries`` times without holding back later shards; a shard that
+exhausts its retries is recorded as **failed** and the campaign
+carries on — graceful degradation, never a fatal run.
+
+This module is bookkeeping only: :class:`_RunState` answers the
+pool's hooks by recording outcomes (checkpoint, progress) and folding
+every lifecycle record into one :class:`repro.journal.Reliability`,
+from which ``CampaignRun.stats`` and the event log's ``campaign_end``
+both read their counts.
 
 Determinism: shard seeds depend only on ``(master_seed, flat
 index)`` and the aggregate folds shards in index order with the
-deterministic early-stop prefix rule, so the serial loop, any pool
-width and any resume produce byte-identical results
+deterministic early-stop prefix rule, so any worker count and any
+resume produce byte-identical results
 (:mod:`repro.campaign.aggregate`).
 """
 
@@ -35,10 +41,9 @@ from repro.campaign.runners import run_shard
 from repro.campaign.sharding import ShardTask, build_shards
 from repro.campaign.spec import CampaignSpec
 from repro.campaign.status import events_path_for
-from repro.journal import Journal
+from repro.journal import Journal, Reliability
 from repro.pool import RetryingTaskPool
 from repro.telemetry import flight
-from repro.telemetry.metrics import get_metrics
 
 
 @dataclass
@@ -114,13 +119,12 @@ def run_campaign(spec: CampaignSpec, *, workers: int = 1,
                  retries: int = 2, backoff_s: float = 0.25,
                  timeout_s: Optional[float] = None,
                  checkpoint_path=None, max_shards: Optional[int] = None,
-                 progress=None, mp_context: Optional[str] = None,
-                 flight_recorder: bool = False,
+                 progress=None, flight_recorder: bool = False,
                  max_trace_events: int = flight.DEFAULT_MAX_EVENTS,
-                 events_path=None, cache_dir=None) -> CampaignRun:
+                 cache_dir=None) -> CampaignRun:
     """Run (or resume) a campaign and aggregate its results.
 
-    ``timeout_s`` is the per-shard wall-clock limit (pool executor
+    ``timeout_s`` is the per-shard wall-clock limit (``workers >= 2``
     only; a job's own ``timeout_s`` takes precedence).  ``max_shards``
     bounds how many shards this call executes — the run exits
     incomplete with a valid checkpoint, which is how CI exercises
@@ -130,11 +134,12 @@ def run_campaign(spec: CampaignSpec, *, workers: int = 1,
     ``flight_recorder`` arms per-shard telemetry capture
     (:mod:`repro.telemetry.flight`): every shard records up to
     ``max_trace_events`` tracer events plus metric and probe dumps
-    onto ``ShardOutcome.telemetry``.  The lifecycle event log is
-    written to ``events_path`` (default: next to the checkpoint)
-    whenever either is given; it carries wall-clock facts — shard
-    durations, retries, timeouts, ETA/throughput — and is the one
-    intentionally nondeterministic artifact.
+    onto ``ShardOutcome.telemetry``.  With a checkpoint, the lifecycle
+    event log is written next to it
+    (:func:`repro.campaign.status.events_path_for`); it carries
+    wall-clock facts — shard durations, retries, timeouts,
+    ETA/throughput — and is the one intentionally nondeterministic
+    artifact.
 
     ``cache_dir`` mounts a shared on-disk fastpath compile cache in
     every shard (:mod:`repro.fastpath.cache`): the first worker to
@@ -158,128 +163,131 @@ def run_campaign(spec: CampaignSpec, *, workers: int = 1,
         outcomes[(o.job_index, o.shard_index)] = o
     resumed = len(outcomes)
     pending = [t for t in tasks if t.key not in outcomes]
-    stats = {"workers": workers, "total_shards": len(tasks),
-             "resumed_shards": resumed, "executed_shards": 0,
-             "failed_shards": 0, "skipped_shards": 0, "retries": 0}
 
-    if events_path is None and checkpoint_path is not None:
-        events_path = events_path_for(checkpoint_path)
-    events = Journal(events_path) if events_path is not None else None
-    state = _RunState(spec, outcomes, ck, stats, progress, len(tasks),
-                      events)
-    if events is not None:
-        events.emit("campaign_start", campaign=spec.name,
-                    fingerprint=spec.fingerprint(),
-                    total_shards=len(tasks), workers=workers,
-                    resumed_shards=resumed,
-                    flight_recorder=flight_recorder)
+    events = Journal(events_path_for(checkpoint_path)) \
+        if checkpoint_path is not None else None
+    state = _RunState(spec, outcomes, ck, progress, len(tasks), events)
+    state._emit("campaign_start", campaign=spec.name,
+                fingerprint=spec.fingerprint(), total_shards=len(tasks),
+                workers=workers, resumed_shards=resumed,
+                flight_recorder=flight_recorder)
     try:
-        if workers <= 1:
-            _run_serial(state, pending, retries, backoff_s, max_shards)
-        else:
-            _run_pool(state, pending, workers, retries, backoff_s,
-                      timeout_s, max_shards, mp_context)
+        RetryingTaskPool(run_shard, workers=workers, retries=retries,
+                         backoff_s=backoff_s, timeout_s=timeout_s).run(
+            pending, budget=max_shards, should_skip=state.should_skip,
+            on_skip=state.on_skip, on_start=state.on_start,
+            on_success=state.on_success, on_retry=state.on_retry,
+            on_exhausted=state.on_exhausted)
     finally:
-        stats["elapsed_s"] = time.perf_counter() - started
+        elapsed = time.perf_counter() - started
+        counts = state.books.counts
+        state._emit("campaign_end", recorded=len(outcomes),
+                    failed=counts["degraded_shards"],
+                    retries=counts["retries"], elapsed_s=round(elapsed, 3))
         if events is not None:
-            events.emit("campaign_end", recorded=len(outcomes),
-                        failed=stats["failed_shards"],
-                        retries=stats["retries"],
-                        elapsed_s=round(stats["elapsed_s"], 3))
             events.close()
         if ck is not None:
             ck.close()
 
+    stats = {"workers": workers, "total_shards": len(tasks),
+             "resumed_shards": resumed,
+             "executed_shards": state.executed(),
+             "failed_shards": counts["degraded_shards"],
+             "skipped_shards": counts["skipped_shards"],
+             "retries": counts["retries"], "elapsed_s": elapsed}
     ordered = [outcomes[t.key] for t in tasks if t.key in outcomes]
     return CampaignRun(spec=spec, outcomes=ordered,
                        results=aggregate(spec, ordered), stats=stats)
 
 
-# -- shared bookkeeping --------------------------------------------------------------
+# -- bookkeeping behind the pool's hooks ---------------------------------------------
 
 
 #: result-count keys that measure work units for the slots/s throughput
 _SLOT_KEYS = ("n_slots", "n_packets", "scenarios", "runs")
 
 
-class _RunState:
-    """Outcome recording shared by both executors."""
+def _outcome(task: ShardTask, **fields) -> ShardOutcome:
+    return ShardOutcome(job_id=task.job_id, job_index=task.job_index,
+                        shard_index=task.shard_index, **fields)
 
-    def __init__(self, spec, outcomes, checkpoint, stats, progress, total,
-                 events=None):
+
+class _RunState:
+    """Outcome recording and early-stop skips, as
+    :class:`repro.pool.RetryingTaskPool` hooks.
+
+    Every lifecycle record goes through :meth:`_emit`, which folds it
+    into ``books`` and journals it when there is an event log — so the
+    run's stats and the log's fold come from the same records.
+    """
+
+    def __init__(self, spec, outcomes, checkpoint, progress, total, events):
         self.spec = spec
         self.outcomes = outcomes
         self.checkpoint = checkpoint
-        self.stats = stats
         self.progress = progress
         self.total = total
-        self.metrics = get_metrics()
         self.events = events
+        self.books = Reliability()
         self.started = time.monotonic()
-        self.executed = 0       # shards this run (resumed ones excluded)
         self.slots = 0          # work units this run, for slots/s
 
     def _emit(self, event: str, **fields) -> None:
-        if self.events is not None:
-            self.events.emit(event, **fields)
+        rec = self.events.emit(event, **fields) if self.events is not None \
+            else {"event": event, **fields}
+        self.books.add(rec)
 
-    def shard_started(self, task: ShardTask, attempt: int) -> None:
-        self._emit("shard_start", job_id=task.job_id,
-                   shard_index=task.shard_index, attempt=attempt)
+    def executed(self) -> int:
+        """Shards this run finished or degraded (resumed ones excluded)."""
+        counts = self.books.counts
+        return counts["shards_finished"] + counts["degraded_shards"]
 
-    def _emit_progress(self) -> None:
-        if self.events is None:
-            return
-        done = len(self.outcomes)
-        elapsed = max(time.monotonic() - self.started, 1e-9)
-        rate = self.executed / elapsed
-        remaining = max(self.total - done, 0)
-        self._emit("progress", done=done, total=self.total,
-                   shards_per_s=round(rate, 4),
-                   slots_per_s=round(self.slots / elapsed, 2),
-                   eta_s=round(remaining / rate, 1) if rate > 0 else None)
-
-    def record(self, outcome: ShardOutcome,
-               duration_s: Optional[float] = None) -> None:
+    def _record(self, outcome: ShardOutcome, event: str, **fields) -> None:
         self.outcomes[(outcome.job_index, outcome.shard_index)] = outcome
         if self.checkpoint is not None:
             self.checkpoint.append(outcome)
-        if outcome.skipped:
-            self.stats["skipped_shards"] += 1
-            self.metrics.counter("campaign.shards_skipped").inc()
-            self._emit("shard_skip", job_id=outcome.job_id,
-                       shard_index=outcome.shard_index)
-        else:
-            self.stats["executed_shards"] += 1
-            self.executed += 1
-            self.metrics.counter("campaign.shards_completed").inc()
-            if outcome.ok:
-                counts = (outcome.result or {}).get("counts") or {}
-                self.slots += sum(int(counts.get(k, 0)) for k in _SLOT_KEYS)
-                self._emit("shard_finish", job_id=outcome.job_id,
-                           shard_index=outcome.shard_index,
-                           attempts=outcome.attempts,
-                           duration_s=round(duration_s, 4)
-                           if duration_s is not None else None)
-            else:
-                self.stats["failed_shards"] += 1
-                self.metrics.counter("campaign.shards_failed").inc()
-                self._emit("shard_degraded", job_id=outcome.job_id,
-                           shard_index=outcome.shard_index,
-                           attempts=outcome.attempts, reason=outcome.error)
-        self._emit_progress()
+        self._emit(event, job_id=outcome.job_id,
+                   shard_index=outcome.shard_index, **fields)
+        if self.events is not None:     # progress is for the log only
+            done = len(self.outcomes)
+            elapsed = max(time.monotonic() - self.started, 1e-9)
+            rate = self.executed() / elapsed
+            remaining = max(self.total - done, 0)
+            self._emit("progress", done=done, total=self.total,
+                       shards_per_s=round(rate, 4),
+                       slots_per_s=round(self.slots / elapsed, 2),
+                       eta_s=round(remaining / rate, 1) if rate > 0
+                       else None)
         if self.progress is not None:
             self.progress(outcome, len(self.outcomes), self.total)
 
-    def note_retry(self, task: Optional[ShardTask] = None,
-                   reason: Optional[str] = None) -> None:
-        self.stats["retries"] += 1
-        self.metrics.counter("campaign.retries").inc()
-        if task is not None:
-            self._emit("shard_retry", job_id=task.job_id,
-                       shard_index=task.shard_index, reason=reason)
+    # -- the pool's hooks ------------------------------------------------------------
 
-    def skippable(self, task: ShardTask) -> bool:
+    def on_start(self, task: ShardTask, attempt: int) -> None:
+        self._emit("shard_start", job_id=task.job_id,
+                   shard_index=task.shard_index, attempt=attempt)
+
+    def on_success(self, task: ShardTask, attempt: int, payload: dict,
+                   duration_s: float) -> None:
+        counts = payload.get("counts") or {}
+        self.slots += sum(int(counts.get(k, 0)) for k in _SLOT_KEYS)
+        self._record(_outcome(task, ok=True, result=payload,
+                              attempts=attempt + 1,
+                              telemetry=payload.pop("telemetry", None)),
+                     "shard_finish", attempts=attempt + 1,
+                     duration_s=round(duration_s, 4))
+
+    def on_retry(self, task: ShardTask, attempt: int, reason: str) -> None:
+        self._emit("shard_retry", job_id=task.job_id,
+                   shard_index=task.shard_index, reason=reason)
+
+    def on_exhausted(self, task: ShardTask, attempts: int,
+                     reason: str) -> None:
+        self._record(_outcome(task, ok=False, error=reason,
+                              attempts=attempts),
+                     "shard_degraded", attempts=attempts, reason=reason)
+
+    def should_skip(self, task: ShardTask) -> bool:
         """True when the deterministic early-stop prefix of the task's
         job already ends before this shard."""
         job = self.spec.jobs[task.job_index]
@@ -290,84 +298,6 @@ class _RunState:
         prefix, stopped = included_prefix(job, recorded)
         return stopped and task.shard_index >= prefix
 
-    def skip(self, task: ShardTask) -> None:
-        self.record(ShardOutcome(
-            job_id=task.job_id, job_index=task.job_index,
-            shard_index=task.shard_index, ok=False, skipped=True,
-            error="early stop"))
-
-
-# -- serial executor -----------------------------------------------------------------
-
-
-def _run_serial(state: _RunState, pending, retries: int,
-                backoff_s: float, max_shards: Optional[int]) -> None:
-    executed = 0
-    for task in pending:
-        if max_shards is not None and executed >= max_shards:
-            return
-        if state.skippable(task):
-            state.skip(task)
-            continue
-        outcome = None
-        duration = None
-        for attempt in range(retries + 1):
-            if attempt:
-                state.note_retry(task, outcome.error)
-                time.sleep(backoff_s * 2 ** (attempt - 1))
-            state.shard_started(task, attempt)
-            t0 = time.monotonic()
-            try:
-                result = run_shard(task, attempt)
-            except Exception as exc:
-                outcome = ShardOutcome(
-                    job_id=task.job_id, job_index=task.job_index,
-                    shard_index=task.shard_index, ok=False,
-                    error=f"{type(exc).__name__}: {exc}",
-                    attempts=attempt + 1)
-                continue
-            duration = time.monotonic() - t0
-            outcome = ShardOutcome(
-                job_id=task.job_id, job_index=task.job_index,
-                shard_index=task.shard_index, ok=True, result=result,
-                attempts=attempt + 1,
-                telemetry=result.pop("telemetry", None))
-            break
-        state.record(outcome, duration)
-        executed += 1
-
-
-# -- process-pool executor -----------------------------------------------------------
-
-
-def _run_pool(state: _RunState, pending, workers: int, retries: int,
-              backoff_s: float, timeout_s: Optional[float],
-              max_shards: Optional[int], mp_context: Optional[str]) -> None:
-    """Campaign adapter over the shared :class:`repro.pool.RetryingTaskPool`:
-    the pool owns spawn/EOF-death/timeout-terminate/retry-backoff, this
-    function owns campaign semantics (early-stop skips, outcome
-    recording, retry stats)."""
-
-    def on_success(task: ShardTask, attempt: int, payload: dict,
-                   duration: float) -> None:
-        state.record(ShardOutcome(
-            job_id=task.job_id, job_index=task.job_index,
-            shard_index=task.shard_index, ok=True, result=payload,
-            attempts=attempt + 1,
-            telemetry=payload.pop("telemetry", None)), duration)
-
-    def on_exhausted(task: ShardTask, attempts: int, reason: str) -> None:
-        state.record(ShardOutcome(
-            job_id=task.job_id, job_index=task.job_index,
-            shard_index=task.shard_index, ok=False, error=reason,
-            attempts=attempts))
-
-    pool = RetryingTaskPool(run_shard, workers=workers, retries=retries,
-                            backoff_s=backoff_s, timeout_s=timeout_s,
-                            mp_context=mp_context, noun="shard")
-    pool.run(pending, budget=max_shards,
-             should_skip=state.skippable, on_skip=state.skip,
-             on_start=state.shard_started, on_success=on_success,
-             on_retry=lambda task, attempt, reason:
-             state.note_retry(task, reason),
-             on_exhausted=on_exhausted)
+    def on_skip(self, task: ShardTask) -> None:
+        self._record(_outcome(task, ok=False, skipped=True,
+                              error="early stop"), "shard_skip")

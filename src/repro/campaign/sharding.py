@@ -10,7 +10,7 @@ depends only on ``(master_seed, flat_index)`` — not on worker count,
 execution order, retries or which shards a resume skips — so:
 
 * any shard can be re-run in isolation and reproduce itself exactly;
-* a 4-worker pool, a serial loop and a resumed run all draw identical
+* a 4-worker pool, an in-process run and a resumed run all draw identical
   random streams shard for shard;
 * a *retried* attempt (worker killed mid-shard, timeout, flaky raise)
   is byte-identical to a first-try run.  Carrying a live

@@ -17,8 +17,9 @@ same machinery underneath:
 * retry with exponential backoff, and graceful degradation when the
   retry budget is exhausted.
 
-:class:`RetryingTaskPool` packages the one-task-per-process pattern
-(the campaign executor's engine); :class:`WorkerHandle` and
+:class:`RetryingTaskPool` is the campaign executor's one loop: one
+process per task, or the same skips, budget, retries and backoff
+in-process when ``workers <= 1``.  :class:`WorkerHandle` and
 :func:`wait_workers` are the lower-level pieces the serve shard pool
 builds its long-lived workers from.
 """
@@ -118,11 +119,6 @@ class WorkerHandle:
             return False
         return (time.monotonic() if now is None else now) > self.deadline
 
-    def rearm(self, timeout_s: Optional[float]) -> None:
-        """Reset the deadline ``timeout_s`` from now (None disarms)."""
-        self.deadline = time.monotonic() + timeout_s \
-            if timeout_s is not None else None
-
     def join(self, timeout: Optional[float] = None) -> None:
         self.proc.join(timeout)
 
@@ -170,22 +166,24 @@ def _task_entry(conn, entry: Callable, task, attempt: int) -> None:
 
 
 class RetryingTaskPool:
-    """Deterministic process-per-task executor with retry/backoff.
+    """Deterministic task executor with retry/backoff.
 
-    Runs ``entry(task, attempt)`` in a child process per task, at most
-    ``workers`` alive at a time.  An attempt fails when the worker
-    raises, dies (EOF) or outlives its deadline (terminated); failed
-    attempts are retried with exponential backoff up to ``retries``
-    times, then reported as exhausted — degradation is the caller's
-    policy, never the pool's.
+    With ``workers >= 2`` it runs ``entry(task, attempt)`` in a child
+    process per task, at most ``workers`` alive at a time; an attempt
+    fails when the worker raises, dies (EOF) or outlives its deadline
+    (terminated).  With ``workers <= 1`` it calls ``entry`` in this
+    process: no child, no deadline, and an exception is the failed
+    attempt.  Either way failed attempts are retried with exponential
+    backoff up to ``retries`` times, then reported as exhausted —
+    degradation is the caller's policy, never the pool's.  A task
+    waiting out its backoff holds back no other task.
 
-    The caller observes everything through hooks (all optional except
-    ``on_success``/``on_exhausted``):
+    The caller observes everything through hooks (all optional):
 
     ``should_skip(task)`` / ``on_skip(task)``
         Checked at launch time; a skipped task consumes no budget.
     ``on_start(task, attempt)``
-        An attempt's process is about to start.
+        An attempt is about to start.
     ``on_success(task, attempt, payload, duration_s)``
         The task's result arrived.
     ``on_retry(task, attempt, reason)``
@@ -193,10 +191,9 @@ class RetryingTaskPool:
     ``on_exhausted(task, attempts, reason)``
         The retry budget ran out.
 
-    Task accessors: ``task_order(task)`` must return a unique integer
-    giving the deterministic launch order (ties are impossible by
-    construction); ``task_timeout(task)`` an optional per-task deadline
-    overriding the pool-wide ``timeout_s``.
+    Tasks carry a unique integer ``flat_index`` (the deterministic
+    launch order) and an optional ``timeout_s`` that overrides the
+    pool-wide ``timeout_s``.
 
     ``budget`` bounds how many tasks (successes + exhausted failures,
     launched or in flight) the call may consume — the campaign's
@@ -204,24 +201,17 @@ class RetryingTaskPool:
     """
 
     def __init__(self, entry: Callable, *, workers: int, retries: int = 2,
-                 backoff_s: float = 0.25, timeout_s: Optional[float] = None,
-                 mp_context: Optional[str] = None, noun: str = "task",
-                 task_order: Callable = lambda t: t.flat_index,
-                 task_timeout: Callable = lambda t: getattr(
-                     t, "timeout_s", None)):
+                 backoff_s: float = 0.25, timeout_s: Optional[float] = None):
         self.entry = entry
-        self.workers = workers
+        self.workers = max(workers, 1)
         self.retries = retries
         self.backoff_s = backoff_s
         self.timeout_s = timeout_s
-        self.ctx = resolve_mp_context(mp_context)
-        self.noun = noun
-        self.task_order = task_order
-        self.task_timeout = task_timeout
+        self.ctx = resolve_mp_context()
 
     def _limit(self, task) -> Optional[float]:
-        per_task = self.task_timeout(task)
-        return per_task if per_task is not None else self.timeout_s
+        return task.timeout_s if task.timeout_s is not None \
+            else self.timeout_s
 
     def run(self, tasks, *, budget: Optional[int] = None,
             should_skip: Callable = lambda task: False,
@@ -232,9 +222,9 @@ class RetryingTaskPool:
             on_exhausted: Callable = lambda task, attempts, reason: None,
             ) -> int:
         """Drive ``tasks`` to completion; returns tasks consumed."""
-        # (not_before, order, task, attempt); order keeps heap order
-        # total and deterministic
-        ready = [(0.0, self.task_order(t), t, 0) for t in tasks]
+        # (not_before, flat_index, task, attempt); the index keeps heap
+        # order total and deterministic
+        ready = [(0.0, t.flat_index, t, 0) for t in tasks]
         heapq.heapify(ready)
         active: dict = {}
         consumed = 0
@@ -242,14 +232,18 @@ class RetryingTaskPool:
         def budget_left() -> bool:
             return budget is None or consumed + len(active) < budget
 
-        def fail_attempt(handle: WorkerHandle, reason: str) -> None:
+        def succeed(task, attempt: int, payload, duration: float) -> None:
             nonlocal consumed
-            task, attempt = handle.meta
+            on_success(task, attempt, payload, duration)
+            consumed += 1
+
+        def fail_attempt(task, attempt: int, reason: str) -> None:
+            nonlocal consumed
             if attempt < self.retries:
                 on_retry(task, attempt, reason)
                 not_before = time.monotonic() \
                     + exp_backoff(self.backoff_s, attempt)
-                heapq.heappush(ready, (not_before, self.task_order(task),
+                heapq.heappush(ready, (not_before, task.flat_index,
                                        task, attempt + 1))
             else:
                 on_exhausted(task, attempt + 1, reason)
@@ -268,10 +262,22 @@ class RetryingTaskPool:
                         on_skip(task)
                         continue
                     on_start(task, attempt)
-                    handle = WorkerHandle.spawn(
-                        self.ctx, _task_entry, (self.entry, task, attempt),
-                        meta=(task, attempt), timeout_s=self._limit(task))
-                    active[order] = handle
+                    if self.workers > 1:
+                        active[order] = WorkerHandle.spawn(
+                            self.ctx, _task_entry,
+                            (self.entry, task, attempt),
+                            meta=(task, attempt),
+                            timeout_s=self._limit(task))
+                        continue
+                    started = time.monotonic()
+                    try:
+                        payload = self.entry(task, attempt)
+                    except Exception as exc:
+                        fail_attempt(task, attempt,
+                                     f"{type(exc).__name__}: {exc}")
+                    else:
+                        succeed(task, attempt, payload,
+                                time.monotonic() - started)
 
                 if not active:
                     if ready and budget_left():
@@ -302,17 +308,15 @@ class RetryingTaskPool:
                         handle.close()
                         handle.join()
                         if ok:
-                            on_success(task, attempt, payload,
-                                       time.monotonic() - handle.started)
-                            consumed += 1
+                            succeed(task, attempt, payload,
+                                    time.monotonic() - handle.started)
                         else:
-                            fail_attempt(handle, payload)
+                            fail_attempt(task, attempt, payload)
                     elif handle.expired(now):
                         del active[order]
                         handle.terminate()
-                        limit = self._limit(task)
-                        fail_attempt(handle, f"timeout: {self.noun} "
-                                             f"exceeded {limit:g}s")
+                        fail_attempt(task, attempt, "timeout: shard "
+                                     f"exceeded {self._limit(task):g}s")
         finally:
             for handle in active.values():
                 handle.terminate()

@@ -55,6 +55,10 @@ from repro.telemetry.flight import _exact_percentile, merged_chrome_trace
 #: or a protocol bug).
 STALL_ROUNDS = 10
 
+#: Seconds the broker waits for one round of shard replies before it
+#: treats the silent shards as dead.
+STEP_TIMEOUT_S = 120.0
+
 
 class SessionEntry:
     """Broker-side record of one admitted session."""
@@ -156,8 +160,7 @@ class SessionBroker:
                  flight: bool = False,
                  chaos: Optional[dict] = None,
                  respawn_dead: bool = True,
-                 warmup: bool = True,
-                 step_timeout_s: float = 120.0):
+                 warmup: bool = True):
         self.pool = ShardPool(n_shards, mp_context=mp_context,
                               cache_dir=cache_dir,
                               journal_path=journal_path, flight=flight,
@@ -173,7 +176,6 @@ class SessionBroker:
         self.checkpoint_interval = max(1, checkpoint_interval)
         self.respawn_dead = respawn_dead
         self.warmup = warmup
-        self.step_timeout_s = step_timeout_s
 
         self.probes = ProbeBoard(keep_samples=0)
         self.books = Reliability()
@@ -276,7 +278,7 @@ class SessionBroker:
             self._emit("session_placed", session_id=sid,
                        shard=shard.index, slot_cursor=entry.slots_done)
         if admits:
-            replies, dead = self.pool.collect(self.step_timeout_s)
+            replies, dead = self.pool.collect(STEP_TIMEOUT_S)
             for shard, reply in replies:
                 if reply[0] != "ok":
                     raise RuntimeError(
@@ -319,7 +321,7 @@ class SessionBroker:
         if not stepped:
             self._handle_dead(lost)
             return 0
-        replies, dead = self.pool.collect(self.step_timeout_s)
+        replies, dead = self.pool.collect(STEP_TIMEOUT_S)
         dead = lost + dead
         advanced = 0
         for shard, reply in replies:
@@ -409,7 +411,7 @@ class SessionBroker:
         for shard in self.pool.alive_shards():
             if shard.resident:
                 self.pool.send(shard, ("drain_all",))
-        replies, dead = self.pool.collect(self.step_timeout_s)
+        replies, dead = self.pool.collect(STEP_TIMEOUT_S)
         for shard, reply in replies:
             if reply[0] != "ok" or reply[1] != "drain_all":
                 continue

@@ -233,8 +233,7 @@ class ConfigurationManager:
 
     # -- prefetch ----------------------------------------------------------------
 
-    def prefetch(self, config: Configuration, *, removing=(),
-                 background: bool = False):
+    def prefetch(self, config: Configuration, *, removing=()):
         """Warm the fastpath compile cache for a swap that hasn't landed.
 
         Fig. 10 swaps follow a known script — configuration 2a comes out,
@@ -249,18 +248,8 @@ class ConfigurationManager:
         Returns the graph fingerprint, or None when the hypothetical
         netlist is not fastpath-compilable (the swap simply compiles
         nothing ahead; running it falls back exactly as without
-        prefetch).  With ``background=True`` compilation runs on a
-        daemon thread and the thread is returned instead.
+        prefetch).
         """
-        if background:
-            import threading
-            t = threading.Thread(
-                target=self.prefetch, args=(config,),
-                kwargs={"removing": removing}, daemon=True,
-                name=f"fastpath-prefetch:{config.name}")
-            t.start()
-            return t
-
         from repro.fastpath.cache import warmup
         from repro.fastpath.ir import UnsupportedGraphError
 

@@ -242,7 +242,8 @@ class TestEventLog:
 
     def test_event_log_fold_equals_run_stats(self, tmp_path):
         """Retrying, degrading and early-stop-skipped shards: the fold
-        of a fresh campaign's event log agrees with its live stats."""
+        of a fresh campaign's event log agrees with its live stats,
+        in-process and in child processes."""
         spec = CampaignSpec.from_dict(
             {"name": "books", "master_seed": 3,
              "jobs": [{"job_id": "bad", "kind": "fault",
@@ -253,15 +254,18 @@ class TestEventLog:
                        "params": {"n_slots": 2, "snr_db": -10},
                        "shards": 4,
                        "early_stop": {"min_error_events": 1}}]})
-        ck = tmp_path / "ck.jsonl"
-        run = run_campaign(spec, workers=1, checkpoint_path=ck,
-                           retries=1, backoff_s=0.0)
-        rel = summarize(read_events(events_path_for(ck)))
-        assert run.stats["retries"] and run.stats["failed_shards"] \
-            and run.stats["skipped_shards"]
-        assert rel["retries"] == run.stats["retries"]
-        assert rel["degraded_shards"] == run.stats["failed_shards"]
-        assert rel["skipped_shards"] == run.stats["skipped_shards"]
+        for workers in (1, 2):
+            ck = tmp_path / f"ck{workers}.jsonl"
+            run = run_campaign(spec, workers=workers, checkpoint_path=ck,
+                               retries=1, backoff_s=0.0)
+            rel = summarize(read_events(events_path_for(ck)))
+            assert run.stats["retries"] and run.stats["failed_shards"] \
+                and run.stats["skipped_shards"]
+            assert rel["retries"] == run.stats["retries"]
+            assert rel["degraded_shards"] == run.stats["failed_shards"]
+            assert rel["skipped_shards"] == run.stats["skipped_shards"]
+            assert rel["shards_finished"] + rel["degraded_shards"] \
+                == run.stats["executed_shards"]
 
     def test_no_checkpoint_no_event_log(self, tmp_path):
         run = run_campaign(_spec(shards=1), workers=1)

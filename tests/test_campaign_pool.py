@@ -5,8 +5,6 @@ import json
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
-from repro.telemetry import enable_metrics, set_metrics
-from repro.telemetry.metrics import NULL_METRICS
 
 
 def _results_bytes(run) -> str:
@@ -79,21 +77,19 @@ class TestFaultTolerance:
 
     def test_progress_and_metrics_counters(self):
         seen = []
-        metrics = enable_metrics()
-        try:
-            spec = CampaignSpec.from_dict(
-                {"name": "f", "master_seed": 5,
-                 "jobs": [{"job_id": "good", "kind": "fault",
-                           "params": {"mode": "ok"}, "shards": 3},
-                          {"job_id": "bad", "kind": "fault",
-                           "params": {"mode": "raise"}, "shards": 1}]})
-            run_campaign(spec, workers=1, retries=0,
-                         progress=lambda o, done, total:
-                         seen.append((o.job_id, done, total)))
-            assert metrics.counter("campaign.shards_completed").value == 4
-            assert metrics.counter("campaign.shards_failed").value == 1
-        finally:
-            set_metrics(NULL_METRICS)
+        spec = CampaignSpec.from_dict(
+            {"name": "f", "master_seed": 5,
+             "jobs": [{"job_id": "good", "kind": "fault",
+                       "params": {"mode": "ok"}, "shards": 3},
+                      {"job_id": "bad", "kind": "fault",
+                       "params": {"mode": "raise"}, "shards": 1}]})
+        run = run_campaign(spec, workers=1, retries=0,
+                           progress=lambda o, done, total:
+                           seen.append((o.job_id, done, total)))
+        assert run.stats["executed_shards"] == 4
+        assert run.stats["failed_shards"] == 1
+        assert run.stats["skipped_shards"] == 0
+        assert run.stats["retries"] == 0
         assert [d for _j, d, _t in seen] == [1, 2, 3, 4]
         assert all(t == 4 for _j, _d, t in seen)
 

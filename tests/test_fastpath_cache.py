@@ -381,14 +381,3 @@ def test_prefetch_unsupported_netlist_returns_none():
     cfg = Configuration("custom_mode")
     cfg.add(_Custom())
     assert ConfigurationManager().prefetch(cfg) is None
-
-
-def test_prefetch_background_thread():
-    mgr = ConfigurationManager()
-    cfg = build_despreader_config(3, 4)
-    t = mgr.prefetch(cfg, background=True)
-    t.join(timeout=30)
-    assert not t.is_alive()
-    mgr.load(cfg)
-    _, _, _, hit = cache.compile_graph(capture(mgr))
-    assert hit

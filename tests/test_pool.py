@@ -5,6 +5,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
+import pytest
+
 from repro.pool import (
     RetryingTaskPool,
     WorkerDied,
@@ -124,8 +126,6 @@ class TestWorkerHandle:
                                     timeout_s=0.01)
         time.sleep(0.05)
         assert handle.expired()
-        handle.rearm(60)
-        assert not handle.expired()
         handle.terminate()
 
 
@@ -156,6 +156,31 @@ class TestRetryingTaskPool:
         assert n == 1
         assert hooks.exhausted == [(0, 2, "ValueError: boom")]
 
+    def test_in_process_raise_exhausts_with_reason(self):
+        hooks = Hooks()
+        n = self._pool(workers=1, retries=1).run(
+            [Task(0, "fail")], **hooks.kwargs())
+        assert n == 1
+        assert hooks.started == [(0, 0), (0, 1)]
+        assert hooks.retries == [(0, 0, "ValueError: boom")]
+        assert hooks.exhausted == [(0, 2, "ValueError: boom")]
+
+    def test_in_process_flaky_task_retries_then_succeeds(self):
+        hooks = Hooks()
+        n = self._pool(workers=1).run([Task(0, "flaky")], **hooks.kwargs())
+        assert n == 1
+        assert hooks.retries == [(0, 0, "ValueError: first attempt only")]
+        assert hooks.started == [(0, 0), (0, 1)]
+        assert hooks.success == [(0, 1, {"idx": 0, "attempt": 1})]
+
+    def test_in_process_retry_does_not_hold_back_later_tasks(self):
+        hooks = Hooks()
+        self._pool(workers=1, backoff_s=0.05).run(
+            [Task(0, "flaky"), Task(1), Task(2)], **hooks.kwargs())
+        assert hooks.started == [(0, 0), (1, 0), (2, 0), (0, 1)]
+        assert [(i, a) for i, a, _p in hooks.success] \
+            == [(1, 0), (2, 0), (0, 1)]
+
     def test_dead_worker_is_a_failed_attempt(self):
         hooks = Hooks()
         self._pool(retries=0).run([Task(0, "die")], **hooks.kwargs())
@@ -163,28 +188,31 @@ class TestRetryingTaskPool:
 
     def test_hung_worker_times_out_with_noun(self):
         hooks = Hooks()
-        pool = self._pool(retries=0, timeout_s=0.2, noun="shard")
+        pool = self._pool(retries=0, timeout_s=0.2)
         pool.run([Task(0, "hang")], **hooks.kwargs())
         assert hooks.exhausted[0][2] == "timeout: shard exceeded 0.2s"
 
-    def test_budget_bounds_consumption(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_bounds_consumption(self, workers):
         hooks = Hooks()
-        n = self._pool(workers=1).run(
+        n = self._pool(workers=workers).run(
             [Task(i) for i in range(5)], budget=2, **hooks.kwargs())
         assert n == 2
         assert len(hooks.success) == 2
 
-    def test_skip_consumes_no_budget(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_skip_consumes_no_budget(self, workers):
         hooks = Hooks()
-        n = self._pool(workers=1).run(
+        n = self._pool(workers=workers).run(
             [Task(i) for i in range(3)], budget=2,
             **hooks.kwargs(should_skip=lambda t: t.flat_index == 0))
         assert hooks.skipped == [0]
         assert n == 2
         assert sorted(i for i, _a, _p in hooks.success) == [1, 2]
 
-    def test_launch_order_is_deterministic(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_launch_order_is_deterministic(self, workers):
         hooks = Hooks()
-        self._pool(workers=1).run(
+        self._pool(workers=workers).run(
             [Task(i) for i in (3, 1, 2, 0)], **hooks.kwargs())
         assert [i for i, _a in hooks.started] == [0, 1, 2, 3]
