@@ -15,8 +15,12 @@ minutes ago.  This module makes recompilation a lookup:
   hashed — it is passed to the kernels via ``state``/``env`` tuples at
   call time, so two configs that differ only in data share one kernel.
 
-* **In-process LRU** — fingerprint -> (trace fn, epoch fns).  A hit
-  returns the very same function objects, skipping emit *and* compile.
+* **In-process LRU** — fingerprint -> (trace fn, epoch fns, schedule
+  memo).  A hit returns the very same function objects, skipping emit
+  *and* compile.  The schedule memo (:func:`schedule_memo`) holds the
+  firing schedules traced on this netlist, keyed by the count state a
+  trace started from; it lives and dies with the LRU entry and is
+  never written to disk.
 
 * **On-disk artifact store** — optional, enabled by pointing
   ``REPRO_FASTPATH_CACHE_DIR`` at a directory (campaign workers get it
@@ -52,11 +56,14 @@ CACHE_VERSION = 1
 #: max graphs kept compiled in this process
 LRU_MAX = 64
 
+#: max traced schedules remembered per compiled graph
+MEMO_MAX = 32
+
 #: environment variable naming the shared on-disk artifact directory
 CACHE_DIR_ENV = "REPRO_FASTPATH_CACHE_DIR"
 
 _lock = threading.Lock()
-_lru = OrderedDict()        # fingerprint -> (trace_fn, tuple(epoch_fns))
+_lru = OrderedDict()        # fingerprint -> (trace_fn, epoch_fns, memo)
 
 
 #: per-kind object parameters that the code generators bake into the
@@ -224,7 +231,7 @@ def compile_graph(graph: Graph) -> tuple:
 
 def _remember(fp, trace, epochs) -> None:
     with _lock:
-        _lru[fp] = (trace, epochs)
+        _lru[fp] = (trace, epochs, OrderedDict())
         _lru.move_to_end(fp)
         while len(_lru) > LRU_MAX:
             _lru.popitem(last=False)
@@ -256,7 +263,37 @@ def warmup(objs, wires) -> tuple:
     return fp, hit
 
 
+def schedule_memo(fp: str) -> OrderedDict:
+    """The schedule memo of a compiled graph: count state at session
+    open -> traced schedule (see :class:`repro.fastpath.runtime.
+    TraceSession`).  A graph no longer in the LRU gets a fresh memo that
+    nothing else shares."""
+    with _lock:
+        cached = _lru.get(fp)
+    return cached[2] if cached is not None else OrderedDict()
+
+
+def memo_store(memo: OrderedDict, key, entry) -> None:
+    """Remember ``entry`` under ``key``, evicting the least recently
+    stored schedule beyond :data:`MEMO_MAX`."""
+    with _lock:
+        memo[key] = entry
+        memo.move_to_end(key)
+        while len(memo) > MEMO_MAX:
+            memo.popitem(last=False)
+
+
+def clear_schedule_memos() -> None:
+    """Empty every compiled graph's schedule memo in place, keeping the
+    compiled kernels (test seam)."""
+    with _lock:
+        for entry in _lru.values():
+            entry[2].clear()
+
+
 def clear_memory_cache() -> None:
-    """Drop the in-process LRU (test seam; disk artifacts stay)."""
+    """Drop the in-process LRU and the schedule memos it holds (test
+    seam; disk artifacts stay)."""
+    clear_schedule_memos()
     with _lock:
         _lru.clear()

@@ -15,6 +15,18 @@ registers stay frozen at the session snapshot until
 cursor back into the live objects (session close: an ``invalidate`` or
 a manager version bump).
 
+A netlist's token timing is a function of its count state and of the
+select tokens its DEMUX/MERGE/GATE nodes read, never of the data, so a
+trace that reaches its absorbing zero mask is remembered in the
+compiled netlist's schedule memo (:func:`repro.fastpath.cache.
+schedule_memo`) under the count state the session opened with.  A
+whole run (:meth:`TraceSession.stop`) that opens on a remembered count
+state runs one value pass at the remembered length and, when the
+select tokens the trace read have the same truth values, adopts the
+remembered masks, checkpoints and RAM read stamps instead of tracing:
+a kernel that reruns one configuration block after block (the rake
+finger, the resident FFT64 stage) traces each distinct schedule once.
+
 :class:`FastpathScheduler` plugs this in behind the standard scheduler
 seam: it compiles on first step, recompiles from live state whenever
 the configuration manager's version changes (the Fig. 10 mid-run swap),
@@ -27,9 +39,10 @@ from __future__ import annotations
 
 import warnings
 from collections import Counter, deque
+from typing import NamedTuple
 
 from repro.diagnostics import REASON_UNSUPPORTED_TYPE
-from repro.fastpath.cache import compile_graph
+from repro.fastpath.cache import compile_graph, memo_store, schedule_memo
 from repro.fastpath.capture import capture, check_runtime_state
 from repro.fastpath.ir import UnsupportedGraphError
 from repro.telemetry.metrics import get_metrics
@@ -45,6 +58,21 @@ from repro.fastpath.lower import (
 from repro.fixed import wrap
 from repro.xpp.scheduler import EventScheduler
 from repro.xpp.stats import STOP_MAX_CYCLES, STOP_QUIESCENT, STOP_UNTIL
+
+#: first trace window, in cycles; later windows double it
+FIRST_WINDOW = 256
+
+
+class Schedule(NamedTuple):
+    """One finished trace, as the schedule memo keeps it."""
+
+    masks: list         # per-cycle firing masks, zero mask last (interned)
+    fchk: list
+    schk: list
+    state: tuple        # count state after the zero mask
+    stamps: tuple       # RAM read stamps, per ``Graph.stamp_edges()``
+    selects: tuple      # truth of every select token the trace could
+                        # read, per ``Graph.select_edges()`` (bytes)
 
 
 class FastpathFallbackWarning(RuntimeWarning):
@@ -101,13 +129,17 @@ def initial_state(graph, spec) -> tuple:
 
 
 class TraceSession:
-    """One compiled execution of the resident netlist."""
+    """One compiled execution of the resident netlist.
 
-    def __init__(self, graph, trace, version, epochs=None):
+    ``memo`` is the compiled netlist's schedule memo (a dict the
+    session reads and stores into), or None to trace every run."""
+
+    def __init__(self, graph, trace, version, epochs=None, memo=None):
         self.graph = graph
         self.trace = trace
         self.version = version
         self.epochs = epochs
+        self.memo = memo
         self.spec = state_spec(graph)
         self.s0 = initial_state(graph, self.spec)
         self.state = self.s0
@@ -199,15 +231,60 @@ class TraceSession:
             rec[1] = self.edge_vals[self.graph.nodes[i].in_edges[0]].tolist()
 
     def ensure(self, t: int) -> None:
-        """Extend the trace to cover at least ``t`` cycles (or quiet)."""
+        """Extend the trace to cover at least ``t`` cycles (or quiet).
+        A trace that reaches its zero mask goes into the schedule memo,
+        and never grows again."""
         while self.z is None and len(self.masks) < t:
-            limit = max(t, 2 * len(self.masks), 256)
+            limit = max(t, 2 * len(self.masks), FIRST_WINDOW)
             self._grow_values(limit)
             done, self.state = self.trace(self.state, self.sv, self.masks,
                                           self.fchk, self.schk, limit)
             self._grow_late()
             if done:
                 self.z = len(self.masks) - 1
+                if self.memo is not None:
+                    self._remember()
+
+    def _remember(self) -> None:
+        """Store the finished trace under ``s0``.  The trace kernel reads
+        a select token ``sv[j][p]`` only while edge ``j`` holds a token
+        (``o > 0``), and only for its truth, so the truth of
+        ``sv[j][:p + o]`` at the final state covers everything it could
+        have read: with ``s0`` that fixes the schedule."""
+        at = {key: k for k, key in enumerate(self.spec)}
+        st = self.state
+        canon = {}
+        self.masks = [canon.setdefault(m, m) for m in self.masks]
+        selects = tuple(self._truth(j, st[at["p", j]] + st[at["o", j]])
+                        for j in self._peeked)
+        memo_store(self.memo, self.s0, Schedule(
+            self.masks, self.fchk, self.schk, st,
+            tuple(self.sv[j] for j in self._stamped), selects))
+
+    def _adopt(self, max_cycles: int) -> None:
+        """Take the remembered schedule of ``s0``, if there is one that
+        fits the budget and whose select tokens this session's value
+        pass reproduces.  An adopted trace is complete (``z`` is set), so
+        it shares the memo's lists read-only."""
+        sched = self.memo.get(self.s0)
+        if sched is None or len(sched.masks) > max(max_cycles, FIRST_WINDOW):
+            return
+        self._grow_values(len(sched.masks))
+        for j, pre in zip(self._peeked, sched.selects):
+            if self._truth(j, len(pre)) != pre:
+                self._epoch_rt = {}     # trace from cycle 0 as without
+                return                  # a memo
+        self.masks, self.fchk, self.schk = sched.masks, sched.fchk, sched.schk
+        self.state = sched.state
+        for j, stamps in zip(self._stamped, sched.stamps):
+            self.sv[j] = stamps
+        self.z = len(self.masks) - 1
+        self._grow_late()
+
+    def _truth(self, j: int, n: int) -> bytes:
+        """Truth of the first ``n`` tokens of select edge ``j``, one byte
+        each (fewer when the value pass has fewer)."""
+        return (self.edge_vals[j][:n] != 0).tobytes()
 
     # -- replay --------------------------------------------------------------
 
@@ -291,8 +368,12 @@ class TraceSession:
         quiescence only when it comes first, and quiescence at exactly
         ``max_cycles`` still reports quiescent.  The trace grows in the
         same doubling windows per-cycle replay uses, only as far as the
-        answer needs.
+        answer needs.  A fresh session first tries the schedule memo:
+        a remembered schedule no longer than ``max(max_cycles, 256)``
+        whose select tokens match is adopted instead of traced.
         """
+        if self.memo and not self.masks:
+            self._adopt(max_cycles)
         start = self.cursor
         targets = None if sinks is None else []
         for snk in sinks or ():
@@ -500,7 +581,8 @@ class FastpathScheduler:
         self.manager = None
         self._inner = EventScheduler()
         self._session = None
-        self._structure = None          # (version, graph, trace, epochs)
+        self._structure = None          # (version, graph, trace, epochs,
+                                        #  schedule memo)
         self._fallback_version = None
 
     def bind(self, manager) -> None:
@@ -560,18 +642,19 @@ class FastpathScheduler:
         if st is None or st[0] != mgr.version:
             try:
                 graph = capture(mgr)
-                trace, epochs, _, _ = compile_graph(graph)
+                trace, epochs, fp, _ = compile_graph(graph)
             except UnsupportedGraphError as exc:
                 self._note_fallback(exc, mgr.version)
                 return None
-            st = self._structure = (mgr.version, graph, trace, epochs)
+            st = self._structure = (mgr.version, graph, trace, epochs,
+                                    schedule_memo(fp))
         try:
             check_runtime_state(st[1])
         except UnsupportedGraphError as exc:
             self._note_fallback(exc, mgr.version)
             return None
         self._session = TraceSession(st[1], st[2], mgr.version,
-                                     epochs=st[3])
+                                     epochs=st[3], memo=st[4])
         return self._session
 
     def step(self) -> int:

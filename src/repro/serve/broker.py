@@ -33,6 +33,7 @@ resumes from :func:`repro.serve.journal.recover_sessions`.
 from __future__ import annotations
 
 import time
+from bisect import insort
 from collections import deque
 from types import SimpleNamespace
 from typing import Optional
@@ -48,7 +49,7 @@ from repro.serve.journal import (
 from repro.serve.session import SessionSpec
 from repro.serve.shard import ShardPool
 from repro.telemetry import ALERT_DEADLINE, ALERT_QUEUE_SATURATED, ProbeBoard
-from repro.telemetry.flight import _exact_percentile, merged_chrome_trace
+from repro.telemetry.flight import merged_chrome_trace, nearest_rank
 
 #: Consecutive rounds with no slot progress before the broker declares
 #: the service wedged and stops (shards all dead and not respawning,
@@ -183,7 +184,7 @@ class SessionBroker:
         self.queue: deque = deque()
         self.shed: list = []
         self._warmed: dict = {}         # shard index -> set of kinds
-        self._slot_s: list = []
+        self._slot_s: list = []         # every slot time so far, sorted
         self._rounds = 0
 
     def _emit(self, event: str, **fields) -> None:
@@ -331,7 +332,7 @@ class SessionBroker:
                 continue
             payload = reply[2]
             for slot_s in payload["slot_s"]:
-                self._slot_s.append(slot_s)
+                insort(self._slot_s, slot_s)
                 if self.slot_deadline_s is not None \
                         and slot_s > self.slot_deadline_s:
                     self._alert(
@@ -433,7 +434,7 @@ class SessionBroker:
             "progress", completed=completed, admitted=len(self.entries),
             sessions_per_s=round(completed / wall, 4),
             slots_per_s=round(slots / wall, 4),
-            p95_slot_s=_exact_percentile(self._slot_s, 95.0))
+            p95_slot_s=nearest_rank(self._slot_s, 95.0))
 
     # -- results -------------------------------------------------------------
 
@@ -458,8 +459,8 @@ class SessionBroker:
             "sessions_per_s": round(completed / max(wall, 1e-9), 4),
             "slots_total": len(self._slot_s),
             "slots_per_s": round(len(self._slot_s) / max(wall, 1e-9), 4),
-            "p50_slot_s": _exact_percentile(self._slot_s, 50.0),
-            "p95_slot_s": _exact_percentile(self._slot_s, 95.0),
+            "p50_slot_s": nearest_rank(self._slot_s, 50.0),
+            "p95_slot_s": nearest_rank(self._slot_s, 95.0),
             **self.books.counts,
         }
         flight_payloads = {s.index: s.flight_payload

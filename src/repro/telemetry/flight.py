@@ -338,9 +338,14 @@ def probe_rollups(outcomes) -> dict:
 
 def _exact_percentile(values, q: float) -> Optional[float]:
     """Nearest-rank percentile over raw samples (None when empty)."""
-    if not values:
+    return nearest_rank(sorted(values), q)
+
+
+def nearest_rank(ordered, q: float) -> Optional[float]:
+    """Nearest-rank percentile of samples already in ascending order
+    (None when empty): :func:`_exact_percentile` without the sort."""
+    if not ordered:
         return None
-    ordered = sorted(values)
     rank = max(0, min(len(ordered) - 1,
                       int(round(q / 100.0 * len(ordered) + 0.5)) - 1))
     return ordered[rank]

@@ -20,6 +20,15 @@ def _fresh_fallback_warnings():
     reset_fallback_warnings()
 
 
+@pytest.fixture(autouse=True)
+def _fresh_schedule_memos():
+    """Traced schedules are remembered per compiled netlist process-
+    wide; empty the memos so no test adopts a schedule another test
+    traced."""
+    from repro.fastpath.cache import clear_schedule_memos
+    clear_schedule_memos()
+
+
 @pytest.fixture
 def rngs():
     """``rngs(n)`` -> n independent generators derived from the suite
@@ -41,4 +50,27 @@ def fastpath_steps(monkeypatch):
         return step(self)
 
     monkeypatch.setattr(FastpathScheduler, "step", counted)
+    return calls
+
+
+@pytest.fixture
+def trace_calls(monkeypatch):
+    """A one-element list counting calls of the generated trace kernel,
+    in every ``TraceSession``.  No calls across a run means it adopted a
+    remembered schedule (or replayed one it already had)."""
+    from repro.fastpath.runtime import TraceSession
+    calls = [0]
+    init = TraceSession.__init__
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        trace = self.trace
+
+        def counted(*targs):
+            calls[0] += 1
+            return trace(*targs)
+
+        self.trace = counted
+
+    monkeypatch.setattr(TraceSession, "__init__", counted_init)
     return calls

@@ -7,6 +7,8 @@ equivalent of the campaign's kill-and-resume byte-equality contract.
 """
 
 import json
+import random
+from bisect import insort
 
 import pytest
 
@@ -21,7 +23,9 @@ from repro.serve import (
 )
 from repro.journal import COUNTERS, summarize
 from repro.serve.cli import main as serve_main
+from repro.serve import broker as broker_mod
 from repro.telemetry import ALERT_DEADLINE, ALERT_QUEUE_SATURATED
+from repro.telemetry.flight import _exact_percentile, nearest_rank
 
 
 def specs(n=4, n_slots=3, seed0=50, tenant="t"):
@@ -232,6 +236,48 @@ class TestBooks:
         assert summary["alerts"] == 3
         assert summary["deadline_misses"] == 2
         assert summary["shed_sessions"] == 2
+
+
+class TestSlotPercentiles:
+    def test_sorted_insert_gives_the_exact_percentile(self):
+        rng = random.Random(7)
+        # rounded, so ties occur
+        samples = [round(rng.expovariate(40.0), 3) for _ in range(300)]
+        kept = []
+        for k, sample in enumerate(samples, 1):
+            insort(kept, sample)
+            for q in (0.0, 50.0, 95.0, 100.0):
+                assert nearest_rank(kept, q) \
+                    == _exact_percentile(samples[:k], q)
+        assert nearest_rank([], 95.0) is None
+
+    def test_progress_and_stats_read_every_slot_so_far(self, monkeypatch,
+                                                       tmp_path):
+        """Each progress record and the final stats give the exact
+        percentile of every slot time the broker has seen."""
+        seen = []
+        checked = []
+
+        def recording(ordered, slot_s):
+            seen.append(slot_s)
+            insort(ordered, slot_s)
+
+        emit = SessionBroker._emit
+
+        def checking(self, event, **fields):
+            if event == "progress":
+                checked.append(fields["p95_slot_s"]
+                               == _exact_percentile(seen, 95.0))
+            emit(self, event, **fields)
+
+        monkeypatch.setattr(broker_mod, "insort", recording)
+        monkeypatch.setattr(SessionBroker, "_emit", checking)
+        result = SessionBroker(1, journal_path=tmp_path / "j.jsonl").run(
+            specs(2, n_slots=4))
+        assert len(seen) == 8
+        assert checked and all(checked)
+        assert result.stats["p50_slot_s"] == _exact_percentile(seen, 50.0)
+        assert result.stats["p95_slot_s"] == _exact_percentile(seen, 95.0)
 
 
 class TestFlight:
