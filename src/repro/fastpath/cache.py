@@ -16,11 +16,12 @@ minutes ago.  This module makes recompilation a lookup:
   call time, so two configs that differ only in data share one kernel.
 
 * **In-process LRU** — fingerprint -> (trace fn, epoch fns, schedule
-  memo).  A hit returns the very same function objects, skipping emit
-  *and* compile.  The schedule memo (:func:`schedule_memo`) holds the
-  firing schedules traced on this netlist, keyed by the count state a
-  trace started from; it lives and dies with the LRU entry and is
-  never written to disk.
+  memo, data plan).  A hit returns the very same function objects,
+  skipping emit *and* compile.  The schedule memo (:func:`schedule_memo`)
+  holds the firing schedules traced on this netlist, keyed by the count
+  state a trace started from; the data plan (:class:`DataPlan`) holds
+  the value streams no data can change.  Both live and die with the LRU
+  entry and are never written to disk.
 
 * **On-disk artifact store** — optional, enabled by pointing
   ``REPRO_FASTPATH_CACHE_DIR`` at a directory (campaign workers get it
@@ -43,10 +44,20 @@ import os
 import tempfile
 import threading
 from collections import OrderedDict
+from operator import attrgetter
 
 from repro.fastpath.capture import capture_sets
 from repro.fastpath.ir import Graph
-from repro.fastpath.lower import FIRES_CHECK, STATE_CHECK, emit_epoch, emit_trace
+from repro.fastpath.lower import (
+    FIRES_CHECK,
+    STATE_CHECK,
+    PlanView,
+    _node_streams,
+    _store,
+    emit_epoch,
+    emit_trace,
+    select_split,
+)
 from repro.telemetry.metrics import get_metrics
 
 #: bump when generated-kernel semantics change; invalidates every
@@ -56,14 +67,16 @@ CACHE_VERSION = 1
 #: max graphs kept compiled in this process
 LRU_MAX = 64
 
-#: max traced schedules remembered per compiled graph
+#: max traced schedules (and data-plan states) remembered per compiled
+#: graph
 MEMO_MAX = 32
 
 #: environment variable naming the shared on-disk artifact directory
 CACHE_DIR_ENV = "REPRO_FASTPATH_CACHE_DIR"
 
 _lock = threading.Lock()
-_lru = OrderedDict()        # fingerprint -> (trace_fn, epoch_fns, memo)
+_lru = OrderedDict()        # fingerprint -> (trace_fn, epoch_fns, memo,
+                            #                 data plan)
 
 
 #: per-kind object parameters that the code generators bake into the
@@ -216,7 +229,7 @@ def compile_graph(graph: Graph) -> tuple:
     codes = _disk_load(fp)
     if codes is not None and len(codes) == 1 + len(graph.sccs):
         trace, epochs = _funcs(codes)
-        _remember(fp, trace, epochs)
+        _remember(fp, trace, epochs, graph)
         metrics.counter("fastpath.cache.hit").inc()
         metrics.counter("fastpath.cache.disk_hit").inc()
         return trace, epochs, fp, True
@@ -224,14 +237,14 @@ def compile_graph(graph: Graph) -> tuple:
     metrics.counter("fastpath.cache.miss").inc()
     codes = _codes(graph)
     trace, epochs = _funcs(codes)
-    _remember(fp, trace, epochs)
+    _remember(fp, trace, epochs, graph)
     _disk_store(fp, codes)
     return trace, epochs, fp, False
 
 
-def _remember(fp, trace, epochs) -> None:
+def _remember(fp, trace, epochs, graph) -> None:
     with _lock:
-        _lru[fp] = (trace, epochs, OrderedDict())
+        _lru[fp] = (trace, epochs, OrderedDict(), DataPlan(graph))
         _lru.move_to_end(fp)
         while len(_lru) > LRU_MAX:
             _lru.popitem(last=False)
@@ -283,17 +296,130 @@ def memo_store(memo: OrderedDict, key, entry) -> None:
             memo.popitem(last=False)
 
 
+def data_plan(fp: str, graph: Graph) -> "DataPlan":
+    """The data plan of a compiled graph (a fresh one that nothing else
+    shares when the graph is no longer in the LRU)."""
+    with _lock:
+        cached = _lru.get(fp)
+    return cached[3] if cached is not None else DataPlan(graph)
+
+
 def clear_schedule_memos() -> None:
-    """Empty every compiled graph's schedule memo in place, keeping the
-    compiled kernels (test seam)."""
+    """Empty every compiled graph's schedule memo and data plan in
+    place, keeping the compiled kernels (test seam)."""
     with _lock:
         for entry in _lru.values():
             entry[2].clear()
+            entry[3].states.clear()
 
 
 def clear_memory_cache() -> None:
-    """Drop the in-process LRU and the schedule memos it holds (test
-    seam; disk artifacts stay)."""
+    """Drop the in-process LRU and the schedule memos and data plans it
+    holds (test seam; disk artifacts stay)."""
     clear_schedule_memos()
     with _lock:
         _lru.clear()
+
+
+# -- data plan ---------------------------------------------------------------
+
+
+def _seq_regs(o) -> tuple:
+    return (tuple(o.values), o.circular, o.bits, o._pos)
+
+
+#: kinds a data plan can hold -> the parameters and live registers their
+#: value streams are a function of (an ALU only when every input it
+#: reads is held too; stream sources are data and never held)
+_PLAN_REGS = {
+    "counter": attrgetter("start", "step", "limit", "mode", "count", "bits",
+                          "_value", "_emitted", "_stopped"),
+    "const": attrgetter("value", "count", "bits", "_emitted"),
+    "seq": _seq_regs,
+    "binary": attrgetter("OPCODE", "const", "shift", "bits"),
+    "unary": attrgetter("OPCODE", "bits"),
+    "shiftalu": attrgetter("amount", "bits"),
+}
+
+
+class DataPlan:
+    """The data-independent part of one netlist's value pass.
+
+    A counter, const or seq stream, and the stream of every ALU fed only
+    by such streams (the CMP that turns a counter into a select, say),
+    is a function of those objects' parameters and registers and of the
+    tokens queued on their out wires.  None of it is data, and none of
+    it changes when a resident configuration is refilled, so the value
+    pass takes these streams from here, with the :func:`~repro.fastpath.
+    lower.select_split` tables of every select they drive (the DEMUX
+    masks and MERGE/GATE gather indices), instead of recomputing them.
+
+    The key is every held node's ``_PLAN_REGS`` tuple plus the queued
+    tokens of every held edge: exactly what ``_node_streams`` and
+    ``_store`` read for them.  The session-open count state is not
+    enough, because it records a counter's remaining budget, not its
+    phase.  One state keeps the streams of the longest window asked
+    for; a shorter window reads a prefix (the value pass is
+    prefix-consistent in its window).  Cached arrays are read-only, and
+    the select token lists handed to the trace kernel are tuples.
+    """
+
+    def __init__(self, graph: Graph):
+        nodes, edges = graph.nodes, graph.edges
+        held = []
+        for tag, i in graph.schedule:
+            n = nodes[i] if tag == "node" else None
+            if n is not None and n.kind in _PLAN_REGS and all(
+                    j is None or edges[j].src in held for j in n.in_edges):
+                held.append(i)
+        self.nodes = tuple(held)
+        self.units = frozenset(("node", i) for i in held)
+        self.edges = [j for i in held for j in nodes[i].out_edges()]
+        kept = set(self.edges)
+        self.selects = [j for j in graph.select_edges() if j in kept]
+        self._regs = [(i, _PLAN_REGS[nodes[i].kind]) for i in held]
+        self.states = OrderedDict()     # key -> (limit, streams, heads,
+                                        #         splits, lists)
+
+    def key(self, graph: Graph) -> tuple:
+        nodes, edges = graph.nodes, graph.edges
+        return (tuple(regs(nodes[i].obj) for i, regs in self._regs),
+                tuple(tuple(edges[j].wire._q) for j in self.edges))
+
+    def view(self, graph: Graph, limit: int):
+        """The held streams over a ``limit``-cycle window, as a
+        :class:`~repro.fastpath.lower.PlanView` (None when the netlist
+        has no data-independent node)."""
+        if not self.nodes:
+            return None
+        key = self.key(graph)
+        state = self.states.get(key)
+        if state is None or state[0] < limit:
+            state = self._build(graph, limit)
+            memo_store(self.states, key, state)
+        have, streams, heads, splits, lists = state
+        if have > limit:
+            streams = list(streams)
+            for j, q in heads:
+                v = streams[j]
+                streams[j] = v[:q + min(limit, len(v) - q)]
+        return PlanView(self.units, streams, splits, lists)
+
+    def _build(self, graph: Graph, limit: int) -> tuple:
+        vals = [None] * len(graph.edges)
+        for i in self.nodes:
+            node = graph.nodes[i]
+            ins = [vals[j] if j is not None else None
+                   for j in node.in_edges]
+            _store(graph, node, _node_streams(node, ins, limit), vals, limit)
+        for j in self.edges:
+            vals[j].flags.writeable = False
+        splits = {}
+        for j in self.selects:
+            split = select_split(vals[j])
+            for a in split:
+                a.flags.writeable = False
+            splits[j] = split
+        heads = [(j, len(graph.edges[j].wire._q)) for j in self.edges]
+        lists = {j: tuple(vals[j].tolist()) for j in self.selects}
+        return limit, vals, heads, splits, lists

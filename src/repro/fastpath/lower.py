@@ -50,9 +50,11 @@ the existing replay/materialize machinery work unchanged.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
-from repro.fastpath.ir import GENERATORS, Graph
+from repro.fastpath.ir import GENERATORS, SELECTS, Graph
 
 #: stand-in for an unbounded generator budget (avoids None checks in
 #: the generated kernel's hot loop)
@@ -68,11 +70,10 @@ STATE_CHECK = 2048
 
 
 def _wrap(v, bits):
-    """Vectorized two's-complement fold (int64-native)."""
-    mask = np.int64((1 << bits) - 1)
-    sign = 1 << (bits - 1)
-    v = v.astype(np.int64) & mask
-    return np.where(v >= sign, v - (int(mask) + 1), v)
+    """Vectorized two's-complement fold (int64-native, branch-free: the
+    xor flips the sign bit, so subtracting it sign-extends)."""
+    sign = np.int64(1 << (bits - 1))
+    return ((v & np.int64((1 << bits) - 1)) ^ sign) - sign
 
 
 def _vshift(x, amount):
@@ -81,19 +82,12 @@ def _vshift(x, amount):
 
 
 def _vunpack(w, hb):
-    mask = (1 << hb) - 1
-    sign = 1 << (hb - 1)
-    im = w & mask
-    re = (w >> hb) & mask
-    re = np.where(re >= sign, re - (mask + 1), re)
-    im = np.where(im >= sign, im - (mask + 1), im)
-    return re, im
+    return _wrap(w >> hb, hb), _wrap(w, hb)
 
 
 def _vpack(re, im, hb):
-    mask = (1 << hb) - 1
-    re = _wrap(re, hb)
-    im = _wrap(im, hb)
+    # mask-only pack: wrap-then-mask == mask (mod 2**hb arithmetic)
+    mask = np.int64((1 << hb) - 1)
     return ((re & mask) << hb) | (im & mask)
 
 
@@ -162,20 +156,30 @@ def _counter_streams(o, n):
     return _wrap(vals, o.bits), wev
 
 
-def _merge_stream(sel, a, b):
-    """MERGE output: gather from a/b by select, truncated at the first
-    firing whose selected branch has run dry."""
-    take_b = sel != 0
-    a_need = np.cumsum(~take_b)
-    b_need = np.cumsum(take_b)
-    ok = np.where(take_b, b_need <= len(b), a_need <= len(a))
-    n = len(ok) if bool(ok.all()) else int(np.argmin(ok))
-    take_b = take_b[:n]
-    av = a[np.clip(a_need[:n] - 1, 0, None)] if len(a) \
-        else np.zeros(n, dtype=np.int64)
-    bv = b[np.clip(b_need[:n] - 1, 0, None)] if len(b) \
-        else np.zeros(n, dtype=np.int64)
-    return np.where(take_b, bv, av)
+def select_split(sel) -> tuple:
+    """``(i0, i1)``: positions of the false and the true tokens of a
+    select stream.  A DEMUX, MERGE or GATE routes by these index
+    tables alone, and the tables of a longer stream serve every prefix
+    of it (the lowerings below only read positions before their own
+    firing count)."""
+    true = sel != 0
+    return np.flatnonzero(~true), np.flatnonzero(true)
+
+
+def _merge_stream(split, n, a, b):
+    """MERGE output over ``n`` select tokens split into ``(ia, ib)``:
+    scatter a/b into place, truncated at the first firing whose
+    selected branch has run dry."""
+    ia, ib = split
+    if len(a) < len(ia):
+        n = min(n, int(ia[len(a)]))
+    if len(b) < len(ib):
+        n = min(n, int(ib[len(b)]))
+    ka = int(np.searchsorted(ia, n))
+    out = np.empty(n, dtype=np.int64)
+    out[ia[:ka]] = a[:ka]
+    out[ib[:n - ka]] = b[:n - ka]
+    return out
 
 
 def _acc_sums(x, length, n0, s0):
@@ -193,8 +197,10 @@ def _acc_sums(x, length, n0, s0):
     return np.array([first], dtype=np.int64)
 
 
-def _node_streams(node, ins, limit):
-    """Per-output-port value streams of one node (length-capped)."""
+def _node_streams(node, ins, limit, split=None):
+    """Per-output-port value streams of one node (length-capped).
+    ``split`` is the :func:`select_split` of a DEMUX/MERGE/GATE select
+    stream when a data plan already holds it."""
     o = node.obj
     k = node.kind
 
@@ -301,16 +307,16 @@ def _node_streams(node, ins, limit):
         n = min(len(ins[0]), len(ins[1]), len(ins[2]))
         sel, a, b = ins[0][:n] != 0, ins[1][:n], ins[2][:n]
         return [np.where(sel, b, a), np.where(sel, a, b)]
-    if k == "demux":
-        n = min(len(ins[0]), len(ins[1]))
-        sel = ins[0][:n] != 0
-        a = ins[1][:n]
-        return [a[~sel], a[sel]]
-    if k == "merge":
-        return [_merge_stream(ins[0], ins[1], ins[2])]
-    if k == "gate":
-        n = min(len(ins[0]), len(ins[1]))
-        return [ins[1][:n][ins[0][:n] != 0]]
+    if k in ("demux", "merge", "gate"):
+        i0, i1 = split if split is not None else select_split(ins[0])
+        if k == "merge":
+            return [_merge_stream((i0, i1), len(ins[0]), ins[1], ins[2])]
+        a = ins[1]
+        n = min(len(ins[0]), len(a))
+        k1 = int(np.searchsorted(i1, n))    # true selects before n
+        if k == "gate":
+            return [a[i1[:k1]]]
+        return [a[i0[:n - k1]], a[i1[:k1]]]
 
     if k == "acc":
         sums = _acc_sums(ins[0], o.length, o._n, o._sum)
@@ -333,7 +339,7 @@ def _node_streams(node, ins, limit):
 
 
 def value_streams(graph: Graph, limit: int, epochs=None,
-                  epoch_rt=None) -> list:
+                  epoch_rt=None, plan=None) -> list:
     """Per-edge token-value streams: the wire's queued tokens followed
     by every token its producer port will ever push, capped at ``limit``
     productions.  Acyclic schedule units are one vectorized numpy sweep
@@ -347,34 +353,60 @@ def value_streams(graph: Graph, limit: int, epochs=None,
     ``ensure`` growth stays O(total), matching the trace kernel's
     incremental count state.
 
+    ``plan`` (a :class:`PlanView` of the netlist's data plan, see
+    :class:`repro.fastpath.cache.DataPlan`) supplies the streams of the
+    data-independent nodes and the index tables of the selects they
+    drive; those nodes are not recomputed.
+
     Edges of the graph's late units (RAM read data and everything
     downstream) stay None: their values wait for the trace's read
     stamps, see :func:`late_streams`."""
-    edge_vals = [None] * len(graph.edges)
+    if plan is None:
+        edge_vals = [None] * len(graph.edges)
+        fixed, splits = (), None
+    else:
+        edge_vals = list(plan.streams)
+        fixed, splits = plan.units, plan.splits
     for unit in graph.schedule:
-        if not graph.is_late(unit):
-            _run_unit(graph, unit, edge_vals, limit, epochs, epoch_rt)
+        if not graph.is_late(unit) and unit not in fixed:
+            _run_unit(graph, unit, edge_vals, limit, epochs, epoch_rt,
+                      splits)
     return edge_vals
 
 
+class PlanView(NamedTuple):
+    """A data plan's streams, cut to one value-pass window."""
+
+    units: frozenset    # ("node", i) units whose streams the plan holds
+    streams: list       # per edge: read-only stream, or None
+    splits: dict        # select edge -> read-only select_split tables
+    lists: dict         # select edge -> token list (trace side stream)
+
+
 def _store(graph: Graph, node, ports, edge_vals: list, limit: int) -> None:
-    """Per-edge streams of a node's output ports (queued tokens first)."""
+    """Per-edge streams of a node's output ports (queued tokens first;
+    an edge with an empty wire takes its port stream as is)."""
     for k, js in enumerate(node.out_ports):
         for j in js:
-            init = _arr(graph.edges[j].wire._q)
-            edge_vals[j] = np.concatenate([init, ports[k][:limit]])
+            q = graph.edges[j].wire._q
+            port = ports[k][:limit]
+            edge_vals[j] = np.concatenate([_arr(q), port]) if q else port
 
 
 def _run_unit(graph: Graph, unit, edge_vals: list, limit: int, epochs,
-              epoch_rt) -> None:
-    """Compute one schedule unit's output streams into ``edge_vals``."""
+              epoch_rt, splits=None) -> None:
+    """Compute one schedule unit's output streams into ``edge_vals``
+    (``splits``: select edge -> cached :func:`select_split` tables)."""
     tag, x = unit
     if tag == "node":
         node = graph.nodes[x]
         ins = [edge_vals[j] if j is not None else None
                for j in node.in_edges]
-        _store(graph, node, _node_streams(node, ins, limit), edge_vals,
-               limit)
+        split = None
+        if splits and node.kind in SELECTS:
+            split = splits.get(node.in_edges[0])
+        _store(graph, node, _node_streams(node, ins, limit, split),
+               edge_vals, limit)
     else:
         fn = epochs[x] if epochs is not None else compile_epoch(graph, x)
         env = _run_epoch(graph, x, fn, edge_vals, limit, epoch_rt)
@@ -424,7 +456,7 @@ def _ram_reads(graph: Graph, node, edge_vals: list, stamps: list) -> tuple:
 
 
 def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
-                 epochs=None) -> None:
+                 epochs=None, splits=None) -> None:
     """Fill in the late units' streams of ``edge_vals`` in place, once
     the trace kernel has appended every read's stamp to
     ``sv[raddr edge]``.
@@ -435,7 +467,9 @@ def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
     the sweep repeats until the read values stop changing: a write
     only carries data read in earlier cycles, so each sweep settles at
     least one more read and the fixpoint is the simulated one.  Late
-    SCCs replay from their session snapshot on every sweep."""
+    SCCs replay from their session snapshot on every sweep.
+    ``splits`` are a data plan's select tables, as in
+    :func:`value_streams`."""
     units = [u for u in graph.schedule if graph.is_late(u)]
     prev = None
     for _ in range(2 + sum(len(sv[j]) for j in graph.stamp_edges())):
@@ -445,7 +479,8 @@ def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
             tag, x = unit
             node = graph.nodes[x] if tag == "node" else None
             if node is None or node.kind != "ram":
-                _run_unit(graph, unit, edge_vals, limit, epochs, None)
+                _run_unit(graph, unit, edge_vals, limit, epochs, None,
+                          splits)
             elif node.in_edges[0] is not None:
                 vals, ok = _ram_reads(graph, node, edge_vals,
                                       sv[node.in_edges[0]])

@@ -26,6 +26,10 @@ select tokens the trace read have the same truth values, adopts the
 remembered masks, checkpoints and RAM read stamps instead of tracing:
 a kernel that reruns one configuration block after block (the rake
 finger, the resident FFT64 stage) traces each distinct schedule once.
+Every value pass takes the streams no data can change (counters, the
+selects they drive) from the netlist's data plan
+(:class:`repro.fastpath.cache.DataPlan`), so an adopted run computes
+only its data.
 
 :class:`FastpathScheduler` plugs this in behind the standard scheduler
 seam: it compiles on first step, recompiles from live state whenever
@@ -41,8 +45,15 @@ import warnings
 from collections import Counter, deque
 from typing import NamedTuple
 
+import numpy as np
+
 from repro.diagnostics import REASON_UNSUPPORTED_TYPE
-from repro.fastpath.cache import compile_graph, memo_store, schedule_memo
+from repro.fastpath.cache import (
+    compile_graph,
+    data_plan,
+    memo_store,
+    schedule_memo,
+)
 from repro.fastpath.capture import capture, check_runtime_state
 from repro.fastpath.ir import UnsupportedGraphError
 from repro.telemetry.metrics import get_metrics
@@ -50,6 +61,7 @@ from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
     _vunpack,
+    _wrap,
     late_streams,
     node_budget,
     state_spec,
@@ -70,6 +82,7 @@ class Schedule(NamedTuple):
     fchk: list
     schk: list
     state: tuple        # count state after the zero mask
+    fires: tuple        # per-node firing counts over the whole trace
     stamps: tuple       # RAM read stamps, per ``Graph.stamp_edges()``
     selects: tuple      # truth of every select token the trace could
                         # read, per ``Graph.select_edges()`` (bytes)
@@ -132,14 +145,18 @@ class TraceSession:
     """One compiled execution of the resident netlist.
 
     ``memo`` is the compiled netlist's schedule memo (a dict the
-    session reads and stores into), or None to trace every run."""
+    session reads and stores into), or None to trace every run;
+    ``plan`` its :class:`~repro.fastpath.cache.DataPlan`, or None to
+    compute every value stream."""
 
-    def __init__(self, graph, trace, version, epochs=None, memo=None):
+    def __init__(self, graph, trace, version, epochs=None, memo=None,
+                 plan=None):
         self.graph = graph
         self.trace = trace
         self.version = version
         self.epochs = epochs
         self.memo = memo
+        self.plan = plan
         self.spec = state_spec(graph)
         self.s0 = initial_state(graph, self.spec)
         self.state = self.s0
@@ -148,8 +165,10 @@ class TraceSession:
         self.schk = []      # full count state every STATE_CHECK cycles
         self.cursor = 0     # cycles already replayed into live state
         self.z = None       # first all-idle cycle (absorbing), if seen
+        self.zfires = None  # per-node firings over the first z cycles
         self.limit = 0      # value-stream window (= trace cycle limit)
         self.edge_vals = None
+        self._splits = None     # the data plan's select tables
         self._epoch_rt = {}     # per-SCC incremental kernel state
         # trace side streams: select values in, RAM read stamps out
         self.sv = [None] * len(graph.edges)
@@ -176,9 +195,13 @@ class TraceSession:
         # snapshots of exactly the state materialize writes: a live
         # field that no longer matches its snapshot was mutated from
         # outside the session (set_data / reset between runs), and the
-        # external mutation wins over the stale computed write-back
-        self._wire_snap = [tuple(e.wire._q) for e in graph.edges]
-        self._node_snap = [self._snap_node(n) for n in graph.nodes]
+        # external mutation wins over the stale computed write-back.
+        # Reset counts are part of them, so a reset object is never
+        # written back even when its reset state equals the snapshot.
+        self._wire_snap = [(e.wire.resets, tuple(e.wire._q))
+                           for e in graph.edges]
+        self._node_snap = [(n.obj.resets, self._snap_node(n))
+                           for n in graph.nodes]
 
     @staticmethod
     def _snap_node(n):
@@ -214,11 +237,17 @@ class TraceSession:
         """(Re)run the value pass over a longer window, up to what the
         trace needs (every stream but the late ones).  The live state is
         frozen during a session, so the recompute is deterministic and
-        prefix-consistent with every list already handed out."""
+        prefix-consistent with every list already handed out.  Streams
+        the data plan holds are taken from it, not recomputed."""
+        plan = None if self.plan is None else self.plan.view(self.graph,
+                                                              limit)
         self.edge_vals = value_streams(self.graph, limit, self.epochs,
-                                       self._epoch_rt)
+                                       self._epoch_rt, plan)
+        held = {} if plan is None else plan.lists
+        self._splits = None if plan is None else plan.splits
         for j in self._peeked:
-            self.sv[j] = self.edge_vals[j].tolist()
+            lst = held.get(j)
+            self.sv[j] = self.edge_vals[j].tolist() if lst is None else lst
         self.limit = limit
 
     def _grow_late(self) -> None:
@@ -226,7 +255,7 @@ class TraceSession:
         reads, and refresh the sink/probe value lists."""
         if self.graph.late:
             late_streams(self.graph, self.limit, self.edge_vals, self.sv,
-                         self.epochs)
+                         self.epochs, self._splits)
         for i, rec in self.collect.items():
             rec[1] = self.edge_vals[self.graph.nodes[i].in_edges[0]].tolist()
 
@@ -242,6 +271,7 @@ class TraceSession:
             self._grow_late()
             if done:
                 self.z = len(self.masks) - 1
+                self.zfires = tuple(self._cum_fires(self.z))
                 if self.memo is not None:
                     self._remember()
 
@@ -258,7 +288,7 @@ class TraceSession:
         selects = tuple(self._truth(j, st[at["p", j]] + st[at["o", j]])
                         for j in self._peeked)
         memo_store(self.memo, self.s0, Schedule(
-            self.masks, self.fchk, self.schk, st,
+            self.masks, self.fchk, self.schk, st, self.zfires,
             tuple(self.sv[j] for j in self._stamped), selects))
 
     def _adopt(self, max_cycles: int) -> None:
@@ -276,6 +306,7 @@ class TraceSession:
                 return                  # a memo
         self.masks, self.fchk, self.schk = sched.masks, sched.fchk, sched.schk
         self.state = sched.state
+        self.zfires = sched.fires
         for j, stamps in zip(self._stamped, sched.stamps):
             self.sv[j] = stamps
         self.z = len(self.masks) - 1
@@ -438,8 +469,11 @@ class TraceSession:
                     return t
         return None
 
-    def _cum_fires(self, t: int) -> list:
-        """Per-node firing counts over the first ``t`` traced cycles."""
+    def _cum_fires(self, t: int):
+        """Per-node firing counts over the first ``t`` traced cycles
+        (read-only; past the zero mask they are the remembered ones)."""
+        if self.zfires is not None and t >= self.z:
+            return self.zfires
         t = min(t, len(self.masks))
         k = t // FIRES_CHECK
         fires = list(self.fchk[k - 1]) if k else [0] * len(self.graph.nodes)
@@ -474,27 +508,35 @@ class TraceSession:
 
     def materialize(self) -> None:
         """Write the count state at the replay cursor back into the live
-        wires and objects, closing the session (idempotent)."""
+        wires and objects, closing the session (idempotent).  Wires and
+        objects mutated or reset since the session opened keep their
+        live state; a session whose every wire and object was reset (a
+        ``Configuration.reset`` or ``reload``) is void and closes
+        without computing any state."""
         if self._closed or self.cursor == 0:
             return
         self._closed = True
+        edges = [e for e in self.graph.edges
+                 if (e.wire.resets, tuple(e.wire._q)) == self._wire_snap[e.j]]
+        nodes = [n for n in self.graph.nodes
+                 if self._node_snap[n.i] == (n.obj.resets,
+                                             self._snap_node(n))]
+        if not edges and not nodes:
+            return
         st = self._state_at(self.cursor)
-        sd = {key: v for key, v in zip(self.spec, st)}
-        for e in self.graph.edges:
+        sd = dict(zip(self.spec, st))
+        for e in edges:
             w = e.wire
-            if tuple(w._q) != self._wire_snap[e.j]:
-                continue                # mutated externally: leave it
             o = sd[("o", e.j)]
             p = sd[("p", e.j)]
-            w._q = deque(int(v) for v in self.edge_vals[e.j][p:p + o])
+            w._q = deque(self.edge_vals[e.j][p:p + o].tolist())
             w._pushes = []
             w._pops = 0
             w._avail = o
             w._space = e.cap - o
             w.total_transfers += p
-        for n in self.graph.nodes:
-            if self._node_snap[n.i] == self._snap_node(n):
-                self._writeback(n, sd)
+        for n in nodes:
+            self._writeback(n, sd)
 
     def _writeback(self, n, sd) -> None:
         o = n.obj
@@ -553,12 +595,16 @@ class TraceSession:
             o._do_out = False
         elif k == "ram":
             _, wa, wd = n.in_edges
-            if wa is not None and wd is not None:
-                w = sd[("p", wa)]
-                addrs = self.edge_vals[wa][:w].tolist()
-                vals = self.edge_vals[wd][:w].tolist()
-                for a, v in zip(addrs, vals):
-                    o.mem[a % o.words] = wrap(v, o.bits)
+            w = sd[("p", wa)] if wa is not None and wd is not None else 0
+            if w:
+                # last write to each address wins: the first occurrence
+                # in the reversed write stream
+                addrs, last = np.unique(self.edge_vals[wa][w - 1::-1]
+                                        % o.words, return_index=True)
+                vals = _wrap(self.edge_vals[wd][w - 1::-1][last], o.bits)
+                mem = np.array(o.mem, dtype=np.int64)
+                mem[addrs] = vals
+                o.mem[:] = mem.tolist()
             o._do_read = False
             o._do_write = False
 
@@ -582,7 +628,7 @@ class FastpathScheduler:
         self._inner = EventScheduler()
         self._session = None
         self._structure = None          # (version, graph, trace, epochs,
-                                        #  schedule memo)
+                                        #  schedule memo, data plan)
         self._fallback_version = None
 
     def bind(self, manager) -> None:
@@ -647,14 +693,14 @@ class FastpathScheduler:
                 self._note_fallback(exc, mgr.version)
                 return None
             st = self._structure = (mgr.version, graph, trace, epochs,
-                                    schedule_memo(fp))
+                                    schedule_memo(fp), data_plan(fp, graph))
         try:
             check_runtime_state(st[1])
         except UnsupportedGraphError as exc:
             self._note_fallback(exc, mgr.version)
             return None
         self._session = TraceSession(st[1], st[2], mgr.version,
-                                     epochs=st[3], memo=st[4])
+                                     epochs=st[3], memo=st[4], plan=st[5])
         return self._session
 
     def step(self) -> int:

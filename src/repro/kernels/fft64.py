@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fixed import pack_complex, unpack_complex
+from repro.fixed import pack_array, pack_complex, unpack_array
 from repro.ofdm.fft import (
     N,
     STAGE_SHIFT,
@@ -40,6 +40,9 @@ from repro.xpp import (
 #: storage budget of the paper is asserted at the stage boundary instead
 #: (see the tests).
 LANE_BITS = 16
+
+#: digit-reversed load order: RAM word i holds sample _DIGIT_REVERSED[i]
+_DIGIT_REVERSED = np.array([digit_reverse4(i) for i in range(N)])
 
 
 def _stage_schedules(stage_index: int, twiddle_bits: int) -> tuple:
@@ -203,10 +206,8 @@ class Fft64Kernel:
             raise ValueError("FFT64 needs 64 samples")
         # load in digit-reversed order (the paper's initial streaming of
         # 64 samples into the data RAM through the address LUT)
-        data = [0] * N
-        for i in range(N):
-            j = digit_reverse4(i)
-            data[i] = pack_complex(int(re[j]), int(im[j]), LANE_BITS)
+        rev = _DIGIT_REVERSED
+        data = pack_array(re[rev] + 1j * im[rev], LANE_BITS).tolist()
 
         cfg, sim = self._resident()
         ram = cfg.object("data_ram")
@@ -222,20 +223,13 @@ class Fft64Kernel:
             if probes.enabled:
                 # scan the stage's RAM image against the paper's 12-bit
                 # storage budget (the lanes themselves are wider)
-                bound = (1 << (STORAGE_BITS - 1)) - 1
-                overflows = 0
-                for word in data:
-                    r, q = unpack_complex(word, LANE_BITS)
-                    if not (-bound - 1 <= r <= bound) \
-                            or not (-bound - 1 <= q <= bound):
-                        overflows += 1
+                bound = 1 << (STORAGE_BITS - 1)
+                words = unpack_array(data, LANE_BITS)
+                overflows = int(np.count_nonzero(
+                    (words.real < -bound) | (words.real >= bound)
+                    | (words.imag < -bound) | (words.imag >= bound)))
                 probes.record(f"xpp.fft64.overflow.stage{stage}",
                               overflows, unit="words", kind="saturation")
 
-        out_re = np.empty(N, dtype=np.int64)
-        out_im = np.empty(N, dtype=np.int64)
-        for i, word in enumerate(data):
-            r, q = unpack_complex(word, LANE_BITS)
-            out_re[i] = r
-            out_im[i] = q
-        return out_re, out_im
+        out = unpack_array(data, LANE_BITS)
+        return out.real.astype(np.int64), out.imag.astype(np.int64)

@@ -179,14 +179,11 @@ class RakeChainKernel:
         # the code generators run at the transmitted chip phase for
         # every finger; only the data address is offset per path
         f = self.n_fingers
-        data = np.empty(n_chips * f, dtype=np.complex128)
-        code_mux = np.empty(n_chips * f, dtype=np.int64)
-        ovsf_mux = np.empty(n_chips * f, dtype=np.int64)
-        for c in range(n_chips):
-            for i, off in enumerate(self.offsets):
-                data[c * f + i] = rx_int[off + c]
-                code_mux[c * f + i] = code[c]
-                ovsf_mux[c * f + i] = ovsf[c % self.sf]
+        c = np.arange(n_chips)
+        slots = np.asarray(self.offsets)[None, :] + c[:, None]
+        data = rx_int[slots].reshape(-1).astype(np.complex128)
+        code_mux = np.repeat(np.asarray(code, dtype=np.int64), f)
+        ovsf_mux = np.repeat(np.asarray(ovsf, dtype=np.int64)[c % self.sf], f)
         return data, code_mux, ovsf_mux
 
     def _resolve_pre_shift(self, data: np.ndarray) -> int:

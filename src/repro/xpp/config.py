@@ -103,10 +103,6 @@ class Configuration:
         RAM read-back (Fig. 9): a resident configuration gets new data
         words without a ``load``/``remove``, so the manager's
         ``version`` stays put and schedulers keep their structure.
-        Call it between runs that ended quiescent: a run cut short
-        leaves a fastpath session open, which the next run would write
-        back over the new contents (``scheduler.invalidate()`` first
-        closes it).
         """
         images = []
         for name, data in contents.items():

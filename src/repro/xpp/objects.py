@@ -54,6 +54,7 @@ class DataflowObject:
         self.outputs = [OutPort(self, i, out_names[i] if out_names else "")
                         for i in range(n_out)]
         self.fired = 0          # lifetime firing count
+        self.resets = 0         # configuration reloads (reset calls)
         self.position = None    # (row, col) once placed on the array
 
     # -- port lookup -----------------------------------------------------------
@@ -129,9 +130,11 @@ class DataflowObject:
         swap-back) streams the original configuration words through the
         configuration tree again, so PAE registers return to their
         build-time values.  Stateful subclasses override this to restore
-        their internal registers; the base resets the firing counter.
+        their internal registers; the base resets the firing counter
+        and counts the reset.
         """
         self.fired = 0
+        self.resets += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<{type(self).__name__} {self.name}>"

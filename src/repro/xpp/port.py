@@ -35,7 +35,8 @@ class Wire:
     """A point-to-point token buffer between one producer and one consumer."""
 
     __slots__ = ("name", "capacity", "_q", "_avail", "_space", "_pops",
-                 "_pushes", "total_transfers", "_events", "_marked", "_tap")
+                 "_pushes", "total_transfers", "_events", "_marked", "_tap",
+                 "resets")
 
     def __init__(self, name: str = "", capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -51,6 +52,7 @@ class Wire:
         self._events: Optional[list] = None  # scheduler-installed event list
         self._marked = False                 # already on the event list?
         self._tap = None                     # fault-injector transfer tap
+        self.resets = 0                      # configuration reloads
 
     # -- start of cycle -----------------------------------------------------
 
@@ -135,6 +137,7 @@ class Wire:
     def reset(self) -> None:
         """Drop all buffered and in-flight tokens (configuration
         reload: the freed communication resources start empty)."""
+        self.resets += 1
         self._q.clear()
         self._pushes = []
         self._pops = 0

@@ -137,3 +137,43 @@ class TestRakeChainExecution:
         out, _ = k.run(rx_int, 24)
         dec = qpsk_to_bits(out)
         assert np.mean(dec != bits[:dec.size]) == 0.0
+
+
+def _prepare_streams_loop(k, rx_int, n_symbols):
+    """The chip-by-finger loop ``prepare_streams`` replaced, as oracle."""
+    from repro.wcdma.codes import ovsf_code, scrambling_code_2bit
+    n_chips = n_symbols * k.sf
+    code = scrambling_code_2bit(k.scrambling_number, n_chips)
+    ovsf = ((1 - ovsf_code(k.sf, k.code_index)) // 2)
+    f = k.n_fingers
+    data = np.empty(n_chips * f, dtype=np.complex128)
+    code_mux = np.empty(n_chips * f, dtype=np.int64)
+    ovsf_mux = np.empty(n_chips * f, dtype=np.int64)
+    for c in range(n_chips):
+        for i, off in enumerate(k.offsets):
+            data[c * f + i] = rx_int[off + c]
+            code_mux[c * f + i] = code[c]
+            ovsf_mux[c * f + i] = ovsf[c % k.sf]
+    return data, code_mux, ovsf_mux
+
+
+def test_prepare_streams_matches_the_chip_loop():
+    rng = np.random.default_rng(12)
+    for _ in range(25):
+        sf = int(rng.choice([4, 8, 16, 32]))
+        n_fingers = int(rng.integers(1, 7))
+        offsets = rng.integers(0, 40, n_fingers).tolist()
+        n_symbols = int(rng.integers(1, 12))
+        n = max(offsets) + n_symbols * sf + int(rng.integers(0, 5))
+        rx = rng.integers(-300, 301, n) + 1j * rng.integers(-300, 301, n)
+        if rng.integers(2):
+            rx = rx.real.astype(np.int64)       # a real integer capture
+        k = RakeChainKernel(scrambling_number=16 * int(rng.integers(512)),
+                            offsets=offsets, sf=sf,
+                            code_index=int(rng.integers(sf)),
+                            weights=[1.0] * n_fingers)
+        got = k.prepare_streams(rx, n_symbols)
+        want = _prepare_streams_loop(k, rx, n_symbols)
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype
+            assert np.array_equal(g, w)
