@@ -76,10 +76,6 @@ def _add_run_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--trace",
                      help="write the merged campaign Chrome trace here "
                           "(per-shard lanes; needs --flight telemetry)")
-    sub.add_argument("--cache-dir", default=None,
-                     help="shared fastpath compile-cache directory "
-                          "(default: <checkpoint>.fpcache when a "
-                          "checkpoint is given; pass '' to disable)")
     sub.add_argument("--quiet", action="store_true",
                      help="no per-shard progress lines")
 
@@ -133,7 +129,7 @@ def _cmd_run(args, *, resume: bool) -> int:
             backoff_s=args.backoff, timeout_s=args.timeout,
             checkpoint_path=args.checkpoint, max_shards=args.max_shards,
             progress=None if args.quiet else _Progress(),
-            flight_recorder=args.flight, cache_dir=args.cache_dir,
+            flight_recorder=args.flight,
             **extra)
     except CampaignError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -120,8 +120,7 @@ def run_campaign(spec: CampaignSpec, *, workers: int = 1,
                  timeout_s: Optional[float] = None,
                  checkpoint_path=None, max_shards: Optional[int] = None,
                  progress=None, flight_recorder: bool = False,
-                 max_trace_events: int = flight.DEFAULT_MAX_EVENTS,
-                 cache_dir=None) -> CampaignRun:
+                 max_trace_events: int = flight.DEFAULT_MAX_EVENTS) -> CampaignRun:
     """Run (or resume) a campaign and aggregate its results.
 
     ``timeout_s`` is the per-shard wall-clock limit (``workers >= 2``
@@ -140,22 +139,10 @@ def run_campaign(spec: CampaignSpec, *, workers: int = 1,
     wall-clock facts — shard durations, retries, timeouts,
     ETA/throughput — and is the one intentionally nondeterministic
     artifact.
-
-    ``cache_dir`` mounts a shared on-disk fastpath compile cache in
-    every shard (:mod:`repro.fastpath.cache`): the first worker to
-    compile a config's kernels stores the artifact, every later shard
-    — in this run or a resume — loads it.  Defaults to
-    ``<checkpoint_path>.fpcache`` when a checkpoint is given, so
-    resumable campaigns get kernel reuse for free; pass ``""`` to
-    disable.  Purely an execution option: results are byte-identical
-    with or without it.
     """
     started = time.perf_counter()
-    if cache_dir is None and checkpoint_path is not None:
-        cache_dir = str(checkpoint_path) + ".fpcache"
     tasks = build_shards(spec, telemetry=flight_recorder,
-                         max_events=max_trace_events,
-                         cache_dir=cache_dir or None)
+                         max_events=max_trace_events)
     ck, done_records = open_checkpoint(checkpoint_path, spec)
     outcomes = {}
     for rec in done_records:

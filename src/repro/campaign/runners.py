@@ -64,10 +64,6 @@ _DOPPLER_HZ_PER_KMH_GHZ = 1e9 / 3.6 / 2.99792458e8
 #: simulator into every worker at module load).
 _SCHEDULER_ENV = "REPRO_XPP_SCHEDULER"
 
-#: Shared fastpath compile-cache directory (kept in sync with
-#: :data:`repro.fastpath.cache.CACHE_DIR_ENV`, same no-import rule).
-_CACHE_DIR_ENV = "REPRO_FASTPATH_CACHE_DIR"
-
 
 def run_shard(task: ShardTask, attempt: int = 0) -> dict:
     """Execute one shard; returns its result payload.
@@ -76,10 +72,7 @@ def run_shard(task: ShardTask, attempt: int = 0) -> dict:
     for the duration of the shard, so every simulator the runner builds
     without an explicit scheduler picks it up; the previous value is
     restored afterwards (workers are reused across jobs with different
-    backends).  ``task.cache_dir`` is exported the same way through
-    ``REPRO_FASTPATH_CACHE_DIR`` so fastpath shards share one on-disk
-    compile cache: the first shard of a config stores the kernels, the
-    other N-1 load them.
+    backends).
 
     With ``task.telemetry`` set, the runner executes inside a
     :class:`repro.telemetry.flight.FlightRecorder` and the payload
@@ -92,10 +85,7 @@ def run_shard(task: ShardTask, attempt: int = 0) -> dict:
     except KeyError:
         raise CampaignError(f"no runner for kind {task.kind!r}")
     prev = os.environ.get(_SCHEDULER_ENV)
-    prev_cache = os.environ.get(_CACHE_DIR_ENV)
     os.environ[_SCHEDULER_ENV] = task.backend
-    if task.cache_dir is not None:
-        os.environ[_CACHE_DIR_ENV] = task.cache_dir
     try:
         if not task.telemetry:
             return runner(task, attempt)
@@ -109,11 +99,6 @@ def run_shard(task: ShardTask, attempt: int = 0) -> dict:
             os.environ.pop(_SCHEDULER_ENV, None)
         else:
             os.environ[_SCHEDULER_ENV] = prev
-        if task.cache_dir is not None:
-            if prev_cache is None:
-                os.environ.pop(_CACHE_DIR_ENV, None)
-            else:
-                os.environ[_CACHE_DIR_ENV] = prev_cache
 
 
 # -- wcdma ---------------------------------------------------------------------------

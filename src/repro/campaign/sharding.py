@@ -46,7 +46,6 @@ class ShardTask:
     backend: str = "event"      # simulator scheduler for array runs
     telemetry: bool = False     # capture a flight-recorder payload
     max_events: int = 4096      # trace-event cap for the capture
-    cache_dir: Optional[str] = None     # shared fastpath compile cache
 
     @property
     def key(self) -> tuple:
@@ -69,17 +68,13 @@ class ShardTask:
 
 
 def build_shards(spec: CampaignSpec, *, telemetry: bool = False,
-                 max_events: int = 4096,
-                 cache_dir: Optional[str] = None) -> list:
+                 max_events: int = 4096) -> list:
     """All shard tasks of a campaign, in deterministic spec order.
 
     ``telemetry`` arms the per-shard flight recorder
-    (:mod:`repro.telemetry.flight`); ``cache_dir`` names a shared
-    on-disk fastpath compile cache every worker mounts
-    (:mod:`repro.fastpath.cache` — N shards of a config compile its
-    kernels once).  Both are execution options, not part of the spec,
-    so they do not move the campaign fingerprint — a flight-on or
-    cached resume continues any checkpoint and vice versa.
+    (:mod:`repro.telemetry.flight`).  It is an execution option, not
+    part of the spec, so it does not move the campaign fingerprint — a
+    flight-on resume continues any checkpoint and vice versa.
     """
     tasks = []
     flat = 0
@@ -91,6 +86,6 @@ def build_shards(spec: CampaignSpec, *, telemetry: bool = False,
                 kind=job.kind, params=job.params,
                 master_seed=spec.master_seed, timeout_s=job.timeout_s,
                 backend=job.backend, telemetry=telemetry,
-                max_events=max_events, cache_dir=cache_dir))
+                max_events=max_events))
             flat += 1
     return tasks

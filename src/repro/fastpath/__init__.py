@@ -12,9 +12,8 @@ read with the writes committed before it.  Graphs the compiler cannot
 prove (custom firing rules, RAM read data steering a select, fault
 taps) transparently fall back to the event scheduler with a
 :class:`FastpathFallbackWarning` (deduplicated per netlist shape and
-reason per process).  Compiled kernels are cached content-addressed —
-in-process LRU plus an optional on-disk artifact store
-(:mod:`repro.fastpath.cache`).
+reason per process).  Compiled kernels are cached content-addressed in
+an in-process LRU (:mod:`repro.fastpath.cache`).
 
 Use it either through the scheduler seam::
 
@@ -31,8 +30,6 @@ from __future__ import annotations
 
 from repro.diagnostics import REASON_CODES
 from repro.fastpath.cache import (
-    CACHE_DIR_ENV,
-    CACHE_VERSION,
     clear_memory_cache,
     compile_graph,
     graph_fingerprint,
@@ -61,8 +58,6 @@ from repro.fastpath.runtime import (
 )
 
 __all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_VERSION",
     "REASON_CODES",
     "CompileReport",
     "Edge",

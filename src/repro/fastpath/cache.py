@@ -21,27 +21,19 @@ minutes ago.  This module makes recompilation a lookup:
   holds the firing schedules traced on this netlist, keyed by the count
   state a trace started from; the data plan (:class:`DataPlan`) holds
   the value streams no data can change.  Both live and die with the LRU
-  entry and are never written to disk.
+  entry.
 
-* **On-disk artifact store** — optional, enabled by pointing
-  ``REPRO_FASTPATH_CACHE_DIR`` at a directory (campaign workers get it
-  from the pool, see :mod:`repro.campaign.runners`).  Artifacts are
-  ``marshal``-serialized code objects tagged with the interpreter's
-  bytecode magic and :data:`CACHE_VERSION`; a stale or corrupt artifact
-  is treated as a miss and rewritten.  Writes are atomic (tempfile +
-  ``os.replace``) so concurrent shards never observe torn files.
+This is the only layer: nothing is written to disk, so each process
+compiles a netlist shape once, on its first lookup.
 
-Hits/misses are observable via ``fastpath.cache.*`` metrics counters
-and per-object in ``repro.fastpath.explain``.
+Hits and misses are observable via the ``fastpath.cache.hit`` and
+``fastpath.cache.miss`` metrics counters, and per netlist in
+``repro.fastpath.explain``.
 """
 
 from __future__ import annotations
 
 import hashlib
-import importlib.util
-import marshal
-import os
-import tempfile
 import threading
 from collections import OrderedDict
 from operator import attrgetter
@@ -54,15 +46,11 @@ from repro.fastpath.lower import (
     PlanView,
     _node_streams,
     _store,
-    emit_epoch,
-    emit_trace,
+    compile_epochs,
+    compile_trace,
     select_split,
 )
 from repro.telemetry.metrics import get_metrics
-
-#: bump when generated-kernel semantics change; invalidates every
-#: cached artifact (memory keys and disk files both embed it)
-CACHE_VERSION = 1
 
 #: max graphs kept compiled in this process
 LRU_MAX = 64
@@ -70,9 +58,6 @@ LRU_MAX = 64
 #: max traced schedules (and data-plan states) remembered per compiled
 #: graph
 MEMO_MAX = 32
-
-#: environment variable naming the shared on-disk artifact directory
-CACHE_DIR_ENV = "REPRO_FASTPATH_CACHE_DIR"
 
 _lock = threading.Lock()
 _lru = OrderedDict()        # fingerprint -> (trace_fn, epoch_fns, memo,
@@ -118,7 +103,6 @@ def node_signature(node) -> tuple:
 def graph_fingerprint(graph: Graph) -> str:
     """Hex sha256 of the graph's structural descriptor (the cache key)."""
     desc = (
-        CACHE_VERSION,
         (FIRES_CHECK, STATE_CHECK),
         tuple(node_signature(n) for n in graph.nodes),
         tuple((e.src, e.src_port, e.dst, e.dst_port, e.cap)
@@ -127,93 +111,14 @@ def graph_fingerprint(graph: Graph) -> str:
     return hashlib.sha256(repr(desc).encode()).hexdigest()
 
 
-def cache_dir():
-    """Artifact directory from the environment, or None (memory-only).
-
-    Read dynamically on every call so campaign workers that export the
-    variable after import (and tests) take effect immediately.
-    """
-    d = os.environ.get(CACHE_DIR_ENV)
-    return d if d else None
-
-
-def artifact_path(fp: str) -> str:
-    return os.path.join(cache_dir(), fp + ".fpk")
-
-
-# -- persistence -------------------------------------------------------------
-
-
-def _codes(graph: Graph) -> list:
-    """Compiled (not yet exec'd) code objects: trace first, then one
-    epoch kernel per SCC in ``graph.sccs`` order."""
-    codes = [compile(emit_trace(graph), "<fastpath-trace>", "exec")]
-    for s in range(len(graph.sccs)):
-        codes.append(compile(emit_epoch(graph, s), "<fastpath-epoch>",
-                             "exec"))
-    return codes
-
-
-def _funcs(codes: list) -> tuple:
-    ns = {}
-    exec(codes[0], ns)
-    trace = ns["_trace"]
-    epochs = []
-    for c in codes[1:]:
-        ns = {}
-        exec(c, ns)
-        epochs.append(ns["_epoch"])
-    return trace, tuple(epochs)
-
-
-def _disk_load(fp: str):
-    d = cache_dir()
-    if d is None:
-        return None
-    try:
-        with open(artifact_path(fp), "rb") as f:
-            payload = marshal.load(f)
-        magic, version, codes = payload
-        if magic != importlib.util.MAGIC_NUMBER or version != CACHE_VERSION:
-            return None                 # stale: interpreter or codegen moved
-        return list(codes)
-    except FileNotFoundError:
-        return None
-    except (OSError, EOFError, ValueError, TypeError):
-        get_metrics().counter("fastpath.cache.error").inc()
-        return None                     # corrupt artifact: recompile
-
-
-def _disk_store(fp: str, codes: list) -> None:
-    d = cache_dir()
-    if d is None:
-        return
-    try:
-        os.makedirs(d, exist_ok=True)
-        payload = marshal.dumps(
-            (importlib.util.MAGIC_NUMBER, CACHE_VERSION, tuple(codes)))
-        fd, tmp = tempfile.mkstemp(dir=d, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as f:
-                f.write(payload)
-            os.replace(tmp, artifact_path(fp))
-        except BaseException:
-            os.unlink(tmp)
-            raise
-        get_metrics().counter("fastpath.cache.store").inc()
-    except OSError:
-        get_metrics().counter("fastpath.cache.error").inc()
-
-
 # -- front door --------------------------------------------------------------
 
 
 def compile_graph(graph: Graph) -> tuple:
     """``(trace_fn, epoch_fns, fingerprint, hit)`` for a captured graph.
 
-    Memory hit returns the exact same function objects; disk hit
-    deserializes the stored code objects; a miss runs both code
-    generators and populates both layers.
+    A hit returns the exact same function objects; a miss runs both
+    code generators and remembers the result.
     """
     fp = graph_fingerprint(graph)
     metrics = get_metrics()
@@ -223,44 +128,24 @@ def compile_graph(graph: Graph) -> tuple:
             _lru.move_to_end(fp)
     if cached is not None:
         metrics.counter("fastpath.cache.hit").inc()
-        metrics.counter("fastpath.cache.memory_hit").inc()
         return cached[0], cached[1], fp, True
 
-    codes = _disk_load(fp)
-    if codes is not None and len(codes) == 1 + len(graph.sccs):
-        trace, epochs = _funcs(codes)
-        _remember(fp, trace, epochs, graph)
-        metrics.counter("fastpath.cache.hit").inc()
-        metrics.counter("fastpath.cache.disk_hit").inc()
-        return trace, epochs, fp, True
-
     metrics.counter("fastpath.cache.miss").inc()
-    codes = _codes(graph)
-    trace, epochs = _funcs(codes)
-    _remember(fp, trace, epochs, graph)
-    _disk_store(fp, codes)
-    return trace, epochs, fp, False
-
-
-def _remember(fp, trace, epochs, graph) -> None:
+    trace, epochs = compile_trace(graph), tuple(compile_epochs(graph))
     with _lock:
         _lru[fp] = (trace, epochs, OrderedDict(), DataPlan(graph))
         _lru.move_to_end(fp)
         while len(_lru) > LRU_MAX:
             _lru.popitem(last=False)
+    return trace, epochs, fp, False
 
 
 def probe(fp: str) -> str:
-    """Where a fingerprint would hit right now: ``"memory"``,
-    ``"disk"`` or ``"miss"`` — without promoting or populating anything
-    (the side-effect-free peek ``fastpath explain`` uses)."""
+    """Where a fingerprint would hit right now: ``"memory"`` or
+    ``"miss"``, without promoting or populating anything (the
+    side-effect-free peek ``fastpath explain`` uses)."""
     with _lock:
-        if fp in _lru:
-            return "memory"
-    d = cache_dir()
-    if d is not None and os.path.exists(artifact_path(fp)):
-        return "disk"
-    return "miss"
+        return "memory" if fp in _lru else "miss"
 
 
 def warmup(objs, wires) -> tuple:
@@ -315,7 +200,7 @@ def clear_schedule_memos() -> None:
 
 def clear_memory_cache() -> None:
     """Drop the in-process LRU and the schedule memos and data plans it
-    holds (test seam; disk artifacts stay)."""
+    holds (test seam)."""
     clear_schedule_memos()
     with _lock:
         _lru.clear()

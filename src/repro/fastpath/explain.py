@@ -15,7 +15,7 @@ manager and reports what happened as a structured
   reason code, plus the SCC census (count and sizes of the feedback
   components the epoch lowering absorbs);
 * the compile-cache outlook: the graph's content fingerprint and where
-  a compile would hit right now (``memory`` / ``disk`` / ``miss``) —
+  a compile would hit right now (``memory`` / ``miss``) —
   probed without populating anything, the dry-run stays side-effect
   free;
 * the chosen lowering branch per op family (kind tag -> node count,
@@ -96,7 +96,7 @@ class CompileReport:
     scc_count: int = 0                  # feedback components (epoch kernels)
     scc_sizes: list = field(default_factory=list)   # nodes per SCC
     fingerprint: Optional[str] = None   # compile-cache content address
-    cache: Optional[str] = None         # "memory" | "disk" | "miss"
+    cache: Optional[str] = None         # "memory" | "miss"
     trace_cycles: int = 0               # cycles traced by the replay probe
     absorbed: bool = False              # trace hit the all-idle fixpoint
     kernel_lines: int = 0               # emitted kernel source size

@@ -157,13 +157,11 @@ class SessionBroker:
                  checkpoint_interval: int = 4,
                  journal_path=None,
                  mp_context: Optional[str] = None,
-                 cache_dir: Optional[str] = None,
                  flight: bool = False,
                  chaos: Optional[dict] = None,
                  respawn_dead: bool = True,
                  warmup: bool = True):
         self.pool = ShardPool(n_shards, mp_context=mp_context,
-                              cache_dir=cache_dir,
                               journal_path=journal_path, flight=flight,
                               chaos=chaos)
         self.journal = ServeJournal(journal_path) \

@@ -77,8 +77,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument("--deadline", type=float, default=None,
                      help="per-slot deadline in seconds")
     run.add_argument("--checkpoint-interval", type=int, default=4)
-    run.add_argument("--cache-dir",
-                     help="shared fastpath compile cache directory")
     run.add_argument("--mp-context", choices=("fork", "spawn"))
     run.add_argument("--no-respawn", action="store_true",
                      help="do not replace dead shards")
@@ -139,7 +137,6 @@ def _cmd_run(args) -> int:
         slot_deadline_s=args.deadline,
         checkpoint_interval=args.checkpoint_interval,
         journal_path=args.journal, mp_context=args.mp_context,
-        cache_dir=args.cache_dir,
         flight=args.flight or bool(args.trace), chaos=chaos,
         respawn_dead=not args.no_respawn, warmup=not args.no_warmup)
     result = broker.run(list(resumed) + list(specs))

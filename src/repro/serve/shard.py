@@ -28,11 +28,11 @@ broker always holds a current checkpoint: migration after a shard
 death is "re-admit the last returned state on another shard", with no
 replay gap.
 
-Shards mount the shared fastpath compile cache
-(``REPRO_FASTPATH_CACHE_DIR``) and can warm it on admit via
+Shards can warm their fastpath compile cache on admit via
 :meth:`repro.xpp.manager.ConfigurationManager.prefetch` — the K-PACT
-idiom: the first shard to admit a session kind compiles its kernels,
-every other resident shard loads the ``.fpk`` artifact.
+idiom: admitting a session compiles its kind's kernels into the
+shard's own in-process LRU (:mod:`repro.fastpath.cache`) ahead of the
+session's first slot; later admits of that kind are hits.
 """
 
 from __future__ import annotations
@@ -44,10 +44,6 @@ from typing import Optional
 from repro.pool import WorkerHandle, resolve_mp_context, wait_workers
 from repro.serve.journal import ServeJournal
 from repro.serve.session import SessionSpec, workload_from_state
-
-#: Environment key exported into every shard worker (kept in sync with
-#: the campaign runner's no-import rule).
-_CACHE_DIR_ENV = "REPRO_FASTPATH_CACHE_DIR"
 
 
 def _warmup_kernels(kind: str) -> int:
@@ -85,9 +81,6 @@ def _warmup_kernels(kind: str) -> int:
 def shard_main(conn, shard_index: int, options: Optional[dict] = None):
     """Worker-process body: serve commands until ``stop`` or EOF."""
     options = options or {}
-    if options.get("cache_dir"):
-        os.environ[_CACHE_DIR_ENV] = options["cache_dir"]
-
     flight = None
     if options.get("flight"):
         from repro.telemetry.flight import FlightRecorder
@@ -209,14 +202,12 @@ class ShardPool:
     """
 
     def __init__(self, n_shards: int, *, mp_context: Optional[str] = None,
-                 cache_dir: Optional[str] = None,
                  journal_path=None, flight: bool = False,
                  max_events: int = 4096, chaos: Optional[dict] = None):
         if n_shards < 1:
             raise ValueError("need at least one shard")
         self.ctx = resolve_mp_context(mp_context)
-        self.options = {"cache_dir": cache_dir,
-                        "journal_path": os.fspath(journal_path)
+        self.options = {"journal_path": os.fspath(journal_path)
                         if journal_path is not None else None,
                         "flight": flight, "max_events": max_events}
         self.chaos = chaos or {}

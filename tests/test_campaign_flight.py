@@ -259,8 +259,14 @@ class TestEventLog:
             run = run_campaign(spec, workers=workers, checkpoint_path=ck,
                                retries=1, backoff_s=0.0)
             rel = summarize(read_events(events_path_for(ck)))
-            assert run.stats["retries"] and run.stats["failed_shards"] \
-                and run.stats["skipped_shards"]
+            assert run.stats["retries"] and run.stats["failed_shards"]
+            if workers == 1:
+                # in-process, shard 0's error event is recorded before
+                # the later shards launch; with child processes they may
+                # already be running when it lands
+                assert run.stats["skipped_shards"]
+            assert run.stats["executed_shards"] \
+                + run.stats["skipped_shards"] == spec.total_shards
             assert rel["retries"] == run.stats["retries"]
             assert rel["degraded_shards"] == run.stats["failed_shards"]
             assert rel["skipped_shards"] == run.stats["skipped_shards"]

@@ -1,21 +1,20 @@
 """Tests for the content-addressed fastpath compile cache.
 
 Covers the fingerprint (structure-only, data-free), the in-process LRU
-(hits return the very same function objects), the on-disk artifact
-store (corrupt/stale artifacts recompile, version bumps invalidate),
-the campaign wiring (N shards of one config compile once, resume stays
-byte-identical with the cache mounted) and the configuration manager's
-K-PACT-style prefetch hook.
+(hits return the very same function objects, nothing touches disk),
+the campaign wiring (N in-process shards of one config compile once,
+each pooled shard process compiles once, resume stays byte-identical)
+and the configuration manager's K-PACT-style prefetch hook.
 """
 
 import json
-import marshal
 import os
 
 import numpy as np
 import pytest
 
 from repro.campaign import CampaignSpec, run_campaign
+from repro.campaign.status import events_path_for
 from repro.fastpath import cache
 from repro.fastpath.capture import capture
 from repro.kernels import (
@@ -31,9 +30,8 @@ from repro.xpp.objects import DataflowObject
 
 
 @pytest.fixture(autouse=True)
-def _cold_cache(monkeypatch):
-    """Every test starts with an empty LRU and no disk store mounted."""
-    monkeypatch.delenv(cache.CACHE_DIR_ENV, raising=False)
+def _cold_cache():
+    """Every test starts with an empty LRU."""
     cache.clear_memory_cache()
     yield
     cache.clear_memory_cache()
@@ -105,13 +103,6 @@ def test_fingerprint_tracks_ram_geometry():
     assert fp != cache.graph_fingerprint(ram_graph(words=8, bits=16))
 
 
-def test_version_bump_invalidates(monkeypatch):
-    g = _graph()
-    fp_old = cache.graph_fingerprint(g)
-    monkeypatch.setattr(cache, "CACHE_VERSION", cache.CACHE_VERSION + 1)
-    assert cache.graph_fingerprint(g) != fp_old
-
-
 # -- memory layer -----------------------------------------------------------------
 
 
@@ -148,70 +139,11 @@ def test_lru_evicts_oldest(monkeypatch):
     assert cache.probe(fps[2]) == "memory"
 
 
-# -- disk layer -------------------------------------------------------------------
-
-
-def test_disk_store_and_hit(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    g = _graph(build_despreader_config(2, 4))
-    _, _, fp, hit = cache.compile_graph(g)
+def test_no_cache_dir_means_memory_only(tmp_path, monkeypatch):
+    # a compile writes no file, wherever the process happens to run
+    monkeypatch.chdir(tmp_path)
+    _, _, fp, hit = cache.compile_graph(_graph(build_despreader_config(2, 4)))
     assert not hit
-    assert os.path.exists(cache.artifact_path(fp))
-    cache.clear_memory_cache()
-    assert cache.probe(fp) == "disk"
-    trace, epochs, fp2, hit2 = cache.compile_graph(g)
-    assert hit2 and fp2 == fp
-    assert callable(trace) and all(callable(e) for e in epochs)
-    # the deserialized kernels execute bit-identically
-    cache.clear_memory_cache()
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    assert _run_descrambler("fastpath") == _run_descrambler("naive")
-
-
-def test_corrupt_artifact_recompiles(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    _, _, fp, _ = cache.compile_graph(_graph())
-    path = cache.artifact_path(fp)
-    with open(path, "wb") as f:
-        f.write(b"not a marshal payload")
-    cache.clear_memory_cache()
-    trace, _, _, hit = cache.compile_graph(_graph())
-    assert not hit                      # corrupt -> miss -> recompile
-    assert callable(trace)
-    # the recompile rewrote a valid artifact in place
-    cache.clear_memory_cache()
-    _, _, _, hit2 = cache.compile_graph(_graph())
-    assert hit2
-
-
-def test_stale_version_artifact_recompiles(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    _, _, fp, _ = cache.compile_graph(_graph())
-    path = cache.artifact_path(fp)
-    with open(path, "rb") as f:
-        magic, version, codes = marshal.load(f)
-    with open(path, "wb") as f:
-        f.write(marshal.dumps((magic, version + 1, codes)))
-    cache.clear_memory_cache()
-    _, _, _, hit = cache.compile_graph(_graph())
-    assert not hit                      # stale codegen version -> miss
-
-
-def test_stale_magic_artifact_recompiles(tmp_path, monkeypatch):
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path))
-    _, _, fp, _ = cache.compile_graph(_graph())
-    path = cache.artifact_path(fp)
-    with open(path, "rb") as f:
-        magic, version, codes = marshal.load(f)
-    with open(path, "wb") as f:
-        f.write(marshal.dumps((b"\x00\x00\x00\x00", version, codes)))
-    cache.clear_memory_cache()
-    _, _, _, hit = cache.compile_graph(_graph())
-    assert not hit                      # other interpreter's bytecode
-
-
-def test_no_cache_dir_means_memory_only(tmp_path):
-    _, _, fp, _ = cache.compile_graph(_graph())
     assert not list(tmp_path.iterdir())
     cache.clear_memory_cache()
     assert cache.probe(fp) == "miss"
@@ -251,60 +183,41 @@ def test_four_shards_compile_once():
     assert hits >= 3                    # ...every other shard reuses it
 
 
-def test_disk_cache_spans_campaign_runs(tmp_path):
-    """A second campaign (fresh process simulated by dropping the LRU)
-    compiles nothing: the first run's artifact store feeds it."""
-    cdir = str(tmp_path / "kernels")
-    run1 = run_campaign(_chaos_spec(shards=2), workers=1,
-                        flight_recorder=True, cache_dir=cdir)
-    assert sum(c.get("store", 0)
-               for c in _shard_cache_counters(run1)) == 1
-    assert any(f.endswith(".fpk") for f in os.listdir(cdir))
-    cache.clear_memory_cache()
-    run2 = run_campaign(_chaos_spec(shards=2), workers=1,
-                        flight_recorder=True, cache_dir=cdir)
-    per_shard = _shard_cache_counters(run2)
-    assert sum(c.get("miss", 0) for c in per_shard) == 0
-    assert sum(c.get("disk_hit", 0) for c in per_shard) == 1
-    assert json.dumps(run1.results, sort_keys=True) == \
-        json.dumps(run2.results, sort_keys=True)
-
-
 def test_checkpoint_resume_with_cache_is_byte_identical(tmp_path):
     spec = _chaos_spec()
-    ref = run_campaign(spec, workers=1)         # no cache, no checkpoint
+    ref = run_campaign(spec, workers=1)         # no checkpoint
     ck = tmp_path / "ck.jsonl"
-    cache.clear_memory_cache()          # force the store to hit disk
+    cache.clear_memory_cache()
     partial = run_campaign(spec, workers=1, checkpoint_path=ck,
                            max_shards=2)
     assert not partial.complete
-    assert os.path.isdir(str(ck) + ".fpcache")  # derived default
+    assert not os.path.exists(str(ck) + ".fpcache")
     cache.clear_memory_cache()                  # "new process" resumes
     resumed = run_campaign(spec, workers=1, checkpoint_path=ck)
     assert resumed.complete
+    assert not os.path.exists(str(ck) + ".fpcache")
     assert json.dumps(resumed.results, sort_keys=True) == \
         json.dumps(ref.results, sort_keys=True)
 
 
-def test_cache_dir_is_execution_option_not_fingerprint(tmp_path):
-    from repro.campaign.sharding import build_shards
+def test_pooled_shards_compile_once_per_process(tmp_path):
+    """Each pooled shard runs in its own child process with its own LRU:
+    one compile per shard, results byte-identical to the in-process
+    run, and nothing next to the checkpoint but the checkpoint and its
+    event log."""
     spec = _chaos_spec()
-    plain = build_shards(spec)
-    cached = build_shards(spec, cache_dir=str(tmp_path))
-    assert plain[0].cache_dir is None
-    assert cached[0].cache_dir == str(tmp_path)
-    assert spec.fingerprint() == spec.fingerprint()
-
-
-def test_run_shard_restores_cache_env(tmp_path, monkeypatch):
-    from repro.campaign.runners import run_shard
-    from repro.campaign.sharding import build_shards
-    monkeypatch.setenv(cache.CACHE_DIR_ENV, "/pre-existing")
-    task = build_shards(_chaos_spec(shards=1),
-                        cache_dir=str(tmp_path))[0]
-    run_shard(task)
-    assert os.environ[cache.CACHE_DIR_ENV] == "/pre-existing"
-    assert any(f.endswith(".fpk") for f in os.listdir(tmp_path))
+    ck = tmp_path / "ck.jsonl"
+    pooled = run_campaign(spec, workers=2, checkpoint_path=ck,
+                          flight_recorder=True)
+    assert pooled.complete and all(o.ok for o in pooled.outcomes)
+    assert [c.get("miss") for c in _shard_cache_counters(pooled)] \
+        == [1] * 4
+    assert sorted(os.listdir(tmp_path)) == sorted(
+        [ck.name, os.path.basename(events_path_for(ck))])
+    cache.clear_memory_cache()
+    serial = run_campaign(spec, workers=1, flight_recorder=True)
+    assert json.dumps(pooled.results, sort_keys=True) == \
+        json.dumps(serial.results, sort_keys=True)
 
 
 # -- fallback rollup --------------------------------------------------------------

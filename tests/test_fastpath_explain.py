@@ -244,13 +244,12 @@ def test_explain_reports_epoch_strategy_for_feedback():
     assert sum(1 for s in strategies.values() if s == "epoch") \
         == sum(report.scc_sizes)
     d = report.to_dict()
-    assert d["scc_count"] == 1 and d["cache"] in ("memory", "disk", "miss")
+    assert d["scc_count"] == 1 and d["cache"] in ("memory", "miss")
     assert any(o.get("strategy") == "epoch" for o in d["objects"])
 
 
-def test_explain_reports_cache_outlook_without_populating(monkeypatch):
+def test_explain_reports_cache_outlook_without_populating():
     from repro.fastpath import cache
-    monkeypatch.delenv(cache.CACHE_DIR_ENV, raising=False)
     cache.clear_memory_cache()
     mgr = _load(build_descrambler_config())
     first = explain(mgr)

@@ -4,7 +4,7 @@ Both kernel compilers read their feedback structure from it: the pnr
 placer levels the condensation, the fastpath backend schedules it.
 The property layer holds :func:`condensation` to a brute-force
 mutual-reachability oracle; the pins hold the fastpath schedule of two
-real kernels to the exact order the compile cache depends on.
+real kernels to one exact, deterministic epoch order.
 """
 
 import sys
@@ -97,10 +97,10 @@ def test_deep_chain_and_ring_stay_clear_of_the_recursion_limit():
 
 # -- pinned fastpath schedules ----------------------------------------------------
 #
-# On-disk ``.fpk`` compile-cache artifacts store the epoch kernels in
-# ``graph.sccs`` order under a fingerprint that does not hash that
-# order.  Any change to the order the graph core emits components in
-# must therefore fail here and come with a ``CACHE_VERSION`` bump.
+# The compiled epoch kernels run in ``graph.sccs`` order, and that order
+# must not depend on hashing, set iteration or anything else that varies
+# between processes or interpreters.  Any change to the order the graph
+# core emits components in must fail here and be made on purpose.
 
 
 def _schedule(cfg):
