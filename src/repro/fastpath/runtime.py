@@ -2,32 +2,27 @@
 
 A :class:`TraceSession` owns one compiled run over a frozen snapshot of
 the live netlist: the generated count kernel produces per-cycle firing
-bitmasks ahead of the simulator's clock, and ``replay_step`` /
-``replay_step_n`` then serve the simulator's stepping interface out of
-that trace, and :meth:`TraceSession.stop` answers where a whole
-``Simulator.run`` stops (sinks done, quiescent or out of cycles)
-without stepping it.  During replay only *observable* state is kept
-live — ``obj.fired``, sink ``received`` and probe ``seen`` lists — which is
-exactly what ``Simulator`` stop predicates, telemetry counters and
-``collect_stats`` read between steps.  Wire queues and internal object
-registers stay frozen at the session snapshot until
-:meth:`TraceSession.materialize` writes the count state at the replay
-cursor back into the live objects (session close: an ``invalidate`` or
-a manager version bump).
+bitmasks ahead of the simulator's clock, ``replay_step`` /
+``replay_step_n`` serve them, and :meth:`TraceSession.stop` answers
+where a whole ``Simulator.run`` stops without stepping it.  Replay
+keeps live only what stop predicates and ``collect_stats`` read:
+``obj.fired``, sink ``received``, probe ``seen``.  Wires and object
+registers stay frozen until :meth:`TraceSession.materialize` writes
+the count state at the cursor back (on ``invalidate`` or a manager
+version bump), so per-cycle telemetry reads the replayed cycles off
+the trace instead (:meth:`TraceSession.records`).
 
 A netlist's token timing is a function of its count state and of the
 select tokens its DEMUX/MERGE/GATE nodes read, never of the data, so a
 trace that reaches its absorbing zero mask is remembered in the
 compiled netlist's schedule memo (:func:`repro.fastpath.cache.
 schedule_memo`) under the count state the session opened with.  A
-whole run (:meth:`TraceSession.stop`) that opens on a remembered count
-state runs one value pass at the remembered length and, when the
-select tokens the trace read have the same truth values, adopts the
-remembered masks, checkpoints and RAM read stamps instead of tracing:
-a kernel that reruns one configuration block after block (the rake
-finger, the resident FFT64 stage) traces each distinct schedule once.
-Every value pass takes the streams no data can change (counters, the
-selects they drive) from the netlist's data plan
+whole run that opens on a remembered count state whose select tokens
+have the same truth values adopts the remembered masks, checkpoints and
+RAM read stamps instead of tracing, so a kernel that reruns one
+configuration (the rake finger, the resident FFT64 stage) traces each
+distinct schedule once.  Every value pass takes the streams no data can
+change (counters, the selects they drive) from the netlist's data plan
 (:class:`repro.fastpath.cache.DataPlan`), so an adopted run computes
 only its data.
 
@@ -192,6 +187,7 @@ class TraceSession:
         # same set every cycle), so replay decodes each distinct mask once
         self._decode = {}
         self._closed = False
+        self._obs = (0, self.s0)    # (cycle, count state) of records
         # snapshots of exactly the state materialize writes: a live
         # field that no longer matches its snapshot was mutated from
         # outside the session (set_data / reset between runs), and the
@@ -498,13 +494,37 @@ class TraceSession:
         base = self.schk[j - 1] if j else self.s0
         if base[0] == t:
             return base
-        sv = self.sv
-        if self._stamped:
-            sv = list(sv)       # the re-run must not stamp reads twice
-            for k in self._stamped:
-                sv[k] = []
-        _, st = self.trace(base, sv, [], [], [], t)
+        _, st = self.trace(base, self._unstamped(), [], [], [], t)
         return st
+
+    def _unstamped(self) -> list:
+        """``sv`` for a re-run of the trace kernel, which must not stamp
+        RAM reads twice."""
+        stamped = self._stamped
+        return [[] if j in stamped else v for j, v in enumerate(self.sv)]
+
+    def records(self, n: int) -> list:
+        """``(fired, energy, wire depths)`` of each of the last ``n``
+        replayed cycles, as ``Simulator`` reads them off live wires: the
+        trace kernel steps the count state one cycle at a time, depths
+        are its ``("o", j)`` and firings its ``("f", i)`` entries."""
+        t, end = self.cursor - n, self.cursor
+        st = self._obs[1] if self._obs[0] == t else self._state_at(t)
+        ne = len(self.graph.edges)
+        objs = self._fobjs
+        base = [o.fired - c for o, c in zip(objs, self._cum_fires(end))]
+        sv = self._unstamped()
+        out = []
+        for t in range(t, end):
+            if self.z is None or t < self.z:    # past z: absorbed
+                _, st = self.trace(st, sv, [], [], [], t + 1)
+            m = self.masks[t] if t < len(self.masks) else 0
+            out.append((bin(m).count("1"),
+                        sum((b + f) * o.ENERGY for b, f, o
+                            in zip(base, st[1 + 2 * ne:], objs)),
+                        st[1:1 + ne]))
+        self._obs = (end, st)
+        return out
 
     def materialize(self) -> None:
         """Write the count state at the replay cursor back into the live
@@ -714,6 +734,12 @@ class FastpathScheduler:
         if s is None:
             return self._inner.step_n(n)
         return s.replay_step_n(n)
+
+    def records(self, n: int):
+        """:meth:`TraceSession.records` of the last ``n`` cycles, or None
+        when they ran on the event fallback, whose live state is current."""
+        s = self._session
+        return None if s is None else s.records(n)
 
     def run(self, max_cycles: int, sinks, quiescent_limit: int):
         """Whole-run replay for ``Simulator.run``: ``(cycles,

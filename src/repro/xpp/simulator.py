@@ -61,8 +61,9 @@ class Simulator:
     events from the manager or DSP land at the right cycle.  With a
     recording metrics registry, firing rates, FIFO depths and
     throughput feed the ``sim.*`` instruments.  Both default to
-    process-wide no-ops; ``run``/``step_n`` resolve them once per call,
-    so the uninstrumented inner loop carries no telemetry lookups.
+    process-wide no-ops.  Observing never changes the path a run takes:
+    a fastpath run replays whole either way, its per-cycle values read
+    off the trace.
     """
 
     def __init__(self, manager: ConfigurationManager, *,
@@ -100,38 +101,17 @@ class Simulator:
         """Advance ``n`` clock cycles; returns the total number of firings.
 
         The batched counterpart of :meth:`step`: the event scheduler's
-        ready list stays warm across the whole batch, and telemetry is
-        resolved once up front (per-step counters are still emitted when
-        a recording tracer/metrics registry is installed).
+        ready list stays warm across the whole batch.  Under recording
+        telemetry the per-cycle loop runs instead, to the same results.
         """
         sched = self.scheduler
         sched.invalidate()
-        sched_step = sched.step
-        tracer = self._tracer()
-        metrics = self._metrics()
-        tracing = tracer.enabled
-        sampling = metrics.enabled
-        total = 0
-        if tracing or sampling:
-            for _ in range(n):
-                fired = sched_step()
-                self.cycle += 1
-                total += fired
-                if tracing:
-                    tracer.set_time(self.cycle)
-                    tracer.counter("sim.firings", fired, "sim", ts=self.cycle)
-                    tracer.counter("sim.energy", self._energy_now(), "sim",
-                                   ts=self.cycle)
-                if sampling:
-                    self._sample_metrics(metrics, fired)
-        else:
-            batched = getattr(sched, "step_n", None)
-            if batched is not None:
-                total = batched(n)
-            else:
-                for _ in range(n):
-                    total += sched_step()
-            self.cycle += n
+        emit = self._emitter(self._tracer(), self._metrics())
+        batched = getattr(sched, "step_n", None)
+        if emit is not None or batched is None:
+            return self._loop(n, None, n + 1, emit)[1]
+        total = batched(n)
+        self.cycle += n
         return total
 
     def run(self, max_cycles: int, *, until: Optional[Callable[[], bool]] = None,
@@ -143,86 +123,37 @@ class Simulator:
         ``stop_reason`` — a run that exhausted ``max_cycles`` with a
         stalled pipeline is not the same as one that drained cleanly.
 
-        With no recording tracer or metrics registry and ``until`` None
-        or a :class:`SinksDone`, a scheduler that has a ``run`` method
-        (fastpath) gets the whole run at once and returns ``(cycles,
-        stop_reason)`` — or None to fall through to the per-cycle loop.
-        Any other ``until`` callable is opaque and is called every cycle.
+        With ``until`` None or a :class:`SinksDone`, a scheduler that has
+        a ``run`` method (fastpath) gets the whole run at once and
+        returns ``(cycles, stop_reason)`` — or None to fall through to
+        the per-cycle loop.  Any other ``until`` callable is opaque and
+        is called every cycle.  Installed telemetry never changes which
+        path runs: it is fed afterwards, cycle by cycle.
         """
         start_cycle = self.cycle
-        idle = 0
-        stop_reason = STOP_MAX_CYCLES
         tracer = self._tracer()
         metrics = self._metrics()
-        tracing = tracer.enabled
-        sampling = metrics.enabled
+        emit = self._emitter(tracer, metrics)
+        if tracer.enabled:
+            tracer.set_time(start_cycle)
         sched = self.scheduler
         sched.invalidate()
-        sched_step = sched.step
         whole = None
-        if not (tracing or sampling) and (
-                until is None or isinstance(until, SinksDone)):
+        if until is None or isinstance(until, SinksDone):
             run_all = getattr(sched, "run", None)
             if run_all is not None:
                 whole = run_all(max_cycles, getattr(until, "sinks", None),
                                 quiescent_limit)
-        if whole is not None:
+        if whole is None:
+            stop_reason = self._loop(max_cycles, until, quiescent_limit,
+                                     emit)[0]
+        else:
             cycles, stop_reason = whole
             self.cycle += cycles
-        elif tracing or sampling:
-            if tracing:
-                tracer.set_time(self.cycle)
-            while self.cycle - start_cycle < max_cycles:
-                if until is not None and until():
-                    stop_reason = STOP_UNTIL
-                    break
-                fired = sched_step()
-                self.cycle += 1
-                if tracing:
-                    tracer.set_time(self.cycle)
-                    tracer.counter("sim.firings", fired, "sim", ts=self.cycle)
-                    tracer.counter("sim.energy", self._energy_now(), "sim",
-                                   ts=self.cycle)
-                if sampling:
-                    self._sample_metrics(metrics, fired)
-                if fired == 0:
-                    idle += 1
-                    if idle >= quiescent_limit:
-                        stop_reason = STOP_QUIESCENT
-                        break
-                else:
-                    idle = 0
-        elif until is not None:
-            end = start_cycle + max_cycles
-            while self.cycle < end:
-                if until():
-                    stop_reason = STOP_UNTIL
-                    break
-                fired = sched_step()
-                self.cycle += 1
-                if fired == 0:
-                    idle += 1
-                    if idle >= quiescent_limit:
-                        stop_reason = STOP_QUIESCENT
-                        break
-                else:
-                    idle = 0
-        else:
-            cycle = self.cycle
-            end = start_cycle + max_cycles
-            while cycle < end:
-                fired = sched_step()
-                cycle += 1
-                if fired == 0:
-                    idle += 1
-                    if idle >= quiescent_limit:
-                        stop_reason = STOP_QUIESCENT
-                        break
-                else:
-                    idle = 0
-            self.cycle = cycle
+            if emit is not None:
+                emit(cycles)
         cycles = self.cycle - start_cycle
-        if tracing:
+        if tracer.enabled:
             tracer.complete("sim.run", ts=start_cycle, dur=cycles, cat="sim",
                             args={"stop_reason": stop_reason,
                                   "cycles": cycles})
@@ -230,7 +161,7 @@ class Simulator:
                            args={"reason": stop_reason})
         stats = self.collect_stats(cycles)
         stats.stop_reason = stop_reason
-        if sampling:
+        if metrics.enabled:
             self._finish_metrics(metrics, stats)
         return stats
 
@@ -239,21 +170,64 @@ class Simulator:
         """Run with no stop predicate until the array goes quiescent."""
         return self.run(max_cycles, quiescent_limit=quiescent_limit)
 
-    # -- telemetry helpers (only called when tracing/metrics are on) ---------
+    def _loop(self, n: int, until, quiescent_limit: int, emit):
+        """The per-cycle loop: step at most ``n`` cycles, checking
+        ``until`` before each step and quiescence after it.  Returns
+        ``(stop_reason, firings)``."""
+        step = self.scheduler.step
+        end = self.cycle + n
+        idle = total = 0
+        while self.cycle < end:
+            if until is not None and until():
+                return STOP_UNTIL, total
+            fired = step()
+            self.cycle += 1
+            total += fired
+            if emit is not None:
+                emit(1, fired)
+            if fired:
+                idle = 0
+            else:
+                idle += 1
+                if idle >= quiescent_limit:
+                    return STOP_QUIESCENT, total
+        return STOP_MAX_CYCLES, total
 
-    def _energy_now(self) -> float:
-        """Cumulative firing energy of the active objects — sampled per
-        step so spans can be attributed an energy cost."""
-        return sum(o.fired * o.ENERGY for o in self.manager.active_objects())
+    def _emitter(self, tracer, metrics):
+        """``emit(n, fired)`` feeding the ``sim.*`` telemetry of the ``n``
+        cycles just stepped, or None when nothing records.  Each cycle's
+        ``(fired, energy, wire depths)`` comes from the scheduler's
+        ``records(n)`` (fastpath: off its trace) or, failing that, from
+        the live objects and wires after one step."""
+        tracing = tracer.enabled
+        sampling = metrics.enabled
+        if not (tracing or sampling):
+            return None
+        records = getattr(self.scheduler, "records", lambda n: None)
+        mgr = self.manager
 
-    def _sample_metrics(self, metrics, fired: int) -> None:
-        metrics.counter("sim.steps").inc()
-        metrics.counter("sim.firings").inc(fired)
-        metrics.histogram("sim.firings_per_cycle").observe(fired)
-        depth = metrics.histogram("sim.fifo_depth")
-        for w in self.manager.active_wires():
-            depth.observe(len(w))
-        metrics.maybe_snapshot(self.cycle)
+        def emit(n, fired=0):
+            recs = records(n)
+            if recs is None:
+                objs = mgr.active_objects()
+                recs = [(fired, sum(o.fired * o.ENERGY for o in objs),
+                         [len(w) for w in mgr.active_wires()])]
+            for cycle, (fired, energy, depths) in enumerate(
+                    recs, self.cycle - n + 1):
+                if tracing:
+                    tracer.set_time(cycle)
+                    tracer.counter("sim.firings", fired, "sim", ts=cycle)
+                    tracer.counter("sim.energy", energy, "sim", ts=cycle)
+                if sampling:
+                    metrics.counter("sim.steps").inc()
+                    metrics.counter("sim.firings").inc(fired)
+                    metrics.histogram("sim.firings_per_cycle").observe(fired)
+                    hist = metrics.histogram("sim.fifo_depth")
+                    for depth in depths:
+                        hist.observe(depth)
+                    metrics.maybe_snapshot(cycle)
+
+        return emit
 
     def _finish_metrics(self, metrics, stats: RunStats) -> None:
         metrics.counter("sim.runs").inc()

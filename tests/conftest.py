@@ -1,5 +1,6 @@
 """Shared fixtures for the unit-test suite."""
 
+import contextlib
 import functools
 
 import pytest
@@ -50,6 +51,41 @@ def fastpath_steps(monkeypatch):
         return step(self)
 
     monkeypatch.setattr(FastpathScheduler, "step", counted)
+    return calls
+
+
+@pytest.fixture
+def per_cycle(monkeypatch):
+    """``with per_cycle():`` hides ``FastpathScheduler.run``, so every
+    ``Simulator.run`` inside replays its trace one cycle at a time
+    through ``FastpathScheduler.step``; the results must not change."""
+    from repro.fastpath.runtime import FastpathScheduler
+
+    @contextlib.contextmanager
+    def hidden():
+        with monkeypatch.context() as m:
+            m.delattr(FastpathScheduler, "run")
+            yield
+
+    return hidden
+
+
+@pytest.fixture
+def adoptions(monkeypatch):
+    """A one-element list counting whole runs that adopted a remembered
+    schedule: right after ``TraceSession._adopt`` the session shares the
+    memo's masks.  Unlike ``trace_calls`` it holds under telemetry,
+    whose per-cycle records step the trace kernel."""
+    from repro.fastpath.runtime import TraceSession
+    calls = [0]
+    adopt = TraceSession._adopt
+
+    def counted(self, max_cycles):
+        adopt(self, max_cycles)
+        if self.masks is getattr(self.memo.get(self.s0), "masks", None):
+            calls[0] += 1
+
+    monkeypatch.setattr(TraceSession, "_adopt", counted)
     return calls
 
 

@@ -12,6 +12,7 @@ shows which fastpath runs traced and which adopted.
 """
 
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ import pytest
 from repro.fastpath import FastpathFallbackWarning, cache
 from repro.fastpath.lower import STATE_CHECK
 from repro.kernels import Fft64Kernel, RakeChainKernel, build_descrambler_config
-from repro.telemetry.metrics import MetricsRegistry, set_metrics
+from repro.telemetry.metrics import collecting
 from repro.wlan import Fig10Schedule
 from repro.xpp import (
     STOP_MAX_CYCLES,
@@ -95,18 +96,17 @@ def _drive(build, script, scheduler, calls):
         if op == "run":
             budget, sink, flavor = (*args, None)[:3]
             until = None if sink is None else SinksDone([cfg.sinks[sink]])
-            previous = None
+            scope = nullcontext()
             if flavor == "opaque":
                 stop = until
                 until = (lambda: False) if stop is None else (lambda: stop())
             elif flavor == "metrics":
-                previous = set_metrics(MetricsRegistry())
+                scope = collecting()
+            elif flavor is not None:
+                scope = flavor()        # e.g. the per_cycle fixture
             before = calls[0]
-            try:
+            with scope:
                 s = sim.run(budget, until=until)
-            finally:
-                if flavor == "metrics":
-                    set_metrics(previous)
             traced.append(calls[0] - before)
             log.append(_stats_key(s))
         elif op == "feed":
@@ -296,16 +296,29 @@ def test_fig10_swap_between_runs(trace_calls):
     assert traced[2:] == [0, 0]
 
 
-def test_per_cycle_replay_never_adopts(trace_calls):
-    """An opaque ``until`` or a recording registry keeps per-cycle
+def test_per_cycle_replay_never_adopts(trace_calls, per_cycle):
+    """An opaque ``until`` or a hidden whole-run path keeps per-cycle
     replay, which traces even when the memo holds the schedule."""
     script = [("run", 2000, None),
               _feed_descrambler(60, 1), ("run", 2000, None, "opaque"),
-              _feed_descrambler(60, 2), ("run", 2000, None, "metrics"),
+              _feed_descrambler(60, 2), ("run", 2000, None, per_cycle),
               _feed_descrambler(60, 3), ("run", 2000, None)]
     _, traced = _legs(_descrambler(60), script, trace_calls)
     assert traced[0] and traced[1] and traced[2]
     assert traced[3] == 0
+
+
+def test_observed_whole_run_adopts(trace_calls, adoptions, fastpath_steps):
+    """A recording registry does not change the path: a whole run under
+    it adopts the remembered schedule, and its per-cycle records step
+    the trace kernel without tracing anew."""
+    script = [("run", 2000, None),
+              _feed_descrambler(60, 1), ("run", 2000, None, "metrics"),
+              _feed_descrambler(60, 2), ("run", 2000, "out", "metrics")]
+    _, traced = _legs(_descrambler(60), script, trace_calls)
+    assert traced[0] and traced[1] and traced[2]
+    assert adoptions[0] == 2
+    assert fastpath_steps[0] == 0
 
 
 def test_memo_keeps_at_most_memo_max_schedules(monkeypatch, trace_calls):

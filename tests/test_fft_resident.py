@@ -11,6 +11,7 @@ reasons, firings and energy.
 """
 
 import warnings
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from repro.fixed import pack_complex, unpack_complex
 from repro.kernels import Fft64Kernel, build_fft_stage_config
 from repro.kernels.fft64 import LANE_BITS, _stage_schedules
 from repro.ofdm.fft import TWIDDLE_BITS, N, digit_reverse4, fft64_fixed
-from repro.telemetry.metrics import MetricsRegistry, set_metrics
+from repro.telemetry.metrics import collecting
 from repro.telemetry.probes import probing
 from repro.xpp import (
     SCHEDULER_ENV,
@@ -83,7 +84,9 @@ _SCRIPT = [(1, _ram_image(1)), (2, _ram_image(2)), (0, _ram_image(3)),
            (2, _ram_image(4)[:40])]       # a short image zero-fills
 
 
-def test_reload_matches_a_fresh_build_on_every_scheduler(fastpath_steps):
+def test_reload_matches_a_fresh_build_on_every_scheduler(fastpath_steps,
+                                                         per_cycle,
+                                                         adoptions):
     expected = [_fresh(0, _ram_image(0), "naive")] + [
         _fresh(stage, data, "naive") for stage, data in _SCRIPT]
     assert all(obs[0][:2] == (85, "quiescent") for obs in expected)
@@ -93,18 +96,22 @@ def test_reload_matches_a_fresh_build_on_every_scheduler(fastpath_steps):
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _reloaded("fastpath", _SCRIPT) == expected
     assert fastpath_steps[0] == 0           # every drain replayed whole
-    # a recording registry keeps per-cycle replay: pin that path too
-    registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    try:
+    # a recording registry changes nothing: still whole runs, each one
+    # adopting the stage schedule the leg above remembered
+    adopted = adoptions[0]
+    with collecting() as registry:
         got = _reloaded("fastpath", _SCRIPT)
-    finally:
-        set_metrics(previous)
-    assert fastpath_steps[0] > 0
+    assert fastpath_steps[0] == 0
+    assert adoptions[0] - adopted == registry.counter("sim.runs").value \
+        == len(_SCRIPT) + 1
     assert registry.counter("fastpath.fallback").value == 0
     assert registry.counter("fastpath.cache.hit").value \
         + registry.counter("fastpath.cache.miss").value == 1
     assert got == expected
+    # per-cycle replay must match too
+    with per_cycle():
+        assert _reloaded("fastpath", _SCRIPT) == expected
+    assert fastpath_steps[0] > 0
 
 
 @pytest.mark.parametrize("name, build", [
@@ -176,7 +183,9 @@ def _inputs(n):
 @pytest.mark.parametrize("scheduler", SCHEDULERS)
 def test_one_kernel_over_many_inputs_matches_the_rebuild(scheduler,
                                                          monkeypatch,
-                                                         fastpath_steps):
+                                                         fastpath_steps,
+                                                         per_cycle,
+                                                         adoptions):
     monkeypatch.setenv(SCHEDULER_ENV, scheduler)
     kernel = Fft64Kernel()
     with probing() as board, warnings.catch_warnings():
@@ -196,22 +205,31 @@ def test_one_kernel_over_many_inputs_matches_the_rebuild(scheduler,
     for stage in range(3):
         assert board[f"xpp.fft64.overflow.stage{stage}"].count == 6
     assert fastpath_steps[0] == 0           # every stage replayed whole
-    # a recording registry keeps per-cycle replay: it must match too,
-    # with one compile-cache lookup per kernel and no fallback
-    kernel = Fft64Kernel()
-    registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    try:
-        for re, im in _inputs(2):
-            yr, yi = kernel.run(re, im)
-            words, stats = _rebuild_fft(re, im)
-            assert list(zip(yr.tolist(), yi.tolist())) == words
-            assert [_stats_key(s) for s in kernel.last_stats] \
-                == [_stats_key(s) for s in stats]
-    finally:
-        set_metrics(previous)
-    assert (fastpath_steps[0] > 0) == (scheduler == "fastpath")
-    assert registry.counter("fastpath.fallback").value == 0
-    lookups = registry.counter("fastpath.cache.hit").value \
-        + registry.counter("fastpath.cache.miss").value
-    assert lookups == (1 if scheduler == "fastpath" else 0)
+    # a recording registry changes nothing: whole runs that adopt the
+    # stage schedule, with one compile-cache lookup per kernel and no
+    # fallback; per-cycle replay must match too
+    for leg in ("observed", "per_cycle"):
+        kernel = Fft64Kernel()
+        adopted = adoptions[0]
+        got = []
+        with collecting() as registry, \
+                (per_cycle() if leg == "per_cycle" else nullcontext()):
+            for re, im in _inputs(2):
+                yr, yi = kernel.run(re, im)
+                got.append((list(zip(yr.tolist(), yi.tolist())),
+                            [_stats_key(s) for s in kernel.last_stats]))
+        for (words, stats), (re, im) in zip(got, _inputs(2)):
+            ref_words, ref_stats = _rebuild_fft(re, im)
+            assert words == ref_words
+            assert stats == [_stats_key(s) for s in ref_stats]
+        on_fastpath = scheduler == "fastpath"
+        if leg == "observed":
+            assert fastpath_steps[0] == 0
+            assert adoptions[0] - adopted \
+                == (registry.counter("sim.runs").value if on_fastpath else 0)
+        else:
+            assert (fastpath_steps[0] > 0) == on_fastpath
+        assert registry.counter("fastpath.fallback").value == 0
+        lookups = registry.counter("fastpath.cache.hit").value \
+            + registry.counter("fastpath.cache.miss").value
+        assert lookups == (1 if on_fastpath else 0)

@@ -30,7 +30,7 @@ from repro.kernels import (
     RakeChainKernel,
     build_descrambler_config,
 )
-from repro.telemetry.metrics import MetricsRegistry, set_metrics
+from repro.telemetry.metrics import collecting
 from repro.wlan import Fig10Schedule
 from repro.xpp import Simulator, execute
 from repro.xpp.scheduler import SCHEDULER_ENV
@@ -98,14 +98,17 @@ WORKLOADS = {
 
 
 @pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_kernel_config_equivalence(workload, monkeypatch, fastpath_steps):
+def test_kernel_config_equivalence(workload, monkeypatch, fastpath_steps,
+                                   per_cycle, adoptions):
     """Outputs, firings, cycles, energy and stop reasons must be
     identical under every scheduler (fresh config per run), and the
     fastpath run must really be compiled — no fallback warning, or the
     comparison would be event against event — and replayed whole: not
-    one per-cycle ``FastpathScheduler.step``.  A second fastpath leg
-    under a recording metrics registry, which keeps per-cycle replay,
-    must match too and count zero fallbacks."""
+    one per-cycle ``FastpathScheduler.step``.  A fastpath leg under a
+    recording metrics registry takes that same path: no step, every run
+    adopting the schedule the first leg remembered.  A leg with
+    whole-run replay hidden replays cycle by cycle.  Both must match
+    and count zero fallbacks."""
     results = {}
     for sched in SCHEDULERS:
         monkeypatch.setenv(SCHEDULER_ENV, sched)
@@ -113,16 +116,18 @@ def test_kernel_config_equivalence(workload, monkeypatch, fastpath_steps):
             warnings.simplefilter("error", FastpathFallbackWarning)
             results[sched] = WORKLOADS[workload]()
     assert fastpath_steps[0] == 0
-    registry = MetricsRegistry()
-    previous = set_metrics(registry)
-    try:
+    adopted = adoptions[0]
+    with collecting() as registry:
+        results["observed"] = WORKLOADS[workload]()
+    assert fastpath_steps[0] == 0
+    assert adoptions[0] - adopted == registry.counter("sim.runs").value > 0
+    with collecting() as per_cycle_registry, per_cycle():
         results["per_cycle"] = WORKLOADS[workload]()
-    finally:
-        set_metrics(previous)
-    assert registry.counter("fastpath.fallback").value == 0
     assert fastpath_steps[0] > 0
+    for reg in (registry, per_cycle_registry):
+        assert reg.counter("fastpath.fallback").value == 0
     out_naive, stats_naive = results["naive"]
-    for sched in SCHEDULERS[1:] + ["per_cycle"]:
+    for sched in SCHEDULERS[1:] + ["observed", "per_cycle"]:
         out, stats = results[sched]
         assert out == out_naive, sched
         assert stats == stats_naive, sched
