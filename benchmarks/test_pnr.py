@@ -37,7 +37,7 @@ def test_compile_time_budget(bench_extras):
         med = _median(times)
         extras[f"compile_ms_{name}"] = round(med * 1e3, 4)
         rows.append((name, f"{med * 1e3:.3f}", f"{max(times) * 1e3:.3f}",
-                     kernel.report.routing.total_segments))
+                     kernel.report.details["routing"]["total_segments"]))
         assert med < CEILING_S, \
             f"{name}: median compile {med * 1e3:.1f}ms over budget"
     print_table("pnr compile time",

@@ -1,4 +1,5 @@
-"""The one registry of compile diagnostic codes for both kernel compilers.
+"""The one registry of compile diagnostic codes and the one compile
+report shape for both kernel compilers.
 
 Every way a kernel graph can be rejected has a stable machine-readable
 code: a tool (or a test) branches on the code, a human reads the
@@ -13,11 +14,16 @@ codes`` and the table in ``docs/pnr.md`` print.
   compiler cannot prove; each ``UnsupportedGraphError`` carries one,
   and the fallback warning, :mod:`repro.fastpath.explain` and the
   ``fastpath.fallback.<code>`` metrics counters surface it.
+
+Both compilers describe one compile as a :class:`CompileReport`:
+:func:`repro.pnr.report_graph` / ``compile_graph(...).report`` and
+:func:`repro.fastpath.explain`, printed by ``python -m repro.pnr
+compile`` and ``python -m repro.fastpath explain``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 PNR = "pnr"
@@ -121,3 +127,67 @@ class Diagnostic:
         where = self.node or self.edge
         loc = f" at {where}" if where else ""
         return f"[{self.code}]{loc}: {self.message}"
+
+
+@dataclass
+class CompileReport:
+    """What one compile of a kernel graph found, for either compiler.
+
+    ``kinds`` counts the graph's nodes per kind tag; ``details`` holds
+    the facts only one compiler has (pnr: pipeline levels, wire
+    capacities, routing; fastpath: SCC members, cache outlook, trace
+    length).  A rejected compile carries every problem found as a
+    :class:`Diagnostic`.
+    """
+
+    compiler: str                   # PNR | FASTPATH
+    name: str
+    ok: bool = False
+    diagnostics: list = field(default_factory=list)
+    kinds: dict = field(default_factory=dict)       # node kind -> count
+    n_nodes: int = 0
+    n_edges: int = 0
+    details: dict = field(default_factory=dict)
+    timings_s: dict = field(default_factory=dict)   # phase -> seconds
+
+    @property
+    def codes(self) -> list:
+        """Distinct diagnostic codes, sorted (empty when ok)."""
+        return sorted({d.code for d in self.diagnostics})
+
+    def to_dict(self) -> dict:
+        return {
+            "compiler": self.compiler,
+            "name": self.name,
+            "ok": self.ok,
+            "codes": self.codes,
+            "diagnostics": [d.to_dict() for d in self.diagnostics],
+            "kinds": dict(sorted(self.kinds.items())),
+            "n_nodes": self.n_nodes,
+            "n_edges": self.n_edges,
+            "details": dict(self.details),
+            "timings_s": {k: round(v, 6) for k, v in self.timings_s.items()},
+        }
+
+    def render(self) -> str:
+        """One-screen text; mapping-valued details appear only in JSON."""
+        verdict = "compiles" if self.ok else \
+            f"rejected [{', '.join(self.codes)}]"
+        kinds = ", ".join(f"{k}×{n}" for k, n in sorted(self.kinds.items()))
+        lines = [f"{self.compiler}: {self.name} {verdict}",
+                 f"  graph: {self.n_nodes} nodes, {self.n_edges} edges"
+                 + (f" ({kinds})" if kinds else "")]
+        lines += [f"  {d}" for d in self.diagnostics]
+        lines += [f"  {k}: {_show(v)}" for k, v in self.details.items()
+                  if not isinstance(v, dict)]
+        if self.timings_s:
+            per = ", ".join(f"{k} {v * 1e3:.2f}ms"
+                            for k, v in self.timings_s.items())
+            lines.append(f"  phases: {per}")
+        return "\n".join(lines)
+
+
+def _show(value) -> str:
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_show(v) for v in value) + "]"
+    return str(value)

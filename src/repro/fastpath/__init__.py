@@ -36,7 +36,7 @@ from repro.fastpath.cache import (
     warmup,
 )
 from repro.fastpath.capture import capture, capture_sets, check_runtime_state
-from repro.fastpath.explain import CompileReport, ObjectVerdict, explain
+from repro.fastpath.explain import explain
 from repro.fastpath.ir import (
     Edge,
     Graph,
@@ -59,13 +59,11 @@ from repro.fastpath.runtime import (
 
 __all__ = [
     "REASON_CODES",
-    "CompileReport",
     "Edge",
     "FastpathFallbackWarning",
     "FastpathScheduler",
     "Graph",
     "Node",
-    "ObjectVerdict",
     "TraceSession",
     "UnsupportedGraphError",
     "capture",

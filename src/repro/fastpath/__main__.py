@@ -7,7 +7,7 @@ Currently one subcommand::
 
 loads a demo kernel netlist into a fresh configuration manager, runs
 :func:`repro.fastpath.explain` over it and prints the
-:class:`~repro.fastpath.explain.CompileReport` as text or JSON.
+:class:`~repro.diagnostics.CompileReport` as text or JSON.
 """
 
 from __future__ import annotations

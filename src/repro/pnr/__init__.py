@@ -14,7 +14,8 @@ not hand-wired.  This package closes that gap for the reproduction:
   (wire capacity) inference;
 * :mod:`repro.pnr.compile` — the pipeline, emitting the exact
   :class:`~repro.xpp.config.Configuration` objects the
-  :class:`~repro.xpp.manager.ConfigurationManager` loads.
+  :class:`~repro.xpp.manager.ConfigurationManager` loads, and its
+  :class:`~repro.diagnostics.CompileReport`.
 
 ``python -m repro.pnr compile`` wraps the pipeline for the command
 line; :mod:`repro.kernels.dsl` re-expresses the descrambler and
@@ -24,7 +25,6 @@ hand-wired configurations.
 
 from repro.pnr.compile import (
     CompiledKernel,
-    PnrReport,
     compile_graph,
     emit_config,
     report_graph,
@@ -46,7 +46,6 @@ __all__ = [
     "PNR_CODES",
     "Placement",
     "PnrError",
-    "PnrReport",
     "PortRef",
     "RoutingResult",
     "compile_graph",

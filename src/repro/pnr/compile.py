@@ -4,92 +4,31 @@
 into exactly what the hand-wired kernels produce — a
 :class:`~repro.xpp.config.Configuration` the
 :class:`~repro.xpp.manager.ConfigurationManager` loads unmodified —
-plus the placement plan and a structured :class:`PnrReport`
-(the place-and-route sibling of
-:class:`repro.fastpath.explain.CompileReport`).
+plus the placement plan and a
+:class:`~repro.diagnostics.CompileReport` (the report shape the
+fastpath's ``explain`` shares) whose ``details`` carry the pipeline
+levels, wire capacities and routing.
 
 An illegal graph raises :class:`~repro.pnr.diag.PnrError` carrying
-*every* diagnostic the checker found; :func:`report_graph` runs the
-same pipeline without raising, for tooling and the
-``python -m repro.pnr`` CLI.
+*every* diagnostic the checker found and the report;
+:func:`report_graph` returns that report instead of raising, for
+tooling and the ``python -m repro.pnr`` CLI.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Optional
+from collections import Counter
+from dataclasses import dataclass
 
+from repro.diagnostics import PNR, CompileReport
 from repro.pnr.check import lint
 from repro.pnr.diag import PnrError
 from repro.pnr.graph import KernelGraph
 from repro.pnr.place import Placement, place
-from repro.pnr.route import RoutingResult, infer_capacities, route_placement
+from repro.pnr.route import infer_capacities, route_placement
 from repro.xpp.array import XppArray
 from repro.xpp.config import Configuration
-
-
-@dataclass
-class PnrReport:
-    """Structured result of one compile (or :func:`report_graph` dry run)."""
-
-    graph_name: str
-    ok: bool = False
-    diagnostics: list = field(default_factory=list)
-    resources: dict = field(default_factory=dict)   # kind -> node count
-    n_nodes: int = 0
-    n_edges: int = 0
-    levels: int = 0                 # pipeline depth of the placed graph
-    capacities: dict = field(default_factory=dict)  # edge label -> tokens
-    routing: Optional[RoutingResult] = None
-    timings_s: dict = field(default_factory=dict)   # phase -> seconds
-
-    @property
-    def codes(self) -> list:
-        """Distinct diagnostic codes, sorted (empty when ok)."""
-        return sorted({d.code for d in self.diagnostics})
-
-    def to_dict(self) -> dict:
-        return {
-            "graph": self.graph_name,
-            "ok": self.ok,
-            "diagnostics": [d.to_dict() for d in self.diagnostics],
-            "codes": self.codes,
-            "resources": dict(sorted(self.resources.items())),
-            "n_nodes": self.n_nodes,
-            "n_edges": self.n_edges,
-            "levels": self.levels,
-            "capacities": dict(sorted(self.capacities.items())),
-            "routing": self.routing.to_dict() if self.routing else None,
-            "timings_s": {k: round(v, 6) for k, v in self.timings_s.items()},
-        }
-
-    def render(self) -> str:
-        """One-screen human rendering, explain-style."""
-        verdict = "compiles" if self.ok else \
-            f"rejected [{', '.join(self.codes)}]"
-        lines = [f"pnr compile: {self.graph_name} {verdict}"]
-        res = ", ".join(f"{k}×{n}" for k, n in sorted(self.resources.items()))
-        lines.append(f"  graph: {self.n_nodes} nodes, {self.n_edges} edges"
-                     + (f" ({res})" if res else ""))
-        for d in self.diagnostics:
-            lines.append(f"  {d}")
-        if self.ok and self.routing is not None:
-            lines.append(
-                f"  placed: {self.levels} pipeline levels, "
-                f"{self.routing.total_segments} route segments, "
-                f"track use {self.routing.max_row_utilization:.0%} row / "
-                f"{self.routing.max_col_utilization:.0%} col")
-            deep = {label: c for label, c in self.capacities.items() if c > 2}
-            if deep:
-                regs = ", ".join(f"{label} = {c}"
-                                 for label, c in sorted(deep.items()))
-                lines.append(f"  deep FIFOs: {regs}")
-        if self.timings_s:
-            per = ", ".join(f"{k} {v * 1e3:.2f}ms"
-                            for k, v in sorted(self.timings_s.items()))
-            lines.append(f"  phases: {per}")
-        return "\n".join(lines)
 
 
 @dataclass
@@ -99,7 +38,7 @@ class CompiledKernel:
     graph: KernelGraph
     config: Configuration
     placement: Placement
-    report: PnrReport
+    report: CompileReport
 
 
 def emit_config(graph: KernelGraph, protos: dict,
@@ -126,66 +65,62 @@ def compile_graph(graph: KernelGraph, *, array: XppArray = None,
                   balance: bool = False) -> CompiledKernel:
     """Compile a kernel graph down to a loadable configuration.
 
-    Raises :class:`PnrError` with the full diagnostic list when the
-    graph is illegal; otherwise returns the
+    Raises :class:`PnrError` with the full diagnostic list and the
+    report when the graph is illegal; otherwise returns the
     :class:`CompiledKernel` whose ``config`` has placement hints
     attached (``config.placement``) for the manager to honour.
     """
-    kernel, error = _pipeline(graph, array=array, balance=balance)
-    if error is not None:
-        raise error
-    return kernel
-
-
-def report_graph(graph: KernelGraph, *, array: XppArray = None,
-                 balance: bool = False) -> PnrReport:
-    """Run the pipeline without raising; always returns the report."""
-    kernel, error = _pipeline(graph, array=array, balance=balance)
-    if error is not None:
-        return error.report
-    return kernel.report
-
-
-def _pipeline(graph, *, array, balance):
     if array is None:
         array = XppArray()
-    report = PnrReport(graph_name=graph.name, n_nodes=len(graph.nodes),
-                       n_edges=len(graph.edges))
-    for node in graph.nodes:
-        report.resources[node.kind] = report.resources.get(node.kind, 0) + 1
+    report = CompileReport(PNR, graph.name, n_nodes=len(graph.nodes),
+                           n_edges=len(graph.edges),
+                           kinds=dict(Counter(n.kind for n in graph.nodes)))
 
     t0 = time.perf_counter()
     protos, diags = lint(graph, array)
     report.timings_s["lint"] = time.perf_counter() - t0
     if diags:
         report.diagnostics = diags
-        return None, _error(report)
+        raise PnrError(diags, report)
 
     t0 = time.perf_counter()
     placement = place(graph, array)
-    report.levels = max(placement.levels.values(), default=-1) + 1
     report.timings_s["place"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report.capacities = infer_capacities(graph, balance=balance)
+    capacities = infer_capacities(graph, balance=balance)
     routing, route_diags = route_placement(graph, placement)
-    report.routing = routing
     report.timings_s["route"] = time.perf_counter() - t0
+    deep = [f"{label} = {c}" for label, c in sorted(capacities.items())
+            if c > 2]
+    report.details = {
+        "levels": max(placement.levels.values(), default=-1) + 1,
+        "capacities": dict(sorted(capacities.items())),
+        "routing": routing.to_dict(),
+        "route_segments": routing.total_segments,
+        "track_use": f"{routing.max_row_utilization:.0%} row / "
+                     f"{routing.max_col_utilization:.0%} col",
+    }
+    if deep:
+        report.details["deep_fifos"] = deep
     if route_diags:
         report.diagnostics = route_diags
-        return None, _error(report)
+        raise PnrError(route_diags, report)
 
     t0 = time.perf_counter()
-    config = emit_config(graph, protos, report.capacities)
+    config = emit_config(graph, protos, capacities)
     config.placement = placement
     report.timings_s["emit"] = time.perf_counter() - t0
 
     report.ok = True
     return CompiledKernel(graph=graph, config=config, placement=placement,
-                          report=report), None
+                          report=report)
 
 
-def _error(report: PnrReport) -> PnrError:
-    err = PnrError(report.diagnostics)
-    err.report = report
-    return err
+def report_graph(graph: KernelGraph, *, array: XppArray = None,
+                 balance: bool = False) -> CompileReport:
+    """:func:`compile_graph` without raising: always returns the report."""
+    try:
+        return compile_graph(graph, array=array, balance=balance).report
+    except PnrError as exc:
+        return exc.report

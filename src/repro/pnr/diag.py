@@ -19,12 +19,14 @@ class PnrError(XppError):
     """A kernel graph failed to compile.
 
     Carries the full diagnostic list; ``codes`` is the sorted set of
-    distinct codes for quick assertions and tooling.
+    distinct codes for quick assertions and tooling.  ``report`` is the
+    compile pipeline's :class:`~repro.diagnostics.CompileReport` (None
+    when the graph payload never became a graph).
     """
 
-    def __init__(self, diagnostics):
+    def __init__(self, diagnostics, report=None):
         self.diagnostics = list(diagnostics)
-        self.report = None      # attached by the compile pipeline
+        self.report = report
         if not self.diagnostics:    # defensive: an empty rejection is a bug
             self.diagnostics = [Diagnostic(PNR_MALFORMED, "unspecified")]
         summary = "; ".join(str(d) for d in self.diagnostics[:4])

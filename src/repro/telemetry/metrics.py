@@ -17,6 +17,7 @@ that never asks for it.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Optional
 
 #: Default histogram bucket upper bounds (powers of two cover cycle
@@ -91,11 +92,10 @@ class Histogram:
             self.min = value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.buckets[i] += 1
-                return
-        self.buckets[-1] += 1
+        # first bound >= value; NaN compares false against every bound,
+        # so it goes to the overflow bucket, not bucket 0
+        self.buckets[bisect_left(self.bounds, value)
+                     if value == value else -1] += 1
 
     @property
     def mean(self) -> float:

@@ -4,7 +4,7 @@ Every rejection branch in ``capture.py``/``ir.py`` must surface a
 machine-readable reason code through :func:`repro.fastpath.explain`,
 the fallback warning must carry the same code (plus metrics counters),
 and the ``python -m repro.fastpath explain`` CLI must render both the
-compiles and the falls-back verdicts.
+compiles and the rejected verdicts.
 """
 
 import json
@@ -200,9 +200,9 @@ def test_reason_code_table_is_complete():
 def test_every_rejection_branch_reports_its_code(code):
     report = explain(SCENARIOS[code]())
     assert not report.ok
-    assert report.code == code
-    assert code in report.reason_codes
-    assert report.message
+    assert code in report.codes
+    assert code in [d.code for d in report.diagnostics]
+    assert all(d.message for d in report.diagnostics)
     # only the capture phase ran; compile phases were never entered
     assert set(report.timings_s) == {"capture"}
     # the report always serializes (CLI --json path)
@@ -211,12 +211,12 @@ def test_every_rejection_branch_reports_its_code(code):
 
 def test_object_verdicts_pinpoint_the_offender():
     report = explain(_mgr_const_range())
-    by_name = {v.name: v for v in report.objects}
-    assert by_name["a"].ok and by_name["a"].kind == "source"
-    assert by_name["y"].ok and by_name["y"].kind == "sink"
-    bad = report.rejected
+    offenders = {d.node for d in report.diagnostics}
+    assert "a" not in offenders
+    assert "y" not in offenders
+    bad = report.diagnostics
     assert len(bad) == 1
-    assert bad[0].code == REASON_CONST_RANGE
+    assert bad[0].code == REASON_CONST_RANGE and bad[0].node == "cmplt1"
     assert "int64-safe" in bad[0].message
     assert bad[0].to_dict()["code"] == REASON_CONST_RANGE
 
@@ -225,27 +225,30 @@ def test_graph_level_rejections_keep_object_verdicts_clean():
     # a fault tap's objects each classify fine; the rejection is a
     # property of the wiring state, so it appears only at graph level
     report = explain(_mgr_fault_tap())
-    assert all(v.ok for v in report.objects)
-    assert report.code == REASON_FAULT_TAP
-    assert report.reason_codes == [REASON_FAULT_TAP]
+    assert all(d.node is None for d in report.diagnostics)
+    assert [d.code for d in report.diagnostics] == [REASON_FAULT_TAP]
+    assert report.codes == [REASON_FAULT_TAP]
 
 
 def test_explain_reports_epoch_strategy_for_feedback():
     # the despreader's accumulate-dump ring compiles via the epoch
-    # lowering: the report shows the SCC census and tags exactly the
-    # ring members with the "epoch" strategy
+    # lowering: the report names exactly the ring members as the one
+    # SCC; every other object keeps the whole-trace value pass
     from repro.kernels import build_despreader_config
-    report = explain(_load(build_despreader_config(2, 4)))
+    mgr = _load(build_despreader_config(2, 4))
+    report = explain(mgr)
     assert report.ok
-    assert report.scc_count == 1
-    assert report.scc_sizes and sum(report.scc_sizes) >= 2
-    strategies = {v.name: v.strategy for v in report.objects}
-    assert set(strategies.values()) == {"trace", "epoch"}
-    assert sum(1 for s in strategies.values() if s == "epoch") \
-        == sum(report.scc_sizes)
+    sccs = report.details["sccs"]
+    assert len(sccs) == 1
+    assert sccs and sum(len(scc) for scc in sccs) >= 2
+    epoch = {name for scc in sccs for name in scc}
+    assert 0 < len(epoch) < report.n_nodes
+    assert epoch <= {o.name for o in mgr.active_objects()}
+    assert len(epoch) == sum(len(scc) for scc in sccs)
     d = report.to_dict()
-    assert d["scc_count"] == 1 and d["cache"] in ("memory", "miss")
-    assert any(o.get("strategy") == "epoch" for o in d["objects"])
+    assert len(d["details"]["sccs"]) == 1 \
+        and d["details"]["cache"] in ("memory", "miss")
+    assert d["details"]["sccs"][0]
 
 
 def test_explain_reports_cache_outlook_without_populating():
@@ -253,43 +256,45 @@ def test_explain_reports_cache_outlook_without_populating():
     cache.clear_memory_cache()
     mgr = _load(build_descrambler_config())
     first = explain(mgr)
-    assert first.fingerprint and len(first.fingerprint) == 64
-    assert first.cache == "miss"
+    fingerprint = first.details["fingerprint"]
+    assert fingerprint and len(fingerprint) == 64
+    assert first.details["cache"] == "miss"
     # explain itself must not warm the cache (side-effect-free dry run)
-    assert explain(mgr).cache == "miss"
+    assert explain(mgr).details["cache"] == "miss"
     # ...but once a real compile lands the same fingerprint, the
     # outlook flips to a hit
     from repro.fastpath.capture import capture
     cache.compile_graph(capture(mgr))
-    assert explain(mgr).cache == "memory"
+    assert explain(mgr).details["cache"] == "memory"
 
 
 def test_explain_ok_path_reports_lowering_and_phases():
     mgr = _load(build_descrambler_config())
     report = explain(mgr)
     assert report.ok
-    assert report.code is None and report.message is None
-    assert report.reason_codes == [] and report.rejected == []
-    assert all(v.ok for v in report.objects)
+    assert not any(d.node is None for d in report.diagnostics)
+    assert report.codes == [] and report.diagnostics == []
+    assert not any(d.node for d in report.diagnostics)
     assert report.n_nodes == len(mgr.active_objects())
     assert report.n_edges == len(mgr.active_wires())
-    assert sum(report.lowering.values()) == report.n_nodes
-    assert report.generators and set(report.generators) <= GENERATORS
-    assert set(report.generators) <= set(report.lowering)
-    assert report.kernel_lines > 1
-    assert report.trace_cycles >= 1
-    assert isinstance(report.absorbed, bool)
-    assert report.fires_check == 256 and report.state_check == 2048
+    assert sum(report.kinds.values()) == report.n_nodes
+    generators = report.details["generators"]
+    assert generators and set(generators) <= GENERATORS
+    assert set(generators) <= set(report.kinds)
+    assert report.details["kernel_lines"] > 1
+    assert report.details["trace_cycles"] >= 1
+    assert isinstance(report.details["absorbed"], bool)
+    assert report.details["checkpoints"] == [256, 2048]
     assert set(report.timings_s) == {
         "capture", "lower", "emit", "compile", "replay"}
     assert all(t >= 0.0 for t in report.timings_s.values())
     rendered = report.render()
-    assert "compiles" in rendered and "trace:" in rendered
+    assert "compiles" in rendered and "trace_cycles:" in rendered
 
 
 def test_explain_render_names_the_reason():
     rendered = explain(_mgr_fault_tap()).render()
-    assert f"falls back [{REASON_FAULT_TAP}]" in rendered
+    assert f"rejected [{REASON_FAULT_TAP}]" in rendered
     assert "fault tap" in rendered
 
 
@@ -362,8 +367,8 @@ def test_cli_explain_json_compiles(capsys):
     payload = json.loads(out)
     assert rc == 0
     assert payload["ok"] is True
-    assert payload["reason_codes"] == []
-    assert payload["lowering"]
+    assert payload["codes"] == []
+    assert payload["kinds"]
 
 
 def test_cli_explain_despreader_compiles_via_epoch(capsys):
@@ -373,7 +378,7 @@ def test_cli_explain_despreader_compiles_via_epoch(capsys):
     out = capsys.readouterr().out
     assert rc == 0
     assert "compiles" in out
-    assert "SCC" in out and "epoch" in out
+    assert "sccs: [[" in out
     assert "cache:" in out
 
 
@@ -386,12 +391,12 @@ def test_cli_explain_fft_stage_compiles(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert rc == 0
     assert payload["ok"] is True
-    assert payload["lowering"]["ram"] == 1
-    assert payload["scc_count"] == 0
-    assert payload["absorbed"] and payload["trace_cycles"] == 78
-    ram = [o for o in payload["objects"] if o["name"] == "data_ram"]
-    assert ram == [{"name": "data_ram", "type": "RamPae", "ok": True,
-                    "kind": "ram", "strategy": "trace"}]
+    assert payload["kinds"]["ram"] == 1
+    assert payload["details"]["sccs"] == []
+    details = payload["details"]
+    assert details["absorbed"] and details["trace_cycles"] == 78
+    assert payload["diagnostics"] == []
+    assert not any("data_ram" in scc for scc in details["sccs"])
 
 
 def test_cli_explain_reports_fallback(capsys, monkeypatch):
@@ -403,4 +408,4 @@ def test_cli_explain_reports_fallback(capsys, monkeypatch):
     rc = fastpath_main(["explain", "--kernel", "descrambler"])
     out = capsys.readouterr().out
     assert rc == 1
-    assert f"falls back [{REASON_UNSUPPORTED_TYPE}]" in out
+    assert f"rejected [{REASON_UNSUPPORTED_TYPE}]" in out

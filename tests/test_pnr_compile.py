@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from repro.diagnostics import CODES, PNR_UNKNOWN_OPCODE, REASON_CODES
+from repro.diagnostics import (
+    CODES,
+    FASTPATH,
+    PNR,
+    PNR_UNKNOWN_OPCODE,
+    REASON_CODES,
+    CompileReport,
+)
 from repro.kernels.dsl import (
     GOLDEN_DESPREADER,
     descrambler_graph,
@@ -39,29 +46,30 @@ class TestPipeline:
         kernel = compile_graph(despreader_graph(**GOLDEN_DESPREADER))
         r = kernel.report
         assert r.ok and not r.diagnostics and not r.codes
-        assert r.graph_name == "despreader"
+        assert r.name == "despreader"
         assert r.n_nodes == 13 and r.n_edges == 14
-        assert r.resources == {"in": 2, "op": 9, "out": 1, "mem": 1}
-        assert r.levels == 6
-        assert r.routing.total_segments > 0
-        assert 0 < r.routing.max_col_utilization <= 1.0
+        assert r.kinds == {"in": 2, "op": 9, "out": 1, "mem": 1}
+        assert r.details["levels"] == 6
+        assert r.details["routing"]["total_segments"] > 0
+        assert 0 < r.details["routing"]["max_col_utilization"] <= 1.0
         assert set(r.timings_s) == {"lint", "place", "route", "emit"}
         assert all(t >= 0 for t in r.timings_s.values())
         # the despreader's register-balancing annotations pass through
-        deep = {k: v for k, v in r.capacities.items() if v != 2}
+        deep = {k: v for k, v in r.details["capacities"].items() if v != 2}
         assert set(deep.values()) == {8}
 
     def test_report_to_dict_is_json_clean(self):
         payload = report_graph(descrambler_graph()).to_dict()
         assert json.loads(json.dumps(payload)) == payload
         assert payload["ok"] is True
-        assert payload["routing"]["total_segments"] > 0
+        assert payload["details"]["routing"]["total_segments"] > 0
 
     def test_compile_is_deterministic(self):
         a = compile_graph(descrambler_graph())
         b = compile_graph(descrambler_graph())
         assert a.placement.to_dict() == b.placement.to_dict()
-        assert a.report.capacities == b.report.capacities
+        assert a.report.details["capacities"] == \
+            b.report.details["capacities"]
         from repro.xpp.nml import dump_nml
         assert dump_nml(a.config) == dump_nml(b.config)
 
@@ -82,7 +90,7 @@ class TestPipeline:
     def test_render_mentions_deep_fifos(self):
         text = report_graph(despreader_graph(**GOLDEN_DESPREADER)).render()
         assert "compiles" in text
-        assert "deep FIFOs" in text and "= 8" in text
+        assert "deep_fifos:" in text and "= 8" in text
 
     def test_infer_capacities_defaults_and_annotations(self):
         g = KernelGraph("caps")
@@ -105,6 +113,25 @@ class TestPipeline:
         assert cyclic == [["add", "reg"]]
         # the loop carries an initial token, so the graph compiles
         assert compile_graph(g).report.ok
+
+
+class TestOneReportShape:
+    def test_both_compilers_give_the_same_payload_keys(self):
+        """A compiling and a rejected graph of each compiler serialise
+        to payloads with identical top-level keys."""
+        from repro.fastpath import explain
+        from repro.kernels import build_descrambler_config
+        mgr = ConfigurationManager()
+        mgr.load(build_descrambler_config())
+        reports = [report_graph(descrambler_graph()),
+                   report_graph(_broken_graph()),
+                   explain(mgr),
+                   explain(ConfigurationManager())]
+        assert all(isinstance(r, CompileReport) for r in reports)
+        assert [(r.compiler, r.ok) for r in reports] == [
+            (PNR, True), (PNR, False), (FASTPATH, True), (FASTPATH, False)]
+        keys = [sorted(r.to_dict()) for r in reports]
+        assert keys == [keys[0]] * 4
 
 
 class TestPlacementHints:
@@ -130,12 +157,12 @@ class TestCli:
         assert main(["compile"]) == 0
         out = capsys.readouterr().out
         for name in golden_kernels():
-            assert f"pnr compile: {name} compiles" in out
+            assert f"pnr: {name} compiles" in out
 
     def test_compile_json_reports(self, capsys):
         assert main(["compile", "--json"]) == 0
         reports = json.loads(capsys.readouterr().out)
-        assert {r["graph"] for r in reports} == set(golden_kernels())
+        assert {r["name"] for r in reports} == set(golden_kernels())
         assert all(r["ok"] for r in reports)
 
     def test_compile_nml_prints_netlist(self, capsys):

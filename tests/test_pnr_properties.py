@@ -145,7 +145,7 @@ class TestLegalGraphsCompile:
 
         for edge, cap in zip(kernel.graph.edges[:len(caps)], caps):
             want = DEFAULT_CAPACITY if cap is None else cap
-            assert kernel.report.capacities[edge.label] == want
+            assert kernel.report.details["capacities"][edge.label] == want
 
         cfg = kernel.config
         cfg.sources["x"].set_data(data)
@@ -192,7 +192,7 @@ class TestLegalGraphsCompile:
         kernel = compile_graph(g, balance=True)
         _assert_well_placed(kernel.placement)
         # the long branch puts `depth` levels between fork and join
-        assert kernel.report.capacities[short.label] == \
+        assert kernel.report.details["capacities"][short.label] == \
             DEFAULT_CAPACITY + depth
 
         cfg = kernel.config
@@ -328,6 +328,7 @@ class TestIllegalGraphsAreCoded:
             g = KernelGraph.from_dict(payload)
         except PnrError as exc:
             assert exc.codes
+            assert exc.report is None   # never became a graph to compile
             return
         report = report_graph(g)
         assert report.ok or report.codes

@@ -52,6 +52,26 @@ def test_histogram_bucket_edges_are_inclusive_upper_bounds():
     assert h.mean == pytest.approx(116.5 / 8)
 
 
+def test_histogram_bucket_matches_the_linear_rule():
+    # the rule observe() implements: the first bound >= value, else the
+    # overflow bucket (NaN compares false against every bound)
+    def linear(bounds, value):
+        for i, bound in enumerate(bounds):
+            if value <= bound:
+                return i
+        return len(bounds)
+
+    bounds = (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024)
+    values = [b + d for b in bounds for d in (-0.5, 0, 0.5)]
+    values += [-3, 0, 0.5, 5000, float("inf"), float("-inf"), float("nan")]
+    for v in values:
+        h = Histogram("h", bounds=bounds)
+        h.observe(v)
+        want = [0] * (len(bounds) + 1)
+        want[linear(bounds, v)] = 1
+        assert h.buckets == want, v
+
+
 def test_histogram_quantiles_and_empty_behaviour():
     h = Histogram("h", bounds=(10, 20, 40))
     assert h.quantile(0.5) == 0.0           # empty histogram
