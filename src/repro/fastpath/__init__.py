@@ -15,15 +15,11 @@ taps) transparently fall back to the event scheduler with a
 reason per process).  Compiled kernels are cached content-addressed in
 an in-process LRU (:mod:`repro.fastpath.cache`).
 
-Use it either through the scheduler seam::
+Use it through the scheduler seam::
 
-    from repro.xpp import Simulator, make_scheduler
+    from repro.xpp import Simulator, execute, make_scheduler
     sim = Simulator(mgr, scheduler=make_scheduler("fastpath"))
-
-or through the drop-in sibling of :func:`repro.xpp.execute`::
-
-    from repro import fastpath
-    result = fastpath.execute(build_cfg, data)
+    result = execute(cfg, inputs=data, scheduler="fastpath")
 """
 
 from __future__ import annotations
@@ -75,7 +71,6 @@ __all__ = [
     "compile_trace",
     "emit_epoch",
     "emit_trace",
-    "execute",
     "explain",
     "graph_fingerprint",
     "reset_fallback_warnings",
@@ -83,17 +78,3 @@ __all__ = [
     "warmup",
 ]
 
-
-def execute(*args, **kwargs):
-    """Run a configuration to completion on the fastpath backend.
-
-    Same signature and semantics as :func:`repro.xpp.execute`, with the
-    scheduler pinned to ``"fastpath"`` — bit-exact results, batched
-    execution for compilable graphs, transparent fallback otherwise.
-    """
-    if "scheduler" in kwargs:
-        raise TypeError(
-            "fastpath.execute() pins scheduler='fastpath'; "
-            "use repro.xpp.execute() to choose another backend")
-    from repro.xpp.simulator import execute as _execute
-    return _execute(*args, scheduler="fastpath", **kwargs)

@@ -15,13 +15,13 @@ minutes ago.  This module makes recompilation a lookup:
   hashed — it is passed to the kernels via ``state``/``env`` tuples at
   call time, so two configs that differ only in data share one kernel.
 
-* **In-process LRU** — fingerprint -> (trace fn, epoch fns, schedule
-  memo, data plan).  A hit returns the very same function objects,
-  skipping emit *and* compile.  The schedule memo (:func:`schedule_memo`)
-  holds the firing schedules traced on this netlist, keyed by the count
-  state a trace started from; the data plan (:class:`DataPlan`) holds
-  the value streams no data can change.  Both live and die with the LRU
-  entry.
+* **In-process LRU** — fingerprint -> :class:`Netlist`, everything
+  derived from one netlist shape: the trace and epoch kernels, the
+  count-state layout, the select and stamp edges, the schedule memo
+  (the firing schedules traced on this shape, keyed by the count state
+  a trace started from) and the :class:`DataPlan` (the value streams
+  no data can change).  A hit hands back the very same object, so
+  every session of the shape shares its kernels, memo and plan.
 
 This is the only layer: nothing is written to disk, so each process
 compiles a netlist shape once, on its first lookup.
@@ -37,6 +37,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from operator import attrgetter
+from typing import NamedTuple
 
 from repro.fastpath.capture import capture_sets
 from repro.fastpath.ir import Graph
@@ -46,9 +47,10 @@ from repro.fastpath.lower import (
     PlanView,
     _node_streams,
     _store,
-    compile_epochs,
+    compile_epoch,
     compile_trace,
     select_split,
+    state_spec,
 )
 from repro.telemetry.metrics import get_metrics
 
@@ -60,8 +62,7 @@ LRU_MAX = 64
 MEMO_MAX = 32
 
 _lock = threading.Lock()
-_lru = OrderedDict()        # fingerprint -> (trace_fn, epoch_fns, memo,
-                            #                 data plan)
+_lru = OrderedDict()        # fingerprint -> Netlist
 
 
 #: per-kind object parameters that the code generators bake into the
@@ -114,30 +115,59 @@ def graph_fingerprint(graph: Graph) -> str:
 # -- front door --------------------------------------------------------------
 
 
-def compile_graph(graph: Graph) -> tuple:
-    """``(trace_fn, epoch_fns, fingerprint, hit)`` for a captured graph.
+class Netlist:
+    """One compiled netlist shape: what every session of it shares.
 
-    A hit returns the exact same function objects; a miss runs both
-    code generators and remembers the result.
+    ``trace`` is the count-level trace kernel, ``epochs`` the epoch
+    kernels indexed like ``graph.sccs``; ``spec`` is the count-state
+    layout, ``selects`` and ``stamps`` the select and RAM read-address
+    edges (all functions of the structure alone).  ``memo`` maps the
+    count state a session opened on to the :class:`~repro.fastpath.
+    runtime.Schedule` traced from it; ``plan`` is the :class:`DataPlan`.
+    Building one compiles both kernels without touching the LRU.
     """
-    fp = graph_fingerprint(graph)
-    metrics = get_metrics()
-    with _lock:
-        cached = _lru.get(fp)
-        if cached is not None:
-            _lru.move_to_end(fp)
-    if cached is not None:
-        metrics.counter("fastpath.cache.hit").inc()
-        return cached[0], cached[1], fp, True
 
-    metrics.counter("fastpath.cache.miss").inc()
-    trace, epochs = compile_trace(graph), tuple(compile_epochs(graph))
+    def __init__(self, graph: Graph):
+        self.trace = compile_trace(graph)
+        self.epochs = tuple(compile_epoch(graph, s)
+                            for s in range(len(graph.sccs)))
+        self.spec = state_spec(graph)
+        self.selects = graph.select_edges()
+        self.stamps = graph.stamp_edges()
+        self.memo = OrderedDict()
+        self.plan = DataPlan(graph)
+
+
+class Compiled(NamedTuple):
+    """A :func:`compile_graph` lookup: the shape's netlist and the
+    capture it was looked up for (a session runs the one over the live
+    objects of the other), the fingerprint and whether it was a hit."""
+
+    netlist: Netlist
+    graph: Graph
+    fingerprint: str
+    hit: bool
+
+
+def compile_graph(graph: Graph) -> Compiled:
+    """The compiled :class:`Netlist` of a captured graph, from the LRU
+    when its fingerprint is there (the very same object), else built
+    and remembered."""
+    fp = graph_fingerprint(graph)
     with _lock:
-        _lru[fp] = (trace, epochs, OrderedDict(), DataPlan(graph))
-        _lru.move_to_end(fp)
-        while len(_lru) > LRU_MAX:
-            _lru.popitem(last=False)
-    return trace, epochs, fp, False
+        netlist = _lru.get(fp)
+        if netlist is not None:
+            _lru.move_to_end(fp)
+    hit = netlist is not None
+    get_metrics().counter("fastpath.cache.hit" if hit
+                          else "fastpath.cache.miss").inc()
+    if not hit:
+        netlist = Netlist(graph)
+        with _lock:
+            _lru[fp] = netlist
+            while len(_lru) > LRU_MAX:
+                _lru.popitem(last=False)
+    return Compiled(netlist, graph, fp, hit)
 
 
 def probe(fp: str) -> str:
@@ -156,19 +186,8 @@ def warmup(objs, wires) -> tuple:
     prefetch catch it — the eventual swap just compiles on first step,
     exactly as without warm-up).
     """
-    graph = capture_sets(objs, wires)
-    _, _, fp, hit = compile_graph(graph)
+    _, _, fp, hit = compile_graph(capture_sets(objs, wires))
     return fp, hit
-
-
-def schedule_memo(fp: str) -> OrderedDict:
-    """The schedule memo of a compiled graph: count state at session
-    open -> traced schedule (see :class:`repro.fastpath.runtime.
-    TraceSession`).  A graph no longer in the LRU gets a fresh memo that
-    nothing else shares."""
-    with _lock:
-        cached = _lru.get(fp)
-    return cached[2] if cached is not None else OrderedDict()
 
 
 def memo_store(memo: OrderedDict, key, entry) -> None:
@@ -181,21 +200,13 @@ def memo_store(memo: OrderedDict, key, entry) -> None:
             memo.popitem(last=False)
 
 
-def data_plan(fp: str, graph: Graph) -> "DataPlan":
-    """The data plan of a compiled graph (a fresh one that nothing else
-    shares when the graph is no longer in the LRU)."""
-    with _lock:
-        cached = _lru.get(fp)
-    return cached[3] if cached is not None else DataPlan(graph)
-
-
 def clear_schedule_memos() -> None:
     """Empty every compiled graph's schedule memo and data plan in
     place, keeping the compiled kernels (test seam)."""
     with _lock:
-        for entry in _lru.values():
-            entry[2].clear()
-            entry[3].states.clear()
+        for netlist in _lru.values():
+            netlist.memo.clear()
+            netlist.plan.states.clear()
 
 
 def clear_memory_cache() -> None:
@@ -271,12 +282,12 @@ class DataPlan:
         return (tuple(regs(nodes[i].obj) for i, regs in self._regs),
                 tuple(tuple(edges[j].wire._q) for j in self.edges))
 
-    def view(self, graph: Graph, limit: int):
+    def view(self, graph: Graph, limit: int) -> PlanView:
         """The held streams over a ``limit``-cycle window, as a
-        :class:`~repro.fastpath.lower.PlanView` (None when the netlist
+        :class:`~repro.fastpath.lower.PlanView` (empty when the netlist
         has no data-independent node)."""
         if not self.nodes:
-            return None
+            return PlanView(self.units, [None] * len(graph.edges), {}, {})
         key = self.key(graph)
         state = self.states.get(key)
         if state is None or state[0] < limit:

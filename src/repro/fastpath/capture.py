@@ -95,5 +95,5 @@ def check_runtime_state(graph: Graph) -> None:
     for n in graph.nodes:
         if "plan" in n.obj.__dict__ or "commit" in n.obj.__dict__:
             raise UnsupportedGraphError(
-                f"{n.obj.name}: instance-level plan/commit override",
+                "instance-level plan/commit override", node=n.obj.name,
                 code=REASON_INSTANCE_OVERRIDE)

@@ -1,8 +1,9 @@
 """Compile "explain" diagnostics for the fastpath backend.
 
 :func:`explain` dry-runs the whole compile pipeline — classify,
-capture, runtime-state checks, value lowering, kernel emission,
-bytecode compilation and a bounded replay — against a configuration
+capture, runtime-state checks, kernel emission, bytecode compilation
+and a bounded replay through the same :class:`~repro.fastpath.runtime.
+TraceSession` every fastpath run opens — against a configuration
 manager and reports what happened as a
 :class:`repro.diagnostics.CompileReport`, the shape the pnr compiler
 reports in too:
@@ -17,12 +18,15 @@ reports in too:
   SCC the epoch lowering absorbs (``sccs``; every other node lowers
   into the whole-trace value pass), the graph's compile-cache
   ``fingerprint`` and where a compile would hit right now (``cache``:
-  ``memory`` / ``miss``, probed without populating anything, so the
-  dry-run stays side-effect free), the emitted ``kernel_lines``, the
-  replay probe's ``trace_cycles`` and whether it ``absorbed``, and the
-  ``checkpoints`` cadences ``[FIRES_CHECK, STATE_CHECK]``;
-* wall-clock phase timings (capture / lower / emit / compile / replay)
-  recorded as tracer spans, so the same report feeds Chrome traces.
+  ``memory`` / ``miss``, probed without populating anything: the
+  dry-run compiles a :class:`~repro.fastpath.cache.Netlist` of its own,
+  so it stays side-effect free), the emitted ``kernel_lines``, the
+  replay probe's ``trace_cycles`` within its window and whether its
+  zero mask falls inside it (``absorbed``), and the ``checkpoints``
+  cadences ``[FIRES_CHECK, STATE_CHECK]``;
+* wall-clock phase timings (capture / emit / compile / replay; the
+  replay includes the value pass) recorded as tracer spans, so the
+  same report feeds Chrome traces.
 
 The report is what the fallback warning is not: instead of one opaque
 "falling back" line, every rejection branch in ``capture.py`` /
@@ -38,18 +42,16 @@ from collections import Counter
 from typing import Optional
 
 from repro import diagnostics
-from repro.fastpath.cache import graph_fingerprint, probe
+from repro.fastpath.cache import Netlist, graph_fingerprint, probe
 from repro.fastpath.capture import capture, check_runtime_state
 from repro.fastpath.ir import GENERATORS, UnsupportedGraphError, classify
 from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
-    compile_trace,
     emit_epoch,
     emit_trace,
-    state_spec,
-    value_streams,
 )
+from repro.fastpath.runtime import TraceSession
 from repro.telemetry.tracer import Tracer
 
 #: default replay window for the trace-length probe
@@ -61,8 +63,9 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
     """Dry-run the compile pipeline and report what happened.
 
     Never raises ``UnsupportedGraphError`` and never mutates the live
-    netlist: the replay probe runs the generated kernel against a copy
-    of the initial count state without writing anything back.  Pass a
+    netlist: the replay probe traces at least ``cycles`` cycles (a
+    session's first window is 256) without replaying any into live
+    state, so nothing is written back.  Pass a
     ``tracer`` to also collect the phase spans as trace events (wall
     seconds on the span clock).
     """
@@ -74,7 +77,7 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
             classify(o)
         except UnsupportedGraphError as exc:
             report.diagnostics.append(
-                diagnostics.Diagnostic(exc.code, str(exc), node=o.name))
+                diagnostics.Diagnostic(exc.code, exc.message, node=o.name))
 
     with tr.span("explain.capture", cat="fastpath"):
         t0 = time.perf_counter()
@@ -84,7 +87,8 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
         except UnsupportedGraphError as exc:
             if exc.code not in report.codes:
                 report.diagnostics.append(
-                    diagnostics.Diagnostic(exc.code, str(exc)))
+                    diagnostics.Diagnostic(exc.code, exc.message,
+                                           node=exc.node))
             graph = None
         report.timings_s["capture"] = time.perf_counter() - t0
     if graph is None:
@@ -102,10 +106,6 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
         "cache": probe(fingerprint),
     }
 
-    with tr.span("explain.lower", cat="fastpath"):
-        t0 = time.perf_counter()
-        edge_vals = value_streams(graph, cycles)
-        report.timings_s["lower"] = time.perf_counter() - t0
     with tr.span("explain.emit", cat="fastpath"):
         t0 = time.perf_counter()
         srcs = [emit_trace(graph)] + [emit_epoch(graph, s)
@@ -115,22 +115,17 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
         report.timings_s["emit"] = time.perf_counter() - t0
     with tr.span("explain.compile", cat="fastpath"):
         t0 = time.perf_counter()
-        trace = compile_trace(graph)
+        netlist = Netlist(graph)
         report.timings_s["compile"] = time.perf_counter() - t0
 
     with tr.span("explain.replay", cat="fastpath"):
         t0 = time.perf_counter()
-        from repro.fastpath.runtime import initial_state
-        sv = [None] * len(graph.edges)
-        for j in graph.select_edges():
-            sv[j] = edge_vals[j].tolist()
-        for j in graph.stamp_edges():
-            sv[j] = []
-        masks: list = []
-        done, _ = trace(initial_state(graph, state_spec(graph)),
-                        sv, masks, [], [], cycles)
-        report.details.update(trace_cycles=len(masks), absorbed=bool(done),
-                              checkpoints=[FIRES_CHECK, STATE_CHECK])
+        session = TraceSession(graph, netlist, manager.version)
+        session.ensure(cycles)
+        report.details.update(
+            trace_cycles=min(len(session.masks), cycles),
+            absorbed=session.z is not None and session.z < cycles,
+            checkpoints=[FIRES_CHECK, STATE_CHECK])
         report.timings_s["replay"] = time.perf_counter() - t0
 
     report.ok = True

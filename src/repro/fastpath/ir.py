@@ -62,13 +62,17 @@ class UnsupportedGraphError(Exception):
     """The captured graph cannot be compiled; run it on the golden path.
 
     ``code`` is the machine-readable rejection reason (one of
-    :data:`repro.diagnostics.REASON_CODES`); the message stays the
-    human explanation.
+    :data:`repro.diagnostics.REASON_CODES`), ``message`` the human
+    explanation and ``node`` the offending object's name, if one is to
+    blame; ``str()`` reads ``"<node>: <message>"``.
     """
 
-    def __init__(self, message: str, *, code: str = REASON_UNSUPPORTED_TYPE):
-        super().__init__(message)
+    def __init__(self, message: str, *, code: str = REASON_UNSUPPORTED_TYPE,
+                 node: str = None):
+        super().__init__(message if node is None else f"{node}: {message}")
         self.code = code
+        self.message = message
+        self.node = node
 
 
 #: exact type -> kind tag.  Exact match on purpose: a subclass may
@@ -165,15 +169,9 @@ class Graph:
     nodes: list
     edges: list
     topo: list          # flat node order (schedule order, SCCs inlined)
-    schedule: list = None   # ("node", i) | ("scc", s) units, topo order
-    sccs: list = None       # non-trivial SCCs: tuples of node indices
-    late: frozenset = frozenset()   # RAMs and nodes fed by RAM read data
-
-    def __post_init__(self):
-        if self.schedule is None:
-            self.schedule = [("node", i) for i in self.topo]
-        if self.sccs is None:
-            self.sccs = []
+    schedule: list      # ("node", i) | ("scc", s) units, topo order
+    sccs: list          # non-trivial SCCs: tuples of node indices
+    late: frozenset     # RAMs and nodes fed by RAM read data
 
     def is_late(self, unit) -> bool:
         """Whether a schedule unit's values wait for the trace's RAM
@@ -192,75 +190,67 @@ class Graph:
         return [n.in_edges[0] for n in self.nodes
                 if n.kind == "ram" and n.in_edges[0] is not None]
 
-    def epoch_nodes(self) -> set:
-        """Node indices lowered by an epoch kernel (inside an SCC)."""
-        return {i for scc in self.sccs for i in scc}
-
-    def strategy(self, i: int) -> str:
-        """Lowering strategy of node ``i``: ``"trace"`` or ``"epoch"``."""
-        return "epoch" if i in self.epoch_nodes() else "trace"
-
 
 def classify(obj) -> str:
     """Kind tag for a supported object, or raise UnsupportedGraphError."""
     kind = KIND_OF.get(type(obj))
     if kind is None:
         raise UnsupportedGraphError(
-            f"{obj.name}: unsupported object type {type(obj).__name__}",
-            code=REASON_UNSUPPORTED_TYPE)
+            f"unsupported object type {type(obj).__name__}",
+            node=obj.name, code=REASON_UNSUPPORTED_TYPE)
     if "plan" in obj.__dict__ or "commit" in obj.__dict__:
         # e.g. a fault injector wrapped this instance's firing protocol
         raise UnsupportedGraphError(
-            f"{obj.name}: instance-level plan/commit override",
-            code=REASON_INSTANCE_OVERRIDE)
+            "instance-level plan/commit override",
+            node=obj.name, code=REASON_INSTANCE_OVERRIDE)
     if kind == "binary":
         if not obj.inputs[1].bound and obj.const is None:
             raise UnsupportedGraphError(
-                f"{obj.name}: input b unconnected and no const",
-                code=REASON_UNBOUND_INPUT)
+                "input b unconnected and no const",
+                node=obj.name, code=REASON_UNBOUND_INPUT)
         if obj.OPCODE in ("SHL", "SHR"):
             if obj.inputs[1].bound:
                 raise UnsupportedGraphError(
-                    f"{obj.name}: data-dependent shift amounts",
-                    code=REASON_DYNAMIC_SHIFT)
+                    "data-dependent shift amounts",
+                    node=obj.name, code=REASON_DYNAMIC_SHIFT)
             if not 0 <= obj.const <= MAX_SHIFT:
                 raise UnsupportedGraphError(
-                    f"{obj.name}: shift const {obj.const} out of range",
-                    code=REASON_SHIFT_RANGE)
+                    f"shift const {obj.const} out of range",
+                    node=obj.name, code=REASON_SHIFT_RANGE)
         if abs(obj.shift) > MAX_SHIFT:
             raise UnsupportedGraphError(
-                f"{obj.name}: result shift {obj.shift} out of range",
-                code=REASON_SHIFT_RANGE)
+                f"result shift {obj.shift} out of range",
+                node=obj.name, code=REASON_SHIFT_RANGE)
         if obj.const is not None and abs(obj.const) > MAX_CONST:
             # wrap-width ops survive int64 overflow (mod-2**64 is a
             # homomorphism onto mod-2**bits) but MIN/MAX/CMP* do not,
             # and np.int64() refuses Python ints >= 2**63 outright
             raise UnsupportedGraphError(
-                f"{obj.name}: const {obj.const} outside the int64-safe range",
-                code=REASON_CONST_RANGE)
+                f"const {obj.const} outside the int64-safe range",
+                node=obj.name, code=REASON_CONST_RANGE)
     elif kind == "shiftalu":
         if abs(obj.amount) > MAX_SHIFT:
             raise UnsupportedGraphError(
-                f"{obj.name}: shift amount {obj.amount} out of range",
-                code=REASON_SHIFT_RANGE)
+                f"shift amount {obj.amount} out of range",
+                node=obj.name, code=REASON_SHIFT_RANGE)
     elif kind == "counter":
         if obj.step < 1:
             raise UnsupportedGraphError(
-                f"{obj.name}: counter step must be >= 1 to compile",
-                code=REASON_COUNTER_STEP)
+                "counter step must be >= 1 to compile",
+                node=obj.name, code=REASON_COUNTER_STEP)
         if obj.limit is not None and obj.start >= obj.limit:
             raise UnsupportedGraphError(
-                f"{obj.name}: counter start >= limit",
-                code=REASON_COUNTER_RANGE)
+                "counter start >= limit",
+                node=obj.name, code=REASON_COUNTER_RANGE)
     elif kind == "fifo":
         if obj.circular and obj.inputs[0].bound:
             raise UnsupportedGraphError(
-                f"{obj.name}: circular FIFO with a bound input",
-                code=REASON_CIRCULAR_FIFO)
+                "circular FIFO with a bound input",
+                node=obj.name, code=REASON_CIRCULAR_FIFO)
     elif kind in ("acc", "cacc", "integ", "cinteg", "reg", "lut",
                   "unary", "cconj", "cneg", "cmulj", "cshift"):
         if not obj.inputs[0].bound:
-            raise UnsupportedGraphError(f"{obj.name}: unbound input",
+            raise UnsupportedGraphError("unbound input", node=obj.name,
                                         code=REASON_UNBOUND_INPUT)
     # a RAM's unbound port just disables its half: nothing to refuse
     if kind in ("cadd", "csub", "cmul", "pack", "mux", "swap",
@@ -268,10 +258,10 @@ def classify(obj) -> str:
         for p in obj.inputs:
             if not p.bound:
                 raise UnsupportedGraphError(
-                    f"{obj.name}: unbound input {p.name}",
-                    code=REASON_UNBOUND_INPUT)
+                    f"unbound input {p.name}",
+                    node=obj.name, code=REASON_UNBOUND_INPUT)
     if kind == "binary" and not obj.inputs[0].bound:
-        raise UnsupportedGraphError(f"{obj.name}: unbound input a",
+        raise UnsupportedGraphError("unbound input a", node=obj.name,
                                     code=REASON_UNBOUND_INPUT)
     return kind
 
@@ -347,8 +337,8 @@ def _late_nodes(nodes, edges, sccs, out) -> frozenset:
         for i in scc:
             if nodes[i].kind == "ram":
                 raise UnsupportedGraphError(
-                    f"{nodes[i].obj.name}: RAM read data loops back to a "
-                    "RAM read address", code=REASON_RAM_CONTROL)
+                    "RAM read data loops back to a RAM read address",
+                    node=nodes[i].obj.name, code=REASON_RAM_CONTROL)
     late = set(rams)
     stack = list(rams)
     while stack:
@@ -359,6 +349,6 @@ def _late_nodes(nodes, edges, sccs, out) -> frozenset:
     for n in nodes:
         if n.kind in SELECTS and edges[n.in_edges[0]].src in late:
             raise UnsupportedGraphError(
-                f"{n.obj.name}: select driven by RAM read data",
+                "select driven by RAM read data", node=n.obj.name,
                 code=REASON_RAM_CONTROL)
     return frozenset(late)

@@ -46,6 +46,12 @@ the window ``limit`` is reached.  Values stay exact (python ints with
 the same wrap/saturate folds, applied per token), deterministic and
 prefix-consistent, so :meth:`TraceSession._grow_values` regrowth and
 the existing replay/materialize machinery work unchanged.
+
+Everything here that depends on the structure alone — the trace and
+epoch kernels, the :func:`state_spec` layout — is built once per
+netlist shape into a :class:`repro.fastpath.cache.Netlist`; a value
+pass always runs with its compiled epoch kernels and a
+:class:`PlanView` of its data plan.
 """
 
 from __future__ import annotations
@@ -338,13 +344,13 @@ def _node_streams(node, ins, limit, split=None):
     raise AssertionError(f"no lowering for kind {k!r}")       # unreachable
 
 
-def value_streams(graph: Graph, limit: int, epochs=None,
-                  epoch_rt=None, plan=None) -> list:
+def value_streams(graph: Graph, limit: int, epochs, epoch_rt,
+                  plan: "PlanView") -> list:
     """Per-edge token-value streams: the wire's queued tokens followed
     by every token its producer port will ever push, capped at ``limit``
     productions.  Acyclic schedule units are one vectorized numpy sweep
-    over the live state; SCC units run their generated epoch kernel
-    (``epochs[s]`` when supplied, else compiled on the fly).
+    over the live state; SCC ``s`` runs its generated epoch kernel
+    ``epochs[s]``.
 
     ``epoch_rt`` is the caller's persistent per-SCC runtime dict (see
     :func:`_run_epoch`): with it, regrowing to a larger ``limit`` only
@@ -361,16 +367,11 @@ def value_streams(graph: Graph, limit: int, epochs=None,
     Edges of the graph's late units (RAM read data and everything
     downstream) stay None: their values wait for the trace's read
     stamps, see :func:`late_streams`."""
-    if plan is None:
-        edge_vals = [None] * len(graph.edges)
-        fixed, splits = (), None
-    else:
-        edge_vals = list(plan.streams)
-        fixed, splits = plan.units, plan.splits
+    edge_vals = list(plan.streams)
     for unit in graph.schedule:
-        if not graph.is_late(unit) and unit not in fixed:
+        if not graph.is_late(unit) and unit not in plan.units:
             _run_unit(graph, unit, edge_vals, limit, epochs, epoch_rt,
-                      splits)
+                      plan.splits)
     return edge_vals
 
 
@@ -394,7 +395,7 @@ def _store(graph: Graph, node, ports, edge_vals: list, limit: int) -> None:
 
 
 def _run_unit(graph: Graph, unit, edge_vals: list, limit: int, epochs,
-              epoch_rt, splits=None) -> None:
+              epoch_rt, splits) -> None:
     """Compute one schedule unit's output streams into ``edge_vals``
     (``splits``: select edge -> cached :func:`select_split` tables)."""
     tag, x = unit
@@ -403,13 +404,12 @@ def _run_unit(graph: Graph, unit, edge_vals: list, limit: int, epochs,
         ins = [edge_vals[j] if j is not None else None
                for j in node.in_edges]
         split = None
-        if splits and node.kind in SELECTS:
+        if node.kind in SELECTS:
             split = splits.get(node.in_edges[0])
         _store(graph, node, _node_streams(node, ins, limit, split),
                edge_vals, limit)
     else:
-        fn = epochs[x] if epochs is not None else compile_epoch(graph, x)
-        env = _run_epoch(graph, x, fn, edge_vals, limit, epoch_rt)
+        env = _run_epoch(graph, x, epochs[x], edge_vals, limit, epoch_rt)
         for idx, (_, tag2, key) in enumerate(epoch_spec(graph, x)):
             if tag2 == "seed":
                 edge_vals[key] = _arr(env[idx])
@@ -456,7 +456,7 @@ def _ram_reads(graph: Graph, node, edge_vals: list, stamps: list) -> tuple:
 
 
 def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
-                 epochs=None, splits=None) -> None:
+                 epochs, splits) -> None:
     """Fill in the late units' streams of ``edge_vals`` in place, once
     the trace kernel has appended every read's stamp to
     ``sv[raddr edge]``.
@@ -468,7 +468,7 @@ def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
     only carries data read in earlier cycles, so each sweep settles at
     least one more read and the fixpoint is the simulated one.  Late
     SCCs replay from their session snapshot on every sweep.
-    ``splits`` are a data plan's select tables, as in
+    ``epochs`` and ``splits`` (a data plan's select tables) are as in
     :func:`value_streams`."""
     units = [u for u in graph.schedule if graph.is_late(u)]
     prev = None
@@ -558,7 +558,7 @@ def _run_epoch(graph: Graph, s: int, fn, edge_vals: list, limit: int,
     lists are extended with just the newly grown suffix (prefix-
     consistency of the value pass makes that sound) and the kernel
     resumes where it stopped.  Without ``rt`` each call replays from
-    cycle zero (the one-shot path explain's replay uses)."""
+    cycle zero (what :func:`late_streams` does on every sweep)."""
     spec = epoch_spec(graph, s)
     rec = rt.get(s) if rt is not None else None
     if rec is None:
@@ -882,11 +882,6 @@ def compile_epoch(graph: Graph, s: int):
     ns = {}
     exec(compile(emit_epoch(graph, s), "<fastpath-epoch>", "exec"), ns)
     return ns["_epoch"]
-
-
-def compile_epochs(graph: Graph) -> list:
-    """Epoch kernels for every SCC, indexed like ``graph.sccs``."""
-    return [compile_epoch(graph, s) for s in range(len(graph.sccs))]
 
 
 # ---------------------------------------------------------------------------

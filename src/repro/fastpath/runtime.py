@@ -12,14 +12,16 @@ the count state at the cursor back (on ``invalidate`` or a manager
 version bump), so per-cycle telemetry reads the replayed cycles off
 the trace instead (:meth:`TraceSession.records`).
 
-A netlist's token timing is a function of its count state and of the
-select tokens its DEMUX/MERGE/GATE nodes read, never of the data, so a
-trace that reaches its absorbing zero mask is remembered in the
-compiled netlist's schedule memo (:func:`repro.fastpath.cache.
-schedule_memo`) under the count state the session opened with.  A
-whole run that opens on a remembered count state whose select tokens
-have the same truth values adopts the remembered masks, checkpoints and
-RAM read stamps instead of tracing, so a kernel that reruns one
+Every session of one netlist shape reads the same compiled
+:class:`repro.fastpath.cache.Netlist`: its kernels, its count-state
+layout and its select and stamp edges.  A netlist's token timing is a
+function of its count state and of the select tokens its
+DEMUX/MERGE/GATE nodes read, never of the data, so a trace that
+reaches its absorbing zero mask is remembered in the netlist's
+schedule memo under the count state the session opened with.  A whole
+run that opens on a remembered count state whose select tokens have
+the same truth values adopts the remembered masks, checkpoints and RAM
+read stamps instead of tracing, so a kernel that reruns one
 configuration (the rake finger, the resident FFT64 stage) traces each
 distinct schedule once.  Every value pass takes the streams no data can
 change (counters, the selects they drive) from the netlist's data plan
@@ -43,12 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.diagnostics import REASON_UNSUPPORTED_TYPE
-from repro.fastpath.cache import (
-    compile_graph,
-    data_plan,
-    memo_store,
-    schedule_memo,
-)
+from repro.fastpath.cache import compile_graph, memo_store
 from repro.fastpath.capture import capture, check_runtime_state
 from repro.fastpath.ir import UnsupportedGraphError
 from repro.telemetry.metrics import get_metrics
@@ -59,7 +56,6 @@ from repro.fastpath.lower import (
     _wrap,
     late_streams,
     node_budget,
-    state_spec,
     value_streams,
 )
 from repro.fixed import wrap
@@ -137,22 +133,17 @@ def initial_state(graph, spec) -> tuple:
 
 
 class TraceSession:
-    """One compiled execution of the resident netlist.
+    """One compiled execution of the resident netlist: ``graph`` is its
+    capture, ``netlist`` the :class:`~repro.fastpath.cache.Netlist` of
+    its shape, whose schedule memo the session reads and stores into."""
 
-    ``memo`` is the compiled netlist's schedule memo (a dict the
-    session reads and stores into), or None to trace every run;
-    ``plan`` its :class:`~repro.fastpath.cache.DataPlan`, or None to
-    compute every value stream."""
-
-    def __init__(self, graph, trace, version, epochs=None, memo=None,
-                 plan=None):
+    def __init__(self, graph, netlist, version):
         self.graph = graph
-        self.trace = trace
+        self.netlist = netlist
+        self.trace = netlist.trace
+        self.memo = netlist.memo
         self.version = version
-        self.epochs = epochs
-        self.memo = memo
-        self.plan = plan
-        self.spec = state_spec(graph)
+        self.spec = netlist.spec
         self.s0 = initial_state(graph, self.spec)
         self.state = self.s0
         self.masks = []
@@ -167,8 +158,8 @@ class TraceSession:
         self._epoch_rt = {}     # per-SCC incremental kernel state
         # trace side streams: select values in, RAM read stamps out
         self.sv = [None] * len(graph.edges)
-        self._peeked = graph.select_edges()
-        self._stamped = graph.stamp_edges()
+        self._peeked = netlist.selects
+        self._stamped = netlist.stamps
         for j in self._stamped:
             self.sv[j] = []
         # node index -> [live list, value list, consumed count]
@@ -235,14 +226,13 @@ class TraceSession:
         frozen during a session, so the recompute is deterministic and
         prefix-consistent with every list already handed out.  Streams
         the data plan holds are taken from it, not recomputed."""
-        plan = None if self.plan is None else self.plan.view(self.graph,
-                                                              limit)
-        self.edge_vals = value_streams(self.graph, limit, self.epochs,
-                                       self._epoch_rt, plan)
-        held = {} if plan is None else plan.lists
-        self._splits = None if plan is None else plan.splits
+        plan = self.netlist.plan.view(self.graph, limit)
+        self.edge_vals = value_streams(self.graph, limit,
+                                       self.netlist.epochs, self._epoch_rt,
+                                       plan)
+        self._splits = plan.splits
         for j in self._peeked:
-            lst = held.get(j)
+            lst = plan.lists.get(j)
             self.sv[j] = self.edge_vals[j].tolist() if lst is None else lst
         self.limit = limit
 
@@ -251,7 +241,7 @@ class TraceSession:
         reads, and refresh the sink/probe value lists."""
         if self.graph.late:
             late_streams(self.graph, self.limit, self.edge_vals, self.sv,
-                         self.epochs, self._splits)
+                         self.netlist.epochs, self._splits)
         for i, rec in self.collect.items():
             rec[1] = self.edge_vals[self.graph.nodes[i].in_edges[0]].tolist()
 
@@ -268,8 +258,7 @@ class TraceSession:
             if done:
                 self.z = len(self.masks) - 1
                 self.zfires = tuple(self._cum_fires(self.z))
-                if self.memo is not None:
-                    self._remember()
+                self._remember()
 
     def _remember(self) -> None:
         """Store the finished trace under ``s0``.  The trace kernel reads
@@ -647,8 +636,7 @@ class FastpathScheduler:
         self.manager = None
         self._inner = EventScheduler()
         self._session = None
-        self._structure = None          # (version, graph, trace, epochs,
-                                        #  schedule memo, data plan)
+        self._structure = None          # (version, graph, netlist)
         self._fallback_version = None
 
     def bind(self, manager) -> None:
@@ -707,20 +695,18 @@ class FastpathScheduler:
         st = self._structure
         if st is None or st[0] != mgr.version:
             try:
-                graph = capture(mgr)
-                trace, epochs, fp, _ = compile_graph(graph)
+                compiled = compile_graph(capture(mgr))
             except UnsupportedGraphError as exc:
                 self._note_fallback(exc, mgr.version)
                 return None
-            st = self._structure = (mgr.version, graph, trace, epochs,
-                                    schedule_memo(fp), data_plan(fp, graph))
+            st = self._structure = (mgr.version, compiled.graph,
+                                    compiled.netlist)
         try:
             check_runtime_state(st[1])
         except UnsupportedGraphError as exc:
             self._note_fallback(exc, mgr.version)
             return None
-        self._session = TraceSession(st[1], st[2], mgr.version,
-                                     epochs=st[3], memo=st[4], plan=st[5])
+        self._session = TraceSession(st[1], st[2], mgr.version)
         return self._session
 
     def step(self) -> int:

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from repro.diagnostics import CODES
-from repro.pnr.compile import report_graph
+from repro.pnr.compile import compile_graph
 from repro.pnr.diag import PnrError
 from repro.pnr.graph import KernelGraph
 
@@ -50,38 +50,38 @@ def _cmd_compile(args) -> int:
     status = 0
     reports = []
     for graph in graphs:
-        report = report_graph(graph, balance=args.balance)
+        try:
+            kernel = compile_graph(graph, balance=args.balance)
+            report = kernel.report
+        except PnrError as exc:
+            kernel, report = None, exc.report
         reports.append(report)
         if not args.json:
             print(report.render())
-        if not report.ok:
+        if kernel is None:
             status = 1
             continue
         if args.nml and not args.json:
-            from repro.pnr.compile import compile_graph
             from repro.xpp.nml import dump_nml
-            print(dump_nml(compile_graph(graph, balance=args.balance).config))
-        if args.write_golden or args.check_golden:
-            from repro.pnr.compile import compile_graph
-            placement = compile_graph(graph,
-                                      balance=args.balance).placement
-            if args.write_golden:
-                path = _golden_path(args.write_golden, graph.name)
-                path.parent.mkdir(parents=True, exist_ok=True)
-                path.write_text(json.dumps(placement.to_dict(), indent=2,
-                                           sort_keys=True) + "\n")
-                if not args.json:
-                    print(f"  wrote {path}")
-            if args.check_golden:
-                path = _golden_path(args.check_golden, graph.name)
-                committed = json.loads(path.read_text())
-                if committed != placement.to_dict():
-                    status = 1
-                    print(f"placement of {graph.name!r} differs from the "
-                          f"golden artifact {path}.\nIf the change is "
-                          f"intended, regenerate with:\n  python -m "
-                          f"repro.pnr compile --write-golden "
-                          f"{args.check_golden}", file=sys.stderr)
+            print(dump_nml(kernel.config))
+        placement = kernel.placement
+        if args.write_golden:
+            path = _golden_path(args.write_golden, graph.name)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(json.dumps(placement.to_dict(), indent=2,
+                                       sort_keys=True) + "\n")
+            if not args.json:
+                print(f"  wrote {path}")
+        if args.check_golden:
+            path = _golden_path(args.check_golden, graph.name)
+            committed = json.loads(path.read_text())
+            if committed != placement.to_dict():
+                status = 1
+                print(f"placement of {graph.name!r} differs from the "
+                      f"golden artifact {path}.\nIf the change is "
+                      f"intended, regenerate with:\n  python -m "
+                      f"repro.pnr compile --write-golden "
+                      f"{args.check_golden}", file=sys.stderr)
     if args.json:
         print(json.dumps([r.to_dict() for r in reports], indent=2))
     return status

@@ -32,6 +32,7 @@ from __future__ import annotations
 import json
 from typing import Optional
 
+from repro.telemetry.export import chrome_trace
 from repro.telemetry.metrics import (
     Histogram,
     MetricsRegistry,
@@ -188,26 +189,13 @@ def merged_chrome_trace(outcomes) -> dict:
     events = []
     for pid, o in enumerate(_telemetry_outcomes(outcomes), start=1):
         telemetry = ShardTelemetry.from_dict(o.telemetry)
-        tids: dict = {}
-        for d in telemetry.events:
-            lane = d.get("cat") or "main"
-            tid = tids.setdefault(lane, len(tids) + 1)
-            rec = {"name": d["name"], "cat": lane, "ph": d["ph"],
-                   "ts": d["ts"], "pid": pid, "tid": tid}
-            if d["ph"] == "X":
-                rec["dur"] = d.get("dur", 0.0)
-            if d["ph"] == "i":
-                rec["s"] = "t"
-            if d.get("args") is not None:
-                rec["args"] = d["args"]
-            events.append(rec)
         events.append({
             "name": "process_name", "ph": "M", "pid": pid, "tid": 0,
             "args": {"name": f"{o.job_id} [shard {o.shard_index}]"},
         })
-        for lane, tid in sorted(tids.items(), key=lambda kv: kv[1]):
-            events.append({"name": "thread_name", "ph": "M", "pid": pid,
-                           "tid": tid, "args": {"name": lane}})
+        events += chrome_trace([event_from_dict(d, k) for k, d
+                                in enumerate(telemetry.events)],
+                               pid=pid)["traceEvents"]
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

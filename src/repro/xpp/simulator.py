@@ -54,35 +54,27 @@ class Simulator:
     """Runs the objects currently loaded by a configuration manager.
 
     Telemetry: with a recording tracer installed (``telemetry.
-    enable_tracing()`` or an explicit ``tracer=``), each run emits a
+    enable_tracing()`` or ``telemetry.tracing()``), each run emits a
     ``sim.run`` span, per-step ``sim.firings`` / ``sim.energy``
     counters and a ``sim.stop`` instant carrying the stop reason; the
     tracer's clock is stamped with the cycle counter every step so
     events from the manager or DSP land at the right cycle.  With a
     recording metrics registry, firing rates, FIFO depths and
-    throughput feed the ``sim.*`` instruments.  Both default to
-    process-wide no-ops.  Observing never changes the path a run takes:
+    throughput feed the ``sim.*`` instruments.  Both are process-wide
+    and default to no-ops.  Observing never changes the path a run takes:
     a fastpath run replays whole either way, its per-cycle values read
     off the trace.
     """
 
     def __init__(self, manager: ConfigurationManager, *,
-                 tracer=None, metrics=None, scheduler=None, faults=None):
+                 scheduler=None, faults=None):
         self.manager = manager
         self.cycle = 0
-        self.tracer = tracer        # None -> use the process-wide tracer
-        self.metrics = metrics      # None -> use the process-wide registry
         self.scheduler = make_scheduler(scheduler)
         self.scheduler.bind(manager)
         self.faults = faults        # a repro.faults.FaultInjector, or None
         if faults is not None:
             faults.attach(self)
-
-    def _tracer(self):
-        return self.tracer if self.tracer is not None else get_tracer()
-
-    def _metrics(self):
-        return self.metrics if self.metrics is not None else get_metrics()
 
     def step(self) -> int:
         """Advance one clock cycle; returns the number of firings.
@@ -106,7 +98,7 @@ class Simulator:
         """
         sched = self.scheduler
         sched.invalidate()
-        emit = self._emitter(self._tracer(), self._metrics())
+        emit = self._emitter(get_tracer(), get_metrics())
         batched = getattr(sched, "step_n", None)
         if emit is not None or batched is None:
             return self._loop(n, None, n + 1, emit)[1]
@@ -131,8 +123,8 @@ class Simulator:
         path runs: it is fed afterwards, cycle by cycle.
         """
         start_cycle = self.cycle
-        tracer = self._tracer()
-        metrics = self._metrics()
+        tracer = get_tracer()
+        metrics = get_metrics()
         emit = self._emitter(tracer, metrics)
         if tracer.enabled:
             tracer.set_time(start_cycle)

@@ -161,6 +161,21 @@ class TestMergedTrace:
         obj = run.write_merged_trace(path)
         assert json.loads(path.read_text()) == obj
 
+    def test_one_shard_lane_is_the_single_process_export(self):
+        from repro.telemetry import chrome_trace
+        run = run_campaign(_spec(shards=1), workers=1,
+                           flight_recorder=True)
+        o = run.outcomes[0]
+        shard = flight.ShardTelemetry.from_dict(o.telemetry)
+        lane = chrome_trace([flight.event_from_dict(d, k) for k, d
+                             in enumerate(shard.events)], pid=1)
+        events = flight.merged_chrome_trace([o])["traceEvents"]
+        assert events[0] == {
+            "name": "process_name", "ph": "M", "pid": 1, "tid": 0,
+            "args": {"name": f"{o.job_id} [shard {o.shard_index}]"}}
+        assert events[1:] == lane["traceEvents"]
+        assert any(e["ph"] == "X" for e in events)
+
     def test_shards_without_telemetry_are_skipped(self):
         run = run_campaign(_spec(shards=1), workers=1)
         assert run.merged_trace()["traceEvents"] == []

@@ -342,7 +342,7 @@ def test_cli_backend_flag(tmp_path, capsys):
     assert artifact["spec"]["jobs"][0]["backend"] == "fastpath"
 
 
-# -- the execute() sibling --------------------------------------------------------
+# -- execute() on the fastpath scheduler ------------------------------------------
 
 
 def test_fastpath_execute_matches_golden_path():
@@ -356,16 +356,10 @@ def test_fastpath_execute_matches_golden_path():
 
     cfg = build_descrambler_config()
     cfg.sinks["out"].expect = n
-    res = fastpath.execute(cfg, inputs=inputs, max_cycles=2000)
+    res = execute(cfg, inputs=inputs, max_cycles=2000, scheduler="fastpath")
     assert res.outputs == ref.outputs
     assert (res.stats.cycles, res.stats.stop_reason, res.stats.energy) == \
         (ref.stats.cycles, ref.stats.stop_reason, ref.stats.energy)
-
-
-def test_fastpath_execute_rejects_scheduler_kwarg():
-    cfg = build_descrambler_config()
-    with pytest.raises(TypeError):
-        fastpath.execute(cfg, inputs={}, scheduler="event")
 
 
 # -- lowering coverage: one mini-config per supported op family -------------------

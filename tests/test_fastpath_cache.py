@@ -107,14 +107,17 @@ def test_fingerprint_tracks_ram_geometry():
 
 
 def test_memory_hit_returns_identical_functions():
+    # two captures of one netlist shape get the identical Netlist: its
+    # kernels, schedule memo and data plan
     g = _graph(build_despreader_config(2, 4))
-    trace1, epochs1, fp1, hit1 = cache.compile_graph(g)
-    trace2, epochs2, fp2, hit2 = cache.compile_graph(_graph(
+    n1, g1, fp1, hit1 = cache.compile_graph(g)
+    n2, g2, fp2, hit2 = cache.compile_graph(_graph(
         build_despreader_config(2, 4)))
     assert (hit1, hit2) == (False, True)
     assert fp1 == fp2
-    assert trace2 is trace1
-    assert epochs1 and all(b is a for a, b in zip(epochs1, epochs2))
+    assert n2 is n1
+    assert g1 is g and g2 is not g          # each lookup's own capture
+    assert n1.epochs and callable(n1.trace)
     assert cache.probe(fp1) == "memory"
 
 

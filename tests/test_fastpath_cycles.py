@@ -170,16 +170,18 @@ def test_feedback_shapes_capture_as_sccs(shape):
     graph = capture(mgr)
     assert isinstance(graph, Graph)
     assert graph.sccs, "shape must contain at least one feedback SCC"
-    epoch = graph.epoch_nodes()
-    assert epoch
-    # the schedule partitions the nodes: every node appears exactly once
+    # the schedule partitions the nodes: every node appears exactly once,
+    # the SCC members in their ("scc", s) unit and no other node in one
     seen = []
     for tag, x in graph.schedule:
         seen.extend(graph.sccs[x] if tag == "scc" else [x])
     assert sorted(seen) == list(range(len(graph.nodes)))
-    assert all(graph.strategy(i) == "epoch" for i in epoch)
-    assert all(graph.strategy(i) == "trace"
-               for i in range(len(graph.nodes)) if i not in epoch)
+    assert sorted(x for tag, x in graph.schedule if tag == "scc") == \
+        list(range(len(graph.sccs)))
+    epoch = {i for scc in graph.sccs for i in scc}
+    assert epoch and len(epoch) == sum(len(scc) for scc in graph.sccs)
+    assert {x for tag, x in graph.schedule if tag == "node"} == \
+        set(range(len(graph.nodes))) - epoch
 
 
 # -- mid-run reconfiguration across the cyclic/acyclic boundary -------------------

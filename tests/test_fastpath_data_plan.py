@@ -120,7 +120,7 @@ def test_plan_holds_one_state_per_counter_phase(trace_calls):
     _legs([5, 12], trace_calls)
     _, _, (mgr, _) = _legs([6, 12], trace_calls)
     graph = capture(mgr)
-    plan = cache.data_plan(cache.graph_fingerprint(graph), graph)
+    plan = cache.compile_graph(graph).netlist.plan
     names = {graph.nodes[i].obj.name for i in plan.nodes}
     assert names == {"dcnt", "mcnt", "gcnt", "dcmp", "mcmp"}
     # fresh, after 5 tokens and after 6 tokens
@@ -130,7 +130,7 @@ def test_plan_holds_one_state_per_counter_phase(trace_calls):
 def test_cached_arrays_are_read_only_and_unchanged(trace_calls):
     _, _, (mgr, _) = _legs([5, 12, 7], trace_calls)
     graph = capture(mgr)
-    plan = cache.data_plan(cache.graph_fingerprint(graph), graph)
+    plan = cache.compile_graph(graph).netlist.plan
     cached = []
     for _, streams, _, splits, lists in plan.states.values():
         cached += [v for v in streams if v is not None]

@@ -221,6 +221,20 @@ def test_object_verdicts_pinpoint_the_offender():
     assert bad[0].to_dict()["code"] == REASON_CONST_RANGE
 
 
+def test_object_diagnostic_names_the_object_once():
+    report = explain(_mgr_unsupported_type())
+    line = str(report.diagnostics[0])
+    assert line == f"[{REASON_UNSUPPORTED_TYPE}] at custom: " \
+        "unsupported object type Custom"
+    assert line.count("custom") == 1
+    # the fallback warning's text keeps the name in front
+    from repro.fastpath.ir import UnsupportedGraphError, classify
+    with pytest.raises(UnsupportedGraphError) as exc:
+        classify(Custom())
+    assert str(exc.value) == "custom: unsupported object type Custom"
+    assert exc.value.node == "custom"
+
+
 def test_graph_level_rejections_keep_object_verdicts_clean():
     # a fault tap's objects each classify fine; the rejection is a
     # property of the wiring state, so it appears only at graph level
@@ -285,8 +299,7 @@ def test_explain_ok_path_reports_lowering_and_phases():
     assert report.details["trace_cycles"] >= 1
     assert isinstance(report.details["absorbed"], bool)
     assert report.details["checkpoints"] == [256, 2048]
-    assert set(report.timings_s) == {
-        "capture", "lower", "emit", "compile", "replay"}
+    assert set(report.timings_s) == {"capture", "emit", "compile", "replay"}
     assert all(t >= 0.0 for t in report.timings_s.values())
     rendered = report.render()
     assert "compiles" in rendered and "trace_cycles:" in rendered
@@ -313,8 +326,8 @@ def test_explain_records_phase_spans_on_a_tracer():
     report = explain(_load(build_descrambler_config()), tracer=tracer)
     assert report.ok
     names = {e.name for e in tracer.events}
-    assert {"explain.capture", "explain.lower", "explain.emit",
-            "explain.compile", "explain.replay"} <= names
+    assert {"explain.capture", "explain.emit", "explain.compile",
+            "explain.replay"} <= names
     # a fallback run still traces the capture phase it got through
     tracer = Tracer()
     explain(_mgr_empty_netlist(), tracer=tracer)
@@ -397,6 +410,20 @@ def test_cli_explain_fft_stage_compiles(capsys):
     assert details["absorbed"] and details["trace_cycles"] == 78
     assert payload["diagnostics"] == []
     assert not any("data_ram" in scc for scc in details["sccs"])
+
+
+def test_explain_window_shorter_than_the_trace():
+    # a session traces at least 256 cycles, but the report keeps to the
+    # asked window: 8 cycles, and the zero mask at cycle 77 is outside
+    from repro.kernels import build_fft_stage_config
+    mgr = _load(build_fft_stage_config(0, [0] * 64))
+    short = explain(mgr, cycles=8).details
+    assert (short["trace_cycles"], short["absorbed"]) == (8, False)
+    full = explain(mgr).details
+    assert (full["trace_cycles"], full["absorbed"]) == (78, True)
+    edge = explain(mgr, cycles=78).details
+    assert (edge["trace_cycles"], edge["absorbed"]) == (78, True)
+    assert explain(mgr, cycles=77).details["absorbed"] is False
 
 
 def test_cli_explain_reports_fallback(capsys, monkeypatch):

@@ -370,8 +370,7 @@ def _absorbed_session(cfg) -> TraceSession:
     mgr = ConfigurationManager()
     mgr.load(cfg)
     graph = capture(mgr)
-    trace, epochs, _, _ = compile_graph(graph)
-    s = TraceSession(graph, trace, mgr.version, epochs=epochs)
+    s = TraceSession(graph, compile_graph(graph).netlist, mgr.version)
     s.ensure(100_000)
     assert s.z is not None, "trace never went quiet"
     return s

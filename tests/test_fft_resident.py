@@ -233,3 +233,30 @@ def test_one_kernel_over_many_inputs_matches_the_rebuild(scheduler,
         lookups = registry.counter("fastpath.cache.hit").value \
             + registry.counter("fastpath.cache.miss").value
         assert lookups == (1 if on_fastpath else 0)
+
+
+def test_every_stage_session_shares_one_netlist(monkeypatch):
+    # each stage opens a session; all of them read the one compiled
+    # netlist the cache holds for the stage shape: its kernels, its
+    # schedule memo and its data plan
+    from repro.fastpath import cache, capture
+    from repro.fastpath.runtime import TraceSession
+    sessions = []
+    init = TraceSession.__init__
+
+    def recorded(self, *args):
+        init(self, *args)
+        sessions.append(self)
+
+    monkeypatch.setattr(TraceSession, "__init__", recorded)
+    monkeypatch.setenv(SCHEDULER_ENV, "fastpath")
+    kernel = Fft64Kernel()
+    for re, im in _inputs(2):
+        kernel.run(re, im)
+    assert len(sessions) == 6
+    netlist = cache.compile_graph(capture(kernel._sim.manager)).netlist
+    assert all(s.netlist is netlist for s in sessions)
+    assert all(s.memo is netlist.memo and s.trace is netlist.trace
+               for s in sessions)
+    assert len(netlist.memo) == 1           # one stage schedule
+    assert len(netlist.plan.states) == 1    # one data-plan state

@@ -169,6 +169,23 @@ class TestCli:
         assert main(["compile", "descrambler", "--nml"]) == 0
         assert "descramble_mul" in capsys.readouterr().out
 
+    def test_each_graph_compiles_once(self, monkeypatch, capsys):
+        # report, --nml and --check-golden all read the one compile
+        import repro.pnr.compile as pnr_compile
+        calls = []
+        lint = pnr_compile.lint
+
+        def counted(*args):
+            calls.append(args)
+            return lint(*args)
+
+        monkeypatch.setattr(pnr_compile, "lint", counted)
+        golden = str(Path(__file__).parent / "golden")
+        assert main(["compile", "despreader", "--nml",
+                     "--check-golden", golden]) == 0
+        assert len(calls) == 1
+        assert "despreader compiles" in capsys.readouterr().out
+
     def test_unknown_kernel_name_is_an_error(self):
         with pytest.raises(SystemExit):
             main(["compile", "no-such-kernel"])

@@ -297,19 +297,6 @@ def test_simulator_metrics_fifo_depths_and_rates():
     assert reg.snapshots[0]["cycle"] <= stats.cycles
 
 
-def test_explicit_tracer_injection_beats_global():
-    own = telemetry.Tracer()
-    cfg = _scale_config()
-    mgr = ConfigurationManager()
-    mgr.load(cfg)
-    cfg.sources["x"].set_data([1, 2, 3, 4])
-    sim = Simulator(mgr, tracer=own)
-    with tracing() as global_tr:
-        sim.run(1000)
-    assert own.spans("sim.run")
-    assert not global_tr.spans("sim.run")
-
-
 # -- overhead (tentpole acceptance) --------------------------------------------
 
 
