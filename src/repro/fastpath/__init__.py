@@ -31,20 +31,13 @@ from repro.fastpath.cache import (
     graph_fingerprint,
     warmup,
 )
-from repro.fastpath.capture import capture, capture_sets, check_runtime_state
+from repro.fastpath.capture import capture, check_runtime_state
 from repro.fastpath.explain import explain
 from repro.fastpath.ir import (
     Edge,
     Graph,
     Node,
     UnsupportedGraphError,
-)
-from repro.fastpath.lower import (
-    compile_epoch,
-    compile_trace,
-    emit_epoch,
-    emit_trace,
-    value_streams,
 )
 from repro.fastpath.runtime import (
     FastpathFallbackWarning,
@@ -63,18 +56,12 @@ __all__ = [
     "TraceSession",
     "UnsupportedGraphError",
     "capture",
-    "capture_sets",
     "check_runtime_state",
     "clear_memory_cache",
-    "compile_epoch",
     "compile_graph",
-    "compile_trace",
-    "emit_epoch",
-    "emit_trace",
     "explain",
     "graph_fingerprint",
     "reset_fallback_warnings",
-    "value_streams",
     "warmup",
 ]
 

@@ -1,11 +1,11 @@
 """Content-addressed compile cache for generated fastpath kernels.
 
-Compiling a captured graph costs two codegen passes (the count-level
-trace kernel plus one epoch kernel per feedback component) and a
-CPython ``compile()`` each — pure overhead when the same netlist shape
-is compiled again: every campaign shard compiles the identical config,
-and every Fig. 10 version bump recompiles a config that was resident
-minutes ago.  This module makes recompilation a lookup:
+Compiling a captured graph costs three codegen passes (the count-level
+trace kernel, the value pass and one epoch kernel per feedback
+component) and a CPython ``compile()`` each — pure overhead when the
+same netlist shape is compiled again: every campaign shard compiles the
+identical config, and every Fig. 10 version bump recompiles a config
+that was resident minutes ago.  This module makes recompilation a lookup:
 
 * **Fingerprint** — :func:`graph_fingerprint` hashes the *structural*
   descriptor of the graph: per-node kind + port bindings + exactly the
@@ -16,12 +16,13 @@ minutes ago.  This module makes recompilation a lookup:
   call time, so two configs that differ only in data share one kernel.
 
 * **In-process LRU** — fingerprint -> :class:`Netlist`, everything
-  derived from one netlist shape: the trace and epoch kernels, the
-  count-state layout, the select and stamp edges, the schedule memo
-  (the firing schedules traced on this shape, keyed by the count state
-  a trace started from) and the :class:`DataPlan` (the value streams
-  no data can change).  A hit hands back the very same object, so
-  every session of the shape shares its kernels, memo and plan.
+  derived from one netlist shape: the trace, value-pass and epoch
+  kernels with their sources, the count-state layout, the select and
+  stamp edges, the schedule memo (the firing schedules traced on this
+  shape, keyed by the count state a trace started from) and the
+  :class:`DataPlan` (the value streams no data can change).  A hit
+  hands back the very same object, so every session of the shape
+  shares its kernels, memo and plan.
 
 This is the only layer: nothing is written to disk, so each process
 compiles a netlist shape once, on its first lookup.
@@ -45,10 +46,11 @@ from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
     PlanView,
-    _node_streams,
-    _store,
-    compile_epoch,
-    compile_trace,
+    budget,
+    compile_kernel,
+    emit_epoch,
+    emit_trace,
+    emit_values,
     select_split,
     state_spec,
 )
@@ -68,6 +70,10 @@ _lru = OrderedDict()        # fingerprint -> Netlist
 #: per-kind object parameters that the code generators bake into the
 #: emitted source as literals (everything else rides in at call time)
 _PARAMS = {
+    "source": ("bits",),
+    "const": ("bits",),
+    "seq": ("bits",),
+    "counter": ("bits",),
     "binary": ("OPCODE", "const", "shift", "bits"),
     "unary": ("OPCODE", "bits"),
     "shiftalu": ("amount", "bits"),
@@ -115,27 +121,66 @@ def graph_fingerprint(graph: Graph) -> str:
 # -- front door --------------------------------------------------------------
 
 
+def emit_sources(graph: Graph) -> dict:
+    """The generated sources of one netlist shape, by kernel: ``trace``,
+    ``values`` and ``epoch<s>`` per feedback component."""
+    sources = {"trace": emit_trace(graph),
+               "values": emit_values(graph, plan_nodes(graph))}
+    for s in range(len(graph.sccs)):
+        sources[f"epoch{s}"] = emit_epoch(graph, s)
+    return sources
+
+
 class Netlist:
     """One compiled netlist shape: what every session of it shares.
 
-    ``trace`` is the count-level trace kernel, ``epochs`` the epoch
-    kernels indexed like ``graph.sccs``; ``spec`` is the count-state
-    layout, ``selects`` and ``stamps`` the select and RAM read-address
-    edges (all functions of the structure alone).  ``memo`` maps the
-    count state a session opened on to the :class:`~repro.fastpath.
-    runtime.Schedule` traced from it; ``plan`` is the :class:`DataPlan`.
-    Building one compiles both kernels without touching the LRU.
+    ``sources`` holds the emitted kernels (:func:`emit_sources`); built
+    from them, ``trace`` is the count-level trace kernel, ``values`` and
+    ``late`` the value pass and its late sweep, ``epochs`` the epoch
+    kernels indexed like ``graph.sccs``.  ``spec`` is the count-state
+    layout with ``state0``, its template (see :meth:`initial_state`),
+    ``selects`` and ``stamps`` the select and RAM read-address edges
+    (all functions of the structure alone).  ``memo`` maps the count
+    state a session opened on to the :class:`~repro.fastpath.runtime.
+    Schedule` traced from it; ``plan`` is the :class:`DataPlan`.
+    Building one compiles every kernel without touching the LRU.
     """
 
-    def __init__(self, graph: Graph):
-        self.trace = compile_trace(graph)
-        self.epochs = tuple(compile_epoch(graph, s)
+    def __init__(self, graph: Graph, sources: dict = None):
+        self.sources = emit_sources(graph) if sources is None else sources
+        self.trace, = compile_kernel(self.sources["trace"], "_trace")
+        fill, self.values, self.late = compile_kernel(
+            self.sources["values"], "_plan", "_values", "_late")
+        self.epochs = tuple(compile_kernel(self.sources[f"epoch{s}"],
+                                           "_epoch")[0]
                             for s in range(len(graph.sccs)))
         self.spec = state_spec(graph)
+        self.state0 = [0] * len(self.spec)
+        self._live = {t: [] for t in ("o", "g", "an", "pre", "fl")}
+        for k, (tag, x) in enumerate(self.spec):
+            if tag in self._live:
+                self._live[tag].append((k, x))
         self.selects = graph.select_edges()
         self.stamps = graph.stamp_edges()
         self.memo = OrderedDict()
-        self.plan = DataPlan(graph)
+        self.plan = DataPlan(graph, fill)
+
+    def initial_state(self, graph: Graph) -> tuple:
+        """Count-state tuple at session open, read from the live netlist:
+        the template's zeros with its live entries filled in."""
+        st = list(self.state0)
+        live, edges, nodes = self._live, graph.edges, graph.nodes
+        for k, j in live["o"]:
+            st[k] = len(edges[j].wire._q)
+        for k, i in live["g"]:
+            st[k] = budget(nodes[i].kind, nodes[i].obj)
+        for k, i in live["an"]:
+            st[k] = nodes[i].obj._n
+        for k, i in live["pre"]:
+            st[k] = len(nodes[i].obj._preload)
+        for k, i in live["fl"]:
+            st[k] = len(nodes[i].obj._q)
+        return tuple(st)
 
 
 class Compiled(NamedTuple):
@@ -238,6 +283,19 @@ _PLAN_REGS = {
 }
 
 
+def plan_nodes(graph: Graph) -> list:
+    """Nodes of a netlist's data plan, in schedule order: every node of
+    a ``_PLAN_REGS`` kind whose every input is held too."""
+    nodes, edges = graph.nodes, graph.edges
+    held = []
+    for tag, i in graph.schedule:
+        n = nodes[i] if tag == "node" else None
+        if n is not None and n.kind in _PLAN_REGS and all(
+                j is None or edges[j].src in held for j in n.in_edges):
+            held.append(i)
+    return held
+
+
 class DataPlan:
     """The data-independent part of one netlist's value pass.
 
@@ -249,31 +307,26 @@ class DataPlan:
     pass takes these streams from here, with the :func:`~repro.fastpath.
     lower.select_split` tables of every select they drive (the DEMUX
     masks and MERGE/GATE gather indices), instead of recomputing them.
+    ``fill`` is the generated ``_plan`` function that computes them.
 
     The key is every held node's ``_PLAN_REGS`` tuple plus the queued
-    tokens of every held edge: exactly what ``_node_streams`` and
-    ``_store`` read for them.  The session-open count state is not
-    enough, because it records a counter's remaining budget, not its
-    phase.  One state keeps the streams of the longest window asked
-    for; a shorter window reads a prefix (the value pass is
-    prefix-consistent in its window).  Cached arrays are read-only, and
-    the select token lists handed to the trace kernel are tuples.
+    tokens of every held edge: exactly what ``fill`` reads.  The
+    session-open count state is not enough, because it records a
+    counter's remaining budget, not its phase.  One state keeps the
+    streams of the longest window asked for; a shorter window reads a
+    prefix (the value pass is prefix-consistent in its window).  Cached
+    arrays are read-only, and the select token lists handed to the trace
+    kernel are tuples.
     """
 
-    def __init__(self, graph: Graph):
-        nodes, edges = graph.nodes, graph.edges
-        held = []
-        for tag, i in graph.schedule:
-            n = nodes[i] if tag == "node" else None
-            if n is not None and n.kind in _PLAN_REGS and all(
-                    j is None or edges[j].src in held for j in n.in_edges):
-                held.append(i)
-        self.nodes = tuple(held)
-        self.units = frozenset(("node", i) for i in held)
-        self.edges = [j for i in held for j in nodes[i].out_edges()]
+    def __init__(self, graph: Graph, fill):
+        nodes = graph.nodes
+        self.fill = fill
+        self.nodes = tuple(plan_nodes(graph))
+        self.edges = [j for i in self.nodes for j in nodes[i].out_edges()]
         kept = set(self.edges)
         self.selects = [j for j in graph.select_edges() if j in kept]
-        self._regs = [(i, _PLAN_REGS[nodes[i].kind]) for i in held]
+        self._regs = [(i, _PLAN_REGS[nodes[i].kind]) for i in self.nodes]
         self.states = OrderedDict()     # key -> (limit, streams, heads,
                                         #         splits, lists)
 
@@ -287,7 +340,7 @@ class DataPlan:
         :class:`~repro.fastpath.lower.PlanView` (empty when the netlist
         has no data-independent node)."""
         if not self.nodes:
-            return PlanView(self.units, [None] * len(graph.edges), {}, {})
+            return PlanView([None] * len(graph.edges), {}, {})
         key = self.key(graph)
         state = self.states.get(key)
         if state is None or state[0] < limit:
@@ -299,15 +352,11 @@ class DataPlan:
             for j, q in heads:
                 v = streams[j]
                 streams[j] = v[:q + min(limit, len(v) - q)]
-        return PlanView(self.units, streams, splits, lists)
+        return PlanView(streams, splits, lists)
 
     def _build(self, graph: Graph, limit: int) -> tuple:
-        vals = [None] * len(graph.edges)
-        for i in self.nodes:
-            node = graph.nodes[i]
-            ins = [vals[j] if j is not None else None
-                   for j in node.in_edges]
-            _store(graph, node, _node_streams(node, ins, limit), vals, limit)
+        vals = self.fill([n.obj for n in graph.nodes],
+                         [e.wire for e in graph.edges], limit)
         for j in self.edges:
             vals[j].flags.writeable = False
         splits = {}

@@ -42,15 +42,15 @@ from collections import Counter
 from typing import Optional
 
 from repro import diagnostics
-from repro.fastpath.cache import Netlist, graph_fingerprint, probe
+from repro.fastpath.cache import (
+    Netlist,
+    emit_sources,
+    graph_fingerprint,
+    probe,
+)
 from repro.fastpath.capture import capture, check_runtime_state
 from repro.fastpath.ir import GENERATORS, UnsupportedGraphError, classify
-from repro.fastpath.lower import (
-    FIRES_CHECK,
-    STATE_CHECK,
-    emit_epoch,
-    emit_trace,
-)
+from repro.fastpath.lower import FIRES_CHECK, STATE_CHECK
 from repro.fastpath.runtime import TraceSession
 from repro.telemetry.tracer import Tracer
 
@@ -108,14 +108,13 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
 
     with tr.span("explain.emit", cat="fastpath"):
         t0 = time.perf_counter()
-        srcs = [emit_trace(graph)] + [emit_epoch(graph, s)
-                                      for s in range(len(graph.sccs))]
-        report.details["kernel_lines"] = sum(src.count("\n") + 1
-                                             for src in srcs)
+        sources = emit_sources(graph)
+        report.details["kernel_lines"] = sum(
+            src.count("\n") + 1 for src in sources.values())
         report.timings_s["emit"] = time.perf_counter() - t0
     with tr.span("explain.compile", cat="fastpath"):
         t0 = time.perf_counter()
-        netlist = Netlist(graph)
+        netlist = Netlist(graph, sources)
         report.timings_s["compile"] = time.perf_counter() - t0
 
     with tr.span("explain.replay", cat="fastpath"):

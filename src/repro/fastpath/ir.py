@@ -32,7 +32,7 @@ write edges do not order the value pass), and the RAM plus everything
 downstream of its read data form the graph's *late* set: their values
 are computed after the count-level trace has stamped every read with
 the number of writes committed before it (see
-:func:`repro.fastpath.lower.late_streams`).  That split needs the
+``TraceSession._grow_late``).  That split needs the
 trace itself to be independent of RAM contents, so read data reaching
 a DEMUX/MERGE/GATE select, or looping back to a RAM read address, is
 rejected (:data:`~repro.diagnostics.REASON_RAM_CONTROL`).

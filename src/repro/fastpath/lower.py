@@ -1,15 +1,14 @@
-"""Lowering: value streams and the generated count-level trace kernel.
+"""Lowering: the generated value pass, epoch kernels and trace kernel.
 
-Two cooperating lowerings turn a captured :class:`~repro.fastpath.ir.Graph`
-into something that executes whole runs per call:
+Three cooperating lowerings turn a captured :class:`~repro.fastpath.ir.
+Graph` into code that executes whole runs per call:
 
 * **Value pass** — under the two-phase handshake protocol the *sequence*
   of tokens crossing each edge is timing-independent (the netlists are
   Kahn process networks), so per-edge token values can be computed ahead
-  of time as batched numpy int64 array ops in one topological sweep:
-  each node maps its input streams to output-port streams with the same
-  wrap/shift/pack arithmetic as its ``compute``, vectorized via
-  :mod:`repro.fixed`.
+  of time.  :func:`emit_values` generates one straight-line NumPy
+  function per netlist that does so in one topological sweep, with the
+  same wrap/shift/pack arithmetic as each node's ``compute``.
 
 * **Count pass** — *when* tokens move still depends on backpressure, so
   firing schedules are produced by a generated straight-line Python
@@ -20,6 +19,19 @@ into something that executes whole runs per call:
   keep replay and state write-back O(1)-ish.  A zero mask is absorbing
   (no state changed, so no plan can change) and ends the trace.
 
+* **Epoch kernels** — the count pass is cycle-safe (every plan boolean
+  is computed before any commit and each edge has exactly one consumer,
+  so node order is irrelevant), but the value pass needs producers
+  before consumers.  Each strongly-connected component is therefore
+  lowered by a generated time-stepped scalar fixpoint loop
+  (:func:`emit_epoch`) over just the component's nodes, which consumes
+  the surrounding streams as plain lists and grows every edge the
+  component produces until the cycle-carried state stops advancing or
+  the window ``limit`` is reached.  Values stay exact (Python ints with
+  the same folds, applied per token), deterministic and
+  prefix-consistent, so ``TraceSession._grow_values`` regrowth works
+  unchanged.
+
 Data-dependent routing (DEMUX/MERGE/GATE) is the one place values feed
 back into scheduling; those select streams are handed to the trace
 kernel as plain Python lists indexed by the select edge's pop counter.
@@ -28,30 +40,13 @@ RAM-PAEs run the other way round: timing never depends on memory
 contents, but a read's value depends on which writes committed before
 it.  The trace kernel stamps every read with the number of writes
 committed in earlier cycles (appended to a list handed in where the
-read-address edge's select slot would be), and :func:`late_streams`
-computes the RAM's read values — and everything downstream of them —
-after the trace: read ``k`` returns the session's memory image with
-the first ``stamps[k]`` writes applied.
+read-address edge's select slot would be), and the value pass's late
+sweep computes the RAM's read values — and everything downstream of
+them — after the trace: read ``k`` returns the
+session's memory image with the first ``stamps[k]`` writes applied.
 
-Feedback cycles get a third piece.  The count pass is already
-cycle-safe (every plan boolean is computed before any commit and each
-edge has exactly one consumer, so node order is irrelevant), but the
-vectorized value pass needs producers before consumers.  Each
-strongly-connected component is therefore lowered by a generated
-**epoch kernel** (:func:`emit_epoch`): a time-stepped scalar fixpoint
-loop over just the component's nodes that consumes the surrounding
-acyclic regions' numpy streams as plain lists and grows every edge the
-component produces until the cycle-carried state stops advancing or
-the window ``limit`` is reached.  Values stay exact (python ints with
-the same wrap/saturate folds, applied per token), deterministic and
-prefix-consistent, so :meth:`TraceSession._grow_values` regrowth and
-the existing replay/materialize machinery work unchanged.
-
-Everything here that depends on the structure alone — the trace and
-epoch kernels, the :func:`state_spec` layout — is built once per
-netlist shape into a :class:`repro.fastpath.cache.Netlist`; a value
-pass always runs with its compiled epoch kernels and a
-:class:`PlanView` of its data plan.
+Everything here depends on the structure alone and is built once per
+netlist shape into a :class:`repro.fastpath.cache.Netlist`.
 """
 
 from __future__ import annotations
@@ -60,7 +55,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.fastpath.ir import GENERATORS, SELECTS, Graph
+from repro.fastpath.ir import GENERATORS, Graph
+from repro.fixed import wrap
 
 #: stand-in for an unbounded generator budget (avoids None checks in
 #: the generated kernel's hot loop)
@@ -71,8 +67,46 @@ FIRES_CHECK = 256
 STATE_CHECK = 2048
 
 # ---------------------------------------------------------------------------
-# value pass
+# value pass: one generated NumPy function per netlist
 # ---------------------------------------------------------------------------
+#
+# :func:`emit_values` lowers every acyclic node to a few lines of
+# whole-stream int64 arithmetic, in schedule order, with its opcode,
+# shifts, widths and masks baked in as literals.  Three functions come
+# out per netlist: ``_plan`` computes the data plan's streams, ``_values``
+# every other stream the trace reads, and ``_late`` one sweep over the
+# RAM reads and the nodes they feed.  Live state (stream data, FIFO and
+# RAM contents, registers, queued tokens) is read at call time, so one
+# compiled pass serves every session of the shape.
+#
+# A packed complex stream travels between complex ALUs, and through the
+# DEMUX/MERGE/GATE/MUX/SWAP between them, as two lane arrays folded to
+# the half width; it is packed only where a consumer reads words.  That
+# is exact: ``unpack(pack(re, im)) == (wrap(re), wrap(im))``.  A fold is
+# dropped only where the structure proves it idle, never from data:
+#
+# * a lane passed through unchanged, a right shift of a folded lane, and
+#   a sum or difference of two folded lanes shifted right by at least one
+#   (the sum of two ``hb``-bit words has ``hb + 1`` bits) are folded;
+# * a word of at most ``w`` bits needs no fold to ``w`` or wider, and its
+#   high lane ``word >> hb`` none when ``w <= 2 * hb``.  Every kind folds
+#   the words it emits to its ``bits`` (an UNPACK to its half width, a
+#   routing node passes its inputs' tokens), except the packed complex
+#   words, which are masked to ``2 * hb`` bits and so unsigned.
+
+#: the complex ALUs: one firing maps operand lanes to result lanes
+_CALU = frozenset({"cadd", "csub", "cmul", "cconj", "cneg", "cmulj",
+                   "cshift"})
+
+#: kinds whose output is a packed complex stream
+LANE_KINDS = _CALU | {"pack", "cacc", "cinteg"}
+
+#: kinds that read their input as complex lanes
+_LANE_IN = (LANE_KINDS - {"pack"}) | {"unpack"}
+
+#: routing kinds -> their data input ports (tokens pass unchanged)
+_ROUTES = {"demux": (1,), "gate": (1,), "merge": (1, 2), "mux": (1, 2),
+           "swap": (1, 2), "probe": (0,)}
 
 
 def _wrap(v, bits):
@@ -80,11 +114,6 @@ def _wrap(v, bits):
     xor flips the sign bit, so subtracting it sign-extends)."""
     sign = np.int64(1 << (bits - 1))
     return ((v & np.int64((1 << bits) - 1)) ^ sign) - sign
-
-
-def _vshift(x, amount):
-    """Constant arithmetic shift, positive = left (matches alu._shift)."""
-    return x << amount if amount >= 0 else x >> (-amount)
 
 
 def _vunpack(w, hb):
@@ -104,49 +133,38 @@ def _arr(seq):
     return np.array(list(seq), dtype=np.int64) if len(seq) else _E.copy()
 
 
-_BINFN = {
-    "ADD": lambda a, b: a + b,
-    "SUB": lambda a, b: a - b,
-    "MUL": lambda a, b: a * b,
-    "MIN": np.minimum,
-    "MAX": np.maximum,
-    "AND": lambda a, b: a & b,
-    "OR": lambda a, b: a | b,
-    "XOR": lambda a, b: a ^ b,
-    "SHL": lambda a, b: a << b,
-    "SHR": lambda a, b: a >> b,
-    "CMPEQ": lambda a, b: (a == b).astype(np.int64),
-    "CMPNE": lambda a, b: (a != b).astype(np.int64),
-    "CMPLT": lambda a, b: (a < b).astype(np.int64),
-    "CMPLE": lambda a, b: (a <= b).astype(np.int64),
-    "CMPGT": lambda a, b: (a > b).astype(np.int64),
-    "CMPGE": lambda a, b: (a >= b).astype(np.int64),
-}
-
-
-def node_budget(node) -> int:
-    """Remaining firings a generator can make, from its live state."""
-    o = node.obj
-    k = node.kind
-    if k == "source":
+def budget(kind: str, o) -> int:
+    """Remaining firings a generator of ``kind`` can make, from its
+    live state."""
+    if kind == "source":
         return len(o._data) - o._pos
-    if k == "const":
+    if kind == "const":
         return INF if o.count is None else max(o.count - o._emitted, 0)
-    if k == "seq":
+    if kind == "seq":
         return INF if o.circular else max(len(o.values) - o._pos, 0)
-    if k == "counter":
+    if kind == "counter":
         if o._stopped:
             return 0
-        budget = INF if o.count is None else max(o.count - o._emitted, 0)
+        left = INF if o.count is None else max(o.count - o._emitted, 0)
         if o.limit is not None and o.mode == "stop":
             rem = -(-(o.limit - o._value) // o.step)    # ceil division
-            budget = min(budget, max(rem, 0))
-        return budget
+            left = min(left, max(rem, 0))
+        return left
     return INF
 
 
-def _counter_streams(o, n):
-    """Value and wrap-event streams of a Counter from its live phase."""
+def _generate(kind: str, o, limit: int) -> list:
+    """Port streams of a counter, const or seq from its live phase."""
+    if kind == "seq":
+        vals = _arr(o.values)
+        if o.circular:
+            vals = vals[(o._pos + np.arange(limit)) % len(vals)]
+        else:
+            vals = vals[o._pos:o._pos + limit]
+        return [_wrap(vals, o.bits)]
+    n = min(limit, budget(kind, o))
+    if kind == "const":
+        return [np.full(n, wrap(o.value, o.bits), dtype=np.int64)]
     idx = np.arange(n, dtype=np.int64)
     if o.limit is not None and o.mode == "wrap":
         period = -(-(o.limit - o.start) // o.step)
@@ -159,32 +177,36 @@ def _counter_streams(o, n):
             wev = (vals + o.step >= o.limit).astype(np.int64)
         else:
             wev = np.zeros(n, dtype=np.int64)
-    return _wrap(vals, o.bits), wev
+    return [_wrap(vals, o.bits), wev]
 
 
 def select_split(sel) -> tuple:
     """``(i0, i1)``: positions of the false and the true tokens of a
     select stream.  A DEMUX, MERGE or GATE routes by these index
     tables alone, and the tables of a longer stream serve every prefix
-    of it (the lowerings below only read positions before their own
+    of it (the routing below only reads positions before its own
     firing count)."""
     true = sel != 0
     return np.flatnonzero(~true), np.flatnonzero(true)
 
 
-def _merge_stream(split, n, a, b):
-    """MERGE output over ``n`` select tokens split into ``(ia, ib)``:
-    scatter a/b into place, truncated at the first firing whose
-    selected branch has run dry."""
-    ia, ib = split
-    if len(a) < len(ia):
-        n = min(n, int(ia[len(a)]))
-    if len(b) < len(ib):
-        n = min(n, int(ib[len(b)]))
+def _merge_at(ia, ib, n: int, na: int, nb: int) -> tuple:
+    """``(n, xa, xb)`` of a MERGE over ``n`` select tokens split into
+    ``(ia, ib)``, fed ``na`` and ``nb`` tokens: its firings, cut at the
+    first whose selected branch has run dry, and where they place each
+    branch's tokens."""
+    if na < len(ia):
+        n = min(n, int(ia[na]))
+    if nb < len(ib):
+        n = min(n, int(ib[nb]))
     ka = int(np.searchsorted(ia, n))
+    return n, ia[:ka], ib[:n - ka]
+
+
+def _mix(n: int, xa, a, xb, b):
     out = np.empty(n, dtype=np.int64)
-    out[ia[:ka]] = a[:ka]
-    out[ib[:n - ka]] = b[:n - ka]
+    out[xa] = a[:len(xa)]
+    out[xb] = b[:len(xb)]
     return out
 
 
@@ -203,295 +225,435 @@ def _acc_sums(x, length, n0, s0):
     return np.array([first], dtype=np.int64)
 
 
-def _node_streams(node, ins, limit, split=None):
-    """Per-output-port value streams of one node (length-capped).
-    ``split`` is the :func:`select_split` of a DEMUX/MERGE/GATE select
-    stream when a data plan already holds it."""
-    o = node.obj
-    k = node.kind
-
-    if k == "source":
-        return [_arr(o._data[o._pos:o._pos + limit])]
-    if k == "const":
-        n = min(limit, node_budget(node))
-        from repro.fixed import wrap
-        return [np.full(n, wrap(o.value, o.bits), dtype=np.int64)]
-    if k == "seq":
-        vals = _arr(o.values)
-        if o.circular:
-            idx = (o._pos + np.arange(limit, dtype=np.int64)) % len(vals)
-            return [_wrap(vals[idx], o.bits)]
-        return [_wrap(vals[o._pos:o._pos + limit], o.bits)]
-    if k == "counter":
-        n = min(limit, node_budget(node))
-        vals, wev = _counter_streams(o, n)
-        return [vals, wev]
-    if k == "sink":
-        return []
-    if k == "probe":
-        return [ins[0]]
-    if k == "fifo":
-        snap = _arr(o._q)
-        if o.circular:
-            if not len(snap):
-                return [_E.copy()]
-            reps = -(-limit // len(snap))
-            return [np.tile(snap, reps)[:limit]]
-        if ins[0] is not None:
-            return [np.concatenate([snap, _wrap(ins[0], o.bits)])]
-        return [snap]
-
-    if k == "binary":
-        a = ins[0]
-        b = ins[1] if ins[1] is not None else o.const
-        if isinstance(b, np.ndarray):
-            n = min(len(a), len(b))
-            a, b = a[:n], b[:n]
-        r = _BINFN[o.OPCODE](a, b)
-        return [_wrap(_vshift(r, -o.shift), o.bits)]
-    if k == "unary":
-        a = ins[0]
-        r = {"NEG": lambda v: -v, "NOT": lambda v: ~v,
-             "ABS": np.abs, "PASS": lambda v: v}[o.OPCODE](a)
-        return [_wrap(r, o.bits)]
-    if k == "shiftalu":
-        return [_wrap(_vshift(ins[0], o.amount), o.bits)]
-    if k == "lut":
-        tbl = _wrap(_arr(o.table), o.bits)
-        return [tbl[ins[0] % len(o.table)]]
-
-    hb = getattr(o, "half_bits", 12)
-    if k in ("cadd", "csub"):
-        n = min(len(ins[0]), len(ins[1]))
-        ar, ai = _vunpack(ins[0][:n], hb)
-        br, bi = _vunpack(ins[1][:n], hb)
-        if k == "cadd":
-            re, im = ar + br, ai + bi
-        else:
-            re, im = ar - br, ai - bi
-        return [_vpack(_vshift(re, -o.shift), _vshift(im, -o.shift), hb)]
-    if k == "cmul":
-        n = min(len(ins[0]), len(ins[1]))
-        ar, ai = _vunpack(ins[0][:n], hb)
-        br, bi = _vunpack(ins[1][:n], hb)
-        if o.conj_b:
-            bi = -bi
-        re = ar * br - ai * bi
-        im = ar * bi + ai * br
-        if o.shift:
-            if o.round_shift:
-                half = 1 << (o.shift - 1)
-                re = (re + half) >> o.shift
-                im = (im + half) >> o.shift
-            else:
-                re >>= o.shift
-                im >>= o.shift
-        return [_vpack(re, im, hb)]
-    if k == "cconj":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(re, -im, hb)]
-    if k == "cneg":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(-re, -im, hb)]
-    if k == "cmulj":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(-im, re, hb) if o.sign > 0 else _vpack(im, -re, hb)]
-    if k == "cshift":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(_vshift(re, o.amount), _vshift(im, o.amount), hb)]
-    if k == "pack":
-        n = min(len(ins[0]), len(ins[1]))
-        return [_vpack(ins[0][:n], ins[1][:n], o.half_bits)]
-    if k == "unpack":
-        re, im = _vunpack(ins[0], o.half_bits)
-        return [re, im]
-
-    if k == "mux":
-        n = min(len(ins[0]), len(ins[1]), len(ins[2]))
-        return [np.where(ins[0][:n] != 0, ins[2][:n], ins[1][:n])]
-    if k == "swap":
-        n = min(len(ins[0]), len(ins[1]), len(ins[2]))
-        sel, a, b = ins[0][:n] != 0, ins[1][:n], ins[2][:n]
-        return [np.where(sel, b, a), np.where(sel, a, b)]
-    if k in ("demux", "merge", "gate"):
-        i0, i1 = split if split is not None else select_split(ins[0])
-        if k == "merge":
-            return [_merge_stream((i0, i1), len(ins[0]), ins[1], ins[2])]
-        a = ins[1]
-        n = min(len(ins[0]), len(a))
-        k1 = int(np.searchsorted(i1, n))    # true selects before n
-        if k == "gate":
-            return [a[i1[:k1]]]
-        return [a[i0[:n - k1]], a[i1[:k1]]]
-
-    if k == "acc":
-        sums = _acc_sums(ins[0], o.length, o._n, o._sum)
-        return [_wrap(_vshift(sums, -o.shift), o.bits)]
-    if k == "cacc":
-        re, im = _vunpack(ins[0], hb)
-        rs = _acc_sums(re, o.length, o._n, o._re)
-        is_ = _acc_sums(im, o.length, o._n, o._im)
-        return [_vpack(_vshift(rs, -o.shift), _vshift(is_, -o.shift), hb)]
-    if k == "integ":
-        return [_wrap(o._sum + np.cumsum(ins[0]), o.bits)]
-    if k == "cinteg":
-        re, im = _vunpack(ins[0], hb)
-        return [_vpack(o._re + np.cumsum(re), o._im + np.cumsum(im), hb)]
-    if k == "reg":
-        pre = _wrap(_arr(o._preload), o.bits)
-        return [np.concatenate([pre, _wrap(ins[0], o.bits)])]
-
-    raise AssertionError(f"no lowering for kind {k!r}")       # unreachable
+def _qw(q, p, limit: int):
+    """An edge's words: the tokens queued on its wire ``q``, then its
+    producer's port stream ``p`` cut to ``limit`` productions."""
+    p = p[:limit]
+    return np.concatenate((_arr(q), p)) if q else p
 
 
-def value_streams(graph: Graph, limit: int, epochs, epoch_rt,
-                  plan: "PlanView") -> list:
-    """Per-edge token-value streams: the wire's queued tokens followed
-    by every token its producer port will ever push, capped at ``limit``
-    productions.  Acyclic schedule units are one vectorized numpy sweep
-    over the live state; SCC ``s`` runs its generated epoch kernel
-    ``epochs[s]``.
-
-    ``epoch_rt`` is the caller's persistent per-SCC runtime dict (see
-    :func:`_run_epoch`): with it, regrowing to a larger ``limit`` only
-    runs the epoch kernels over the *new* window instead of replaying
-    from cycle zero — TraceSession passes its own so repeated
-    ``ensure`` growth stays O(total), matching the trace kernel's
-    incremental count state.
-
-    ``plan`` (a :class:`PlanView` of the netlist's data plan, see
-    :class:`repro.fastpath.cache.DataPlan`) supplies the streams of the
-    data-independent nodes and the index tables of the selects they
-    drive; those nodes are not recomputed.
-
-    Edges of the graph's late units (RAM read data and everything
-    downstream) stay None: their values wait for the trace's read
-    stamps, see :func:`late_streams`."""
-    edge_vals = list(plan.streams)
-    for unit in graph.schedule:
-        if not graph.is_late(unit) and unit not in plan.units:
-            _run_unit(graph, unit, edge_vals, limit, epochs, epoch_rt,
-                      plan.splits)
-    return edge_vals
+def _ql(q, re, im, hb: int, limit: int) -> tuple:
+    """An edge's lanes, as :func:`_qw`, and their half width."""
+    re, im = re[:limit], im[:limit]
+    if q:
+        qr, qi = _vunpack(_arr(q), hb)
+        re, im = np.concatenate((qr, re)), np.concatenate((qi, im))
+    return re, im, hb
 
 
-class PlanView(NamedTuple):
-    """A data plan's streams, cut to one value-pass window."""
-
-    units: frozenset    # ("node", i) units whose streams the plan holds
-    streams: list       # per edge: read-only stream, or None
-    splits: dict        # select edge -> read-only select_split tables
-    lists: dict         # select edge -> token list (trace side stream)
-
-
-def _store(graph: Graph, node, ports, edge_vals: list, limit: int) -> None:
-    """Per-edge streams of a node's output ports (queued tokens first;
-    an edge with an empty wire takes its port stream as is)."""
-    for k, js in enumerate(node.out_ports):
-        for j in js:
-            q = graph.edges[j].wire._q
-            port = ports[k][:limit]
-            edge_vals[j] = np.concatenate([_arr(q), port]) if q else port
+def _tile(q, limit: int):
+    """A circular FIFO's output: its contents, over and over."""
+    snap = _arr(q)
+    if not len(snap):
+        return snap
+    return np.tile(snap, -(-limit // len(snap)))[:limit]
 
 
-def _run_unit(graph: Graph, unit, edge_vals: list, limit: int, epochs,
-              epoch_rt, splits) -> None:
-    """Compute one schedule unit's output streams into ``edge_vals``
-    (``splits``: select edge -> cached :func:`select_split` tables)."""
-    tag, x = unit
-    if tag == "node":
-        node = graph.nodes[x]
-        ins = [edge_vals[j] if j is not None else None
-               for j in node.in_edges]
-        split = None
-        if node.kind in SELECTS:
-            split = splits.get(node.in_edges[0])
-        _store(graph, node, _node_streams(node, ins, limit, split),
-               edge_vals, limit)
-    else:
-        env = _run_epoch(graph, x, epochs[x], edge_vals, limit, epoch_rt)
-        for idx, (_, tag2, key) in enumerate(epoch_spec(graph, x)):
-            if tag2 == "seed":
-                edge_vals[key] = _arr(env[idx])
-
-
-def _ram_reads(graph: Graph, node, edge_vals: list, stamps: list) -> tuple:
+def _ram_read(o, raddr, stamps, waddr, wdata, waddr_exact, wdata_exact):
     """``(values, exact)`` of a RAM's traced reads.
 
     Read ``k`` returns the memory image at session open with the first
     ``stamps[k]`` writes applied, at address ``raddr[k] % words`` (a
     write in the read's own cycle is not among them: read-before-write).
-    Write streams still None, or produced by late nodes, may be missing
-    or provisional; ``exact`` is False when the result leaned on one.
+    Write streams still None (late, not swept yet) make the result
+    provisional, and so do late ones (``*_exact`` False): ``exact`` is
+    False when the result leaned on one.
     """
-    o = node.obj
-    ra, wa, wd = node.in_edges
     n = len(stamps)
-    addr = edge_vals[ra][:n] % o.words
+    addr = raddr[:n] % o.words
     vals = _arr(o.mem)[addr]
     w = stamps[-1] if n else 0          # stamps never decrease
     if not w:
         return vals, True
-    late = graph.late
-    wav = edge_vals[wa]
-    if wav is None:
+    if waddr is None:
         return vals, False
     # last write to each read's address before its stamp: sort writes
     # by (address, index) and search for (address, stamp)
-    key = (wav[:w] % o.words) * (w + 1) + np.arange(w, dtype=np.int64)
+    key = (waddr[:w] % o.words) * (w + 1) + np.arange(w, dtype=np.int64)
     order = np.argsort(key)
     key = key[order]
     pos = np.searchsorted(key, addr * (w + 1) + _arr(stamps)) - 1
     at = np.maximum(pos, 0)
     hit = (pos >= 0) & (key[at] // (w + 1) == addr)
-    waddr_exact = graph.edges[wa].src not in late
     if not hit.any():
         return vals, waddr_exact
-    wdv = edge_vals[wd]
-    if wdv is None:
+    if wdata is None:
         return vals, False
-    wvals = _wrap(wdv[:w][order], o.bits)
-    exact = waddr_exact and graph.edges[wd].src not in late
-    return np.where(hit, wvals[at], vals), exact
+    wvals = _wrap(wdata[:w][order], o.bits)
+    return np.where(hit, wvals[at], vals), waddr_exact and wdata_exact
 
 
-def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
-                 epochs, splits) -> None:
-    """Fill in the late units' streams of ``edge_vals`` in place, once
-    the trace kernel has appended every read's stamp to
-    ``sv[raddr edge]``.
+def _scc(graph: Graph, s: int, fn, vals: list, limit: int, rt) -> None:
+    """Grow SCC ``s``'s produced streams into ``vals`` with its epoch
+    kernel ``fn`` (``rt``: see :func:`_run_epoch`)."""
+    env = _run_epoch(graph, s, fn, vals, limit, rt)
+    for idx, (_, tag, key) in enumerate(epoch_spec(graph, s)):
+        if tag == "seed":
+            vals[key] = _arr(env[idx])
 
-    Only stamped (traced) reads produce values, so every late stream is
-    exact and prefix-consistent across regrowth.  When a read observes
-    a write whose address or data itself derives from RAM read data,
-    the sweep repeats until the read values stop changing: a write
-    only carries data read in earlier cycles, so each sweep settles at
-    least one more read and the fixpoint is the simulated one.  Late
-    SCCs replay from their session snapshot on every sweep.
-    ``epochs`` and ``splits`` (a data plan's select tables) are as in
-    :func:`value_streams`."""
-    units = [u for u in graph.schedule if graph.is_late(u)]
-    prev = None
-    for _ in range(2 + sum(len(sv[j]) for j in graph.stamp_edges())):
-        reads = []
-        exact = True
-        for unit in units:
-            tag, x = unit
-            node = graph.nodes[x] if tag == "node" else None
-            if node is None or node.kind != "ram":
-                _run_unit(graph, unit, edge_vals, limit, epochs, None,
-                          splits)
-            elif node.in_edges[0] is not None:
-                vals, ok = _ram_reads(graph, node, edge_vals,
-                                      sv[node.in_edges[0]])
-                reads.append(vals)
-                exact = exact and ok
-                _store(graph, node, [vals], edge_vals, limit)
-        if exact or prev is not None and all(
-                np.array_equal(a, b) for a, b in zip(prev, reads)):
+
+class PlanView(NamedTuple):
+    """A data plan's streams, cut to one value-pass window."""
+
+    streams: list       # per edge: read-only stream, or None
+    splits: dict        # select edge -> read-only select_split tables
+    lists: dict         # select edge -> token list (trace side stream)
+
+
+# -- the emitter ---------------------------------------------------------------
+
+
+def _fold(x: str, bits: int, width) -> str:
+    """``x`` folded to ``bits``, or ``x`` itself when it is a word of at
+    most ``width`` bits (None: unknown), which the fold leaves alone."""
+    return x if width is not None and width <= bits else _swrap(x, bits)
+
+
+def _binexpr(op: str, a: str, b: str, vector: bool) -> str:
+    if op.startswith("CMP"):
+        cmp = f"{a} {_BINSYM[op]} {b}"
+        return f"({cmp}).astype(_i64)" if vector else f"(1 if {cmp} else 0)"
+    if op in ("MIN", "MAX"):
+        fn = f"_np.{op.lower()}imum" if vector else op.lower()
+        return f"{fn}({a}, {b})"
+    return f"({a} {_BINSYM[op]} {b})"
+
+
+def _unexpr(op: str, a: str) -> str:
+    return {"NEG": f"(-{a})", "NOT": f"(~{a})", "ABS": f"abs({a})",
+            "PASS": a}[op]
+
+
+def _lane_exprs(n, a, b=None) -> list:
+    """``[(re, folded), (im, folded)]``: the result lanes of one complex
+    ALU over folded operand lanes ``a`` (and ``b``), as expressions over
+    their names, and whether each is already folded (see the rules at
+    the top of this section)."""
+    o, k = n.obj, n.kind
+    ar, ai = a
+    if k in ("cadd", "csub"):
+        (br, bi), op = b, "+" if k == "cadd" else "-"
+        return [(_sshift(f"({x} {op} {y})", -o.shift), o.shift >= 1)
+                for x, y in ((ar, br), (ai, bi))]
+    if k == "cmul":
+        br, bi = b
+        if o.conj_b:
+            out = [f"({ar} * {br} + {ai} * {bi})",
+                   f"({ai} * {br} - {ar} * {bi})"]
+        else:
+            out = [f"({ar} * {br} - {ai} * {bi})",
+                   f"({ar} * {bi} + {ai} * {br})"]
+        s = o.shift
+        half = 1 << (s - 1) if s and o.round_shift else 0
+        if half:
+            out = [f"(({x} + {half}) >> {s})" for x in out]
+        elif s:
+            out = [f"({x} >> {s})" for x in out]
+        return [(x, False) for x in out]
+    if k == "cconj":
+        return [(ar, True), (f"(-{ai})", False)]
+    if k == "cneg":
+        return [(f"(-{ar})", False), (f"(-{ai})", False)]
+    if k == "cmulj":
+        if o.sign > 0:
+            return [(f"(-{ai})", False), (ar, True)]
+        return [(ai, True), (f"(-{ar})", False)]
+    return [(_sshift(x, o.amount), o.amount <= 0) for x in (ar, ai)]
+
+
+def _forms(graph: Graph) -> tuple:
+    """``(lane, width, emits)`` of the value pass: per edge the half
+    width it carries lanes at (None: words) and the width its words are
+    folded to (None: not known), per node the half width of the lanes it
+    emits (None: words).  Feedback components run epoch kernels, which
+    read and write words."""
+    nodes, edges = graph.nodes, graph.edges
+    cyclic = {i for scc in graph.sccs for i in scc}
+    emits = [None] * len(nodes)
+    width = [None] * len(edges)
+    for i in graph.topo:
+        n = nodes[i]
+        o, k = n.obj, n.kind
+        data = [n.in_edges[p] for p in _ROUTES.get(k, ())]
+        if i not in cyclic and k in LANE_KINDS:
+            emits[i] = o.half_bits
+        elif i not in cyclic and data and k != "probe":
+            hbs = {emits[edges[j].src] for j in data}
+            emits[i] = hbs.pop() if len(hbs) == 1 else None
+        if k == "sink":
+            continue
+        if data:
+            ws = [width[j] for j in data]
+            ports = [None if None in ws else max(ws)] * len(n.out_ports)
+        elif k == "counter":
+            ports = [o.bits, 2]
+        elif k == "unpack":
+            ports = [o.half_bits] * 2
+        elif k in LANE_KINDS:
+            ports = [None]
+        else:
+            ports = [o.bits] * len(n.out_ports)
+        for js, port in zip(n.out_ports, ports):
+            for j in js:
+                width[j] = port
+    lane = [None] * len(edges)
+    for e in edges:
+        hb, d = emits[e.src], nodes[e.dst]
+        if hb is None or e.dst in cyclic:
+            continue
+        if d.kind in _LANE_IN and d.obj.half_bits == hb \
+                or e.dst_port in _ROUTES.get(d.kind, ()) \
+                and emits[e.dst] == hb:
+            lane[e.j] = hb
+    return lane, width, emits
+
+
+class _Pass:
+    """Emission state of one generated function: the graph's static
+    forms, and which streams are bound to locals so far."""
+
+    def __init__(self, graph: Graph, forms: tuple, held_selects: set):
+        self.graph = graph
+        self.lane, self.width, self.emits = forms
+        self.held_selects = held_selects
+        self.lines = []
+        self.bound = set()
+
+    def _bind(self, name: str, line: str) -> str:
+        if name not in self.bound:
+            self.bound.add(name)
+            self.lines.append(line)
+        return name
+
+    def word(self, j: int) -> str:
+        """Name of edge ``j``'s word stream."""
+        return self._bind(f"e{j}", f"e{j} = V[{j}]")
+
+    def lanes(self, j: int, hb: int) -> tuple:
+        """Names of edge ``j``'s lanes at half width ``hb``, folded."""
+        if self.lane[j] == hb:
+            self._bind(f"r{j}", f"r{j}, i{j}, _ = L[{j}]")
+            return f"r{j}", f"i{j}"
+        w, wd = self.word(j), self.width[j]
+        hi = _fold(f"({w} >> {hb})", hb, None if wd is None else wd - hb)
+        return (self._bind(f"u{j}", f"u{j} = {hi}"),
+                self._bind(f"v{j}", f"v{j} = {_fold(w, hb, wd)}"))
+
+    def put(self, n, k: int, out: tuple) -> None:
+        """Store output port ``k``'s stream, ``("w", words)`` or ``("l",
+        re, im, hb)``, on each of its edges: after the tokens already
+        queued on the wire, cut to ``limit`` productions, as lanes where
+        the consumer reads lanes and as words elsewhere."""
+        js = n.out_ports[k]
+        if len(js) > 1:         # fan-out: compute the port stream once
+            p = f"p{n.i}_{k}"
+            if out[0] == "w":
+                self.lines.append(f"{p} = {out[1]}")
+                out = ("w", p)
+            else:
+                self.lines.append(f"{p}r, {p}i = {out[1]}, {out[2]}")
+                out = ("l", f"{p}r", f"{p}i", out[3])
+        for j in js:
+            q = f"W[{j}]._q"
+            if out[0] == "w":
+                self.lines.append(f"e{j} = V[{j}] = _qw({q}, {out[1]}, limit)")
+                self.bound.add(f"e{j}")
+            elif self.lane[j] == out[3]:
+                self.lines.append(f"r{j}, i{j}, _ = L[{j}] = _ql({q}, "
+                                  f"{out[1]}, {out[2]}, {out[3]}, limit)")
+                self.bound.add(f"r{j}")
+            else:
+                w = _spack(out[1], out[2], out[3])
+                self.lines.append(f"e{j} = V[{j}] = _qw({q}, {w}, limit)")
+                self.bound.add(f"e{j}")
+
+
+def _vnode(P: _Pass, n) -> None:
+    """Lines computing node ``n``'s output streams."""
+    i, o, k, ins = n.i, n.obj, n.kind, n.in_edges
+    emit, width = P.lines.append, P.width
+    if k == "sink":
+        return
+    if k in ("const", "seq", "counter"):
+        emit(f"g = _generate({k!r}, O[{i}], limit)")
+        for kp in range(len(n.out_ports)):
+            P.put(n, kp, ("w", f"g[{kp}]"))
+    elif k == "source":
+        emit(f"o = O[{i}]")
+        P.put(n, 0, ("w", "_arr(o._data[o._pos:o._pos + limit])"))
+    elif k == "ram":
+        ra, wa, wd = ins
+        if ra is None:              # no read port: nothing ever comes out
+            P.put(n, 0, ("w", "_E"))
             return
-        prev = reads
-    raise AssertionError("RAM read values did not settle")  # unreachable
+        late = P.graph.late
+        if wa is None or wd is None:
+            writes = "None, None, True, True"
+        else:
+            ok = [P.graph.edges[j].src not in late for j in (wa, wd)]
+            writes = f"V[{wa}], V[{wd}], {ok[0]}, {ok[1]}"
+        emit(f"x, ok = _ram_read(O[{i}], V[{ra}], sv[{ra}], {writes})")
+        emit("exact = exact and ok")
+        emit("reads.append(x)")
+        P.put(n, 0, ("w", "x"))
+    elif k == "probe":
+        P.put(n, 0, ("w", P.word(ins[0])))
+    elif k == "fifo":
+        if o.circular:
+            src = f"_tile(O[{i}]._q, limit)"
+        elif ins[0] is None:
+            src = f"_arr(O[{i}]._q)"
+        else:
+            x = _fold(P.word(ins[0]), o.bits, width[ins[0]])
+            src = f"_np.concatenate((_arr(O[{i}]._q), {x}))"
+        P.put(n, 0, ("w", src))
+    elif k == "reg":
+        x = _fold(P.word(ins[0]), o.bits, width[ins[0]])
+        pre = _swrap(f"_arr(O[{i}]._preload)", o.bits)
+        P.put(n, 0, ("w", f"_np.concatenate(({pre}, {x}))"))
+    elif k == "lut":
+        tbl = _swrap(f"_arr(O[{i}].table)", o.bits)
+        P.put(n, 0, ("w", f"{tbl}[{P.word(ins[0])} % {len(o.table)}]"))
+    elif k in ("binary", "unary", "shiftalu"):
+        a = P.word(ins[0])
+        if k == "shiftalu":
+            r = _sshift(a, o.amount)
+        elif k == "unary":
+            r = _unexpr(o.OPCODE, a)
+        else:
+            if ins[1] is None:
+                b = f"({o.const})"
+            else:
+                b = P.word(ins[1])
+                emit(f"n = min(len({a}), len({b}))")
+                a, b = f"{a}[:n]", f"{b}[:n]"
+            r = _sshift(_binexpr(o.OPCODE, a, b, True), -o.shift)
+        P.put(n, 0, ("w", _swrap(r, o.bits)))
+    elif k == "pack":
+        re, im = P.word(ins[0]), P.word(ins[1])
+        emit(f"n = min(len({re}), len({im}))")
+        P.put(n, 0, ("l", _fold(f"{re}[:n]", o.half_bits, width[ins[0]]),
+                      _fold(f"{im}[:n]", o.half_bits, width[ins[1]]),
+                      o.half_bits))
+    elif k == "unpack":
+        re, im = P.lanes(ins[0], o.half_bits)
+        P.put(n, 0, ("w", re))
+        P.put(n, 1, ("w", im))
+    elif k in ("acc", "integ", "cacc", "cinteg"):
+        hb = o.half_bits if k[0] == "c" else None
+        xs = P.lanes(ins[0], hb) if hb else (P.word(ins[0]),)
+        regs = ("_re", "_im") if hb else ("_sum",)
+        emit(f"o = O[{i}]")
+        if k.endswith("acc"):
+            sums = [_sshift(f"_acc_sums({x}, {o.length}, o._n, o.{reg})",
+                            -o.shift) for x, reg in zip(xs, regs)]
+        else:
+            sums = [f"(o.{reg} + _np.cumsum({x}))" for x, reg in zip(xs, regs)]
+        P.put(n, 0, ("l", _swrap(sums[0], hb), _swrap(sums[1], hb), hb)
+              if hb else ("w", _swrap(sums[0], o.bits)))
+    elif k in _CALU:
+        hb = o.half_bits
+        a, b = P.lanes(ins[0], hb), None
+        if len(ins) == 2:
+            b = P.lanes(ins[1], hb)
+            emit(f"n = min(len({a[0]}), len({b[0]}))")
+            emit(f"a0, a1, b0, b1 = {a[0]}[:n], {a[1]}[:n], "
+                 f"{b[0]}[:n], {b[1]}[:n]")
+            a, b = ("a0", "a1"), ("b0", "b1")
+        (x, xf), (y, yf) = _lane_exprs(n, a, b)
+        P.put(n, 0, ("l", x if xf else _swrap(x, hb),
+                      y if yf else _swrap(y, hb), hb))
+    else:
+        _vroute(P, n)
+
+
+def _vroute(P: _Pass, n) -> None:
+    """Lines of a DEMUX, MERGE, GATE, MUX or SWAP: index tables of the
+    select stream, applied to the data words or to both lanes."""
+    ins, hb, emit = n.in_edges, P.emits[n.i], P.lines.append
+
+    def data(j):
+        return P.lanes(j, hb) if hb else (P.word(j),)
+
+    def out(xs):
+        return ("l", *xs, hb) if hb else ("w", xs[0])
+
+    s = P.word(ins[0])
+    if n.kind in ("mux", "swap"):
+        a, b = data(ins[1]), data(ins[2])
+        emit(f"n = min(len({s}), len({a[0]}), len({b[0]}))")
+        emit(f"m = {s}[:n] != 0")
+        P.put(n, 0, out([f"_np.where(m, {y}[:n], {x}[:n])"
+                         for x, y in zip(a, b)]))
+        if n.kind == "swap":
+            P.put(n, 1, out([f"_np.where(m, {x}[:n], {y}[:n])"
+                             for x, y in zip(a, b)]))
+        return
+    emit(f"x0, x1 = S[{ins[0]}]" if ins[0] in P.held_selects
+         else f"x0, x1 = _split({s})")
+    if n.kind == "merge":
+        a, b = data(ins[1]), data(ins[2])
+        emit(f"n, xa, xb = _merge_at(x0, x1, len({s}), len({a[0]}), "
+             f"len({b[0]}))")
+        P.put(n, 0, out([f"_mix(n, xa, {x}, xb, {y})"
+                         for x, y in zip(a, b)]))
+        return
+    a = data(ins[1])
+    emit(f"n = min(len({s}), len({a[0]}))")
+    emit("k1 = int(_np.searchsorted(x1, n))")     # true selects before n
+    emit("y1 = x1[:k1]")
+    if n.kind == "gate":
+        P.put(n, 0, out([f"{x}[y1]" for x in a]))
+        return
+    emit("y0 = x0[:n - k1]")
+    P.put(n, 0, out([f"{x}[y0]" for x in a]))
+    P.put(n, 1, out([f"{x}[y1]" for x in a]))
+
+
+def emit_values(graph: Graph, held) -> str:
+    """Source of the netlist's value pass: ``_plan(O, W, limit)`` over
+    the data plan's nodes ``held``; ``_values(O, W, V, L, S, limit,
+    graph, epochs, rt)`` over every other early unit; and ``_late(O, W,
+    V, L, S, sv, limit, graph, epochs)``, one sweep over the late units
+    returning ``(exact, reads)``.  ``O`` and ``W`` are the live objects
+    and wires, ``V`` and ``L`` the per-edge word and lane streams
+    (filled in place), ``S`` the plan's select tables."""
+    forms = _forms(graph)
+    held = set(held)
+    selects = {j for j in graph.select_edges() if graph.edges[j].src in held}
+    nodes = [u for u in graph.schedule if u[0] == "node" and u[1] in held]
+    early = [u for u in graph.schedule
+             if u not in nodes and not graph.is_late(u)]
+    late = [u for u in graph.schedule if graph.is_late(u)]
+    parts = [("_plan(O, W, limit)", nodes, [f"V = [None] * {len(graph.edges)}"],
+              "return V"),
+             ("_values(O, W, V, L, S, limit, graph, epochs, rt)", early, [],
+              "return"),
+             ("_late(O, W, V, L, S, sv, limit, graph, epochs)", late,
+              ["exact = True", "reads = []", "rt = None"],
+              "return exact, reads")]
+    out = []
+    for head, units, lines, ret in parts:
+        P = _Pass(graph, forms, selects)
+        for tag, x in units:
+            if tag == "scc":
+                P.lines.append(f"_scc(graph, {x}, epochs[{x}], V, limit, rt)")
+            else:
+                _vnode(P, graph.nodes[x])
+        body = lines + P.lines + [ret]
+        out.append(f"def {head}:\n" + "".join(f"    {ln}\n" for ln in body))
+    return "\n\n".join(out)
+
+
+def compile_kernel(src: str, *names: str) -> list:
+    """exec() a generated source; returns its functions ``names``."""
+    ns = {"_np": np, "_i64": np.int64, "_E": _E, "_arr": _arr,
+          "_generate": _generate, "_split": select_split,
+          "_merge_at": _merge_at, "_mix": _mix, "_acc_sums": _acc_sums,
+          "_qw": _qw, "_ql": _ql, "_tile": _tile,
+          "_ram_read": _ram_read, "_scc": _scc}
+    exec(compile(src, "<fastpath>", "exec"), ns)
+    return [ns[name] for name in names]
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +679,7 @@ def late_streams(graph: Graph, limit: int, edge_vals: list, sv: list,
 
 def scc_produced(graph: Graph, s: int) -> list:
     """Edge indices produced inside SCC ``s`` (sorted; kernel output
-    order and the order ``value_streams`` assigns results back)."""
+    order and the order ``_scc`` assigns results back)."""
     return sorted({j for i in graph.sccs[s]
                    for j in graph.nodes[i].out_edges()})
 
@@ -558,7 +720,7 @@ def _run_epoch(graph: Graph, s: int, fn, edge_vals: list, limit: int,
     lists are extended with just the newly grown suffix (prefix-
     consistency of the value pass makes that sound) and the kernel
     resumes where it stopped.  Without ``rt`` each call replays from
-    cycle zero (what :func:`late_streams` does on every sweep)."""
+    cycle zero (what each late sweep does)."""
     spec = epoch_spec(graph, s)
     rec = rt.get(s) if rt is not None else None
     if rec is None:
@@ -580,9 +742,7 @@ def _run_epoch(graph: Graph, s: int, fn, edge_vals: list, limit: int,
 
 def epoch_env(graph: Graph, s: int, edge_vals: list) -> list:
     """Build the env tuple for one epoch-kernel call from the live
-    state (mirrors what ``_node_streams`` reads for acyclic nodes)."""
-    from repro.fixed import wrap
-
+    state (what the value pass reads for acyclic nodes)."""
     env = []
     for _, tag, key in epoch_spec(graph, s):
         if tag == "ext":
@@ -632,8 +792,9 @@ def _spack(re: str, im: str, hb: int) -> str:
 
 
 _BINSYM = {"ADD": "+", "SUB": "-", "MUL": "*", "AND": "&", "OR": "|",
-           "XOR": "^", "CMPEQ": "==", "CMPNE": "!=", "CMPLT": "<",
-           "CMPLE": "<=", "CMPGT": ">", "CMPGE": ">="}
+           "XOR": "^", "SHL": "<<", "SHR": ">>", "CMPEQ": "==",
+           "CMPNE": "!=", "CMPLT": "<", "CMPLE": "<=", "CMPGT": ">",
+           "CMPGE": ">="}
 
 
 def _epoch_emits(n, exprs) -> list:
@@ -703,30 +864,14 @@ def _epoch_inner(n, graph) -> list:
                          f"igi{i} += {fim('w0')}"]
                 + _epoch_emits(n, [_spack(f"igr{i}", f"igi{i}", hb)]))
 
-    if k == "cmul":
-        bi = fim("w1")
-        if o.conj_b:
-            bi = f"-{bi}"
-        body = fetch + [f"ar = {fre('w0')}", f"ai = {fim('w0')}",
-                        f"br = {fre('w1')}", f"bi = {bi}",
-                        "x = ar * br - ai * bi", "y = ar * bi + ai * br"]
-        if o.shift:
-            if o.round_shift:
-                half = 1 << (o.shift - 1)
-                body += [f"x = (x + {half}) >> {o.shift}",
-                         f"y = (y + {half}) >> {o.shift}"]
-            else:
-                body += [f"x >>= {o.shift}", f"y >>= {o.shift}"]
-        return body + _epoch_emits(n, [_spack("x", "y", hb)])
-
-    if k in ("cadd", "csub"):
-        op = "+" if k == "cadd" else "-"
-        xe = _sshift("({} {} {})".format(fre("w0"), op, fre("w1")),
-                     -o.shift)
-        ye = _sshift("({} {} {})".format(fim("w0"), op, fim("w1")),
-                     -o.shift)
-        return (fetch + [f"x = {xe}", f"y = {ye}"]
-                + _epoch_emits(n, [_spack("x", "y", hb)]))
+    if k in _CALU:
+        a, b = (fre("w0"), fim("w0")), (fre("w1"), fim("w1"))
+        if k == "cmul":         # each lane is read twice: unpack once
+            fetch += [f"ar = {a[0]}", f"ai = {a[1]}", f"br = {b[0]}",
+                      f"bi = {b[1]}"]
+            a, b = ("ar", "ai"), ("br", "bi")
+        (x, _), (y, _) = _lane_exprs(n, a, b)
+        return fetch + _epoch_emits(n, [_spack(x, y, hb)])
 
     # single-expression kinds
     if k == "probe":
@@ -735,38 +880,14 @@ def _epoch_inner(n, graph) -> list:
         exprs = [_swrap("w0", o.bits)]
     elif k == "binary":
         b = "w1" if n.in_edges[1] is not None else f"({o.const})"
-        op = o.OPCODE
-        if op.startswith("CMP"):
-            r = f"(1 if w0 {_BINSYM[op]} {b} else 0)"
-        elif op in ("MIN", "MAX"):
-            r = f"{op.lower()}(w0, {b})"
-        elif op == "SHL":
-            r = f"(w0 << {o.const})"
-        elif op == "SHR":
-            r = f"(w0 >> {o.const})"
-        else:
-            r = f"(w0 {_BINSYM[op]} {b})"
+        r = _binexpr(o.OPCODE, "w0", b, False)
         exprs = [_swrap(_sshift(r, -o.shift), o.bits)]
     elif k == "unary":
-        r = {"NEG": "(-w0)", "NOT": "(~w0)",
-             "ABS": "abs(w0)", "PASS": "w0"}[o.OPCODE]
-        exprs = [_swrap(r, o.bits)]
+        exprs = [_swrap(_unexpr(o.OPCODE, "w0"), o.bits)]
     elif k == "shiftalu":
         exprs = [_swrap(_sshift("w0", o.amount), o.bits)]
     elif k == "lut":
         exprs = [f"t{i}[w0 % {len(o.table)}]"]
-    elif k == "cconj":
-        exprs = [_spack(fre("w0"), f"-{fim('w0')}", hb)]
-    elif k == "cneg":
-        exprs = [_spack(f"-{fre('w0')}", f"-{fim('w0')}", hb)]
-    elif k == "cmulj":
-        if o.sign > 0:
-            exprs = [_spack(f"-{fim('w0')}", fre("w0"), hb)]
-        else:
-            exprs = [_spack(fim("w0"), f"-{fre('w0')}", hb)]
-    elif k == "cshift":
-        exprs = [_spack(_sshift(fre("w0"), o.amount),
-                        _sshift(fim("w0"), o.amount), hb)]
     elif k == "pack":
         exprs = [_spack("w0", "w1", o.half_bits)]
     elif k == "unpack":
@@ -875,13 +996,6 @@ def emit_epoch(graph: Graph, s: int) -> str:
     lines.append("            break")
     lines.append(f"    return ({', '.join(state)},)")
     return "\n".join(lines) + "\n"
-
-
-def compile_epoch(graph: Graph, s: int):
-    """exec() the generated epoch kernel; returns the ``_epoch`` callable."""
-    ns = {}
-    exec(compile(emit_epoch(graph, s), "<fastpath-epoch>", "exec"), ns)
-    return ns["_epoch"]
 
 
 # ---------------------------------------------------------------------------
@@ -1106,10 +1220,3 @@ def emit_trace(graph: Graph) -> str:
     lines.append(f"            return 1, ({unpack})")
     lines.append(f"    return 0, ({unpack})")
     return "\n".join(lines) + "\n"
-
-
-def compile_trace(graph: Graph):
-    """exec() the generated kernel; returns the ``_trace`` callable."""
-    ns = {}
-    exec(compile(emit_trace(graph), "<fastpath-trace>", "exec"), ns)
-    return ns["_trace"]

@@ -52,11 +52,9 @@ from repro.telemetry.metrics import get_metrics
 from repro.fastpath.lower import (
     FIRES_CHECK,
     STATE_CHECK,
+    _vpack,
     _vunpack,
     _wrap,
-    late_streams,
-    node_budget,
-    value_streams,
 )
 from repro.fixed import wrap
 from repro.xpp.scheduler import EventScheduler
@@ -112,26 +110,6 @@ def reset_fallback_warnings() -> None:
     _warned.clear()
 
 
-def initial_state(graph, spec) -> tuple:
-    """Count-state tuple at session open, read from the live netlist."""
-    vals = []
-    for tag, idx in spec:
-        if tag == "cyc" or tag == "p" or tag == "f" or tag == "fin" \
-                or tag == "fout":
-            vals.append(0)
-        elif tag == "o":
-            vals.append(len(graph.edges[idx].wire._q))
-        elif tag == "g":
-            vals.append(node_budget(graph.nodes[idx]))
-        elif tag == "an":
-            vals.append(graph.nodes[idx].obj._n)
-        elif tag == "pre":
-            vals.append(len(graph.nodes[idx].obj._preload))
-        elif tag == "fl":
-            vals.append(len(graph.nodes[idx].obj._q))
-    return tuple(vals)
-
-
 class TraceSession:
     """One compiled execution of the resident netlist: ``graph`` is its
     capture, ``netlist`` the :class:`~repro.fastpath.cache.Netlist` of
@@ -144,7 +122,7 @@ class TraceSession:
         self.memo = netlist.memo
         self.version = version
         self.spec = netlist.spec
-        self.s0 = initial_state(graph, self.spec)
+        self.s0 = netlist.initial_state(graph)
         self.state = self.s0
         self.masks = []
         self.fchk = []      # cumulative firings every FIRES_CHECK cycles
@@ -153,7 +131,8 @@ class TraceSession:
         self.z = None       # first all-idle cycle (absorbing), if seen
         self.zfires = None  # per-node firings over the first z cycles
         self.limit = 0      # value-stream window (= trace cycle limit)
-        self.edge_vals = None
+        self.edge_vals = None   # per edge: word stream (None: lanes only)
+        self.lanes = None       # per edge: (re, im, half bits) or None
         self._splits = None     # the data plan's select tables
         self._epoch_rt = {}     # per-SCC incremental kernel state
         # trace side streams: select values in, RAM read stamps out
@@ -171,8 +150,9 @@ class TraceSession:
                 self._sink_at[id(n.obj)] = n.i
             elif n.kind == "probe":
                 self.collect[n.i] = [n.obj.seen, None, 0]
-        # flat per-node lookups for the replay hot loop
+        # flat per-node lookups for the replay hot loop and value pass
         self._fobjs = [n.obj for n in graph.nodes]
+        self._wires = [e.wire for e in graph.edges]
         self._clist = [self.collect.get(i) for i in range(len(graph.nodes))]
         # firing bitmasks repeat heavily (steady-state pipelines fire the
         # same set every cycle), so replay decodes each distinct mask once
@@ -227,9 +207,11 @@ class TraceSession:
         prefix-consistent with every list already handed out.  Streams
         the data plan holds are taken from it, not recomputed."""
         plan = self.netlist.plan.view(self.graph, limit)
-        self.edge_vals = value_streams(self.graph, limit,
-                                       self.netlist.epochs, self._epoch_rt,
-                                       plan)
+        self.edge_vals = list(plan.streams)
+        self.lanes = [None] * len(self.edge_vals)
+        self.netlist.values(self._fobjs, self._wires, self.edge_vals,
+                            self.lanes, plan.splits, limit, self.graph,
+                            self.netlist.epochs, self._epoch_rt)
         self._splits = plan.splits
         for j in self._peeked:
             lst = plan.lists.get(j)
@@ -238,12 +220,39 @@ class TraceSession:
 
     def _grow_late(self) -> None:
         """Complete the value pass once the trace has stamped the RAM
-        reads, and refresh the sink/probe value lists."""
+        reads, and refresh the sink/probe value lists.
+
+        Only stamped (traced) reads produce values, so every late stream
+        is exact and prefix-consistent across regrowth.  When a read
+        observes a write whose address or data itself derives from RAM
+        read data, the late sweep repeats until the read values stop
+        changing: a write only carries data read in earlier cycles, so
+        each sweep settles at least one more read and the fixpoint is the
+        simulated one.  Late SCCs replay from their session snapshot on
+        every sweep."""
         if self.graph.late:
-            late_streams(self.graph, self.limit, self.edge_vals, self.sv,
-                         self.netlist.epochs, self._splits)
+            prev = None
+            for _ in range(2 + sum(len(self.sv[j]) for j in self._stamped)):
+                exact, reads = self.netlist.late(
+                    self._fobjs, self._wires, self.edge_vals, self.lanes,
+                    self._splits, self.sv, self.limit, self.graph,
+                    self.netlist.epochs)
+                if exact or prev is not None and all(
+                        np.array_equal(a, b) for a, b in zip(prev, reads)):
+                    break
+                prev = reads
+            else:
+                raise AssertionError("RAM read values did not settle")
         for i, rec in self.collect.items():
             rec[1] = self.edge_vals[self.graph.nodes[i].in_edges[0]].tolist()
+
+    def _word(self, j: int):
+        """Edge ``j``'s token stream as words (the value pass keeps an
+        edge between complex ALUs as lanes only)."""
+        v = self.edge_vals[j]
+        if v is None:
+            v = self.edge_vals[j] = _vpack(*self.lanes[j])
+        return v
 
     def ensure(self, t: int) -> None:
         """Extend the trace to cover at least ``t`` cycles (or quiet).
@@ -538,7 +547,7 @@ class TraceSession:
             w = e.wire
             o = sd[("o", e.j)]
             p = sd[("p", e.j)]
-            w._q = deque(self.edge_vals[e.j][p:p + o].tolist())
+            w._q = deque(self._word(e.j)[p:p + o].tolist() if o else ())
             w._pushes = []
             w._pops = 0
             w._avail = o
@@ -573,14 +582,14 @@ class TraceSession:
             x = self.edge_vals[n.in_edges[0]][:f]
             o._sum = wrap(o._sum + int(x.sum()), o.bits)
         elif k == "cinteg":
-            re, im = _vunpack(self.edge_vals[n.in_edges[0]][:f], o.half_bits)
+            re, im = _vunpack(self._word(n.in_edges[0])[:f], o.half_bits)
             o._re = wrap(o._re + int(re.sum()), o.half_bits)
             o._im = wrap(o._im + int(im.sum()), o.half_bits)
         elif k == "acc":
             x = self.edge_vals[n.in_edges[0]][:f]
             o._sum, o._n = self._acc_state(x, o.length, o._n, o._sum)
         elif k == "cacc":
-            re, im = _vunpack(self.edge_vals[n.in_edges[0]][:f], o.half_bits)
+            re, im = _vunpack(self._word(n.in_edges[0])[:f], o.half_bits)
             o._re, _ = self._acc_state(re, o.length, o._n, o._re)
             o._im, o._n = self._acc_state(im, o.length, o._n, o._im)
         elif k == "reg":

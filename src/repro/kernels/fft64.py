@@ -16,6 +16,8 @@ bit-exactly.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from repro.fixed import pack_array, pack_complex, unpack_array
@@ -33,6 +35,7 @@ from repro.xpp import (
     Configuration,
     ConfigurationManager,
     Simulator,
+    make_scheduler,
 )
 
 #: Internal lane width: the butterfly's intermediate values need up to
@@ -157,20 +160,40 @@ def build_fft_stage_config(stage_index: int, data: list, *,
     return b.build()
 
 
+@functools.lru_cache(maxsize=16)
+def resident_stage(twiddle_bits: int, stage_shift: int,
+                   scheduler: str) -> tuple:
+    """This process's resident stage of one FFT64 shape on one scheduler:
+    ``(config, simulator, luts)``, the loaded stage configuration, the
+    simulator bound to it and, per stage, its lookup FIFOs' contents.
+
+    Every :class:`Fft64Kernel` of the shape shares it.  A run reloads
+    the RAM and all three lookup FIFOs before each stage, which resets
+    every object and wire of the configuration, so no run sees what
+    another left behind."""
+    names = ("raddr_lut", "twiddle_lut", "waddr_lut")
+    luts = tuple(dict(zip(names, _stage_schedules(stage, twiddle_bits)))
+                 for stage in range(3))
+    cfg = build_fft_stage_config(0, [0] * N, twiddle_bits=twiddle_bits,
+                                 stage_shift=stage_shift)
+    mgr = ConfigurationManager()
+    mgr.load(cfg)
+    return cfg, Simulator(mgr, scheduler=scheduler), luts
+
+
 class Fft64Kernel:
     """Executes the three-stage FFT64 on the simulated array.
 
     The same butterfly netlist is iterated over the three stages, as in
     the paper's RAM read-back scheme, and stays resident like Fig. 10's
-    configuration 1.  The first :meth:`run` builds one stage
-    configuration, loads it into a manager of its own and binds a
-    simulator to it (the scheduler is resolved then, once per
-    instance).  Each stage after that is a
-    :meth:`~repro.xpp.Configuration.reload` of the three lookup FIFOs
-    (read addresses, write addresses, twiddles) and the RAM image,
-    followed by a drain: no load, no remove, so a fastpath scheduler
-    keeps its compiled kernel across stages and transforms.  Every
-    stage runs 85 cycles and stops quiescent.
+    configuration 1: the first :meth:`run` resolves the scheduler (once
+    per instance) and takes the process's :func:`resident_stage` of its
+    shape, built, loaded and bound on first use by any instance.  Each
+    stage is a :meth:`~repro.xpp.Configuration.reload` of the three
+    lookup FIFOs (read addresses, write addresses, twiddles) and the
+    RAM image, followed by a drain: no load, no remove, so a fastpath
+    scheduler keeps its compiled kernel across stages, transforms and
+    receivers.  Every stage runs 85 cycles and stops quiescent.
     """
 
     def __init__(self, *, twiddle_bits: int = TWIDDLE_BITS,
@@ -181,22 +204,6 @@ class Fft64Kernel:
         self._config = None
         self._sim = None
         self._luts = None       # per stage: lookup FIFO name -> contents
-
-    def _resident(self):
-        """The stage configuration and its simulator, built on first use."""
-        if self._sim is None:
-            cfg = build_fft_stage_config(
-                0, [0] * N, twiddle_bits=self.twiddle_bits,
-                stage_shift=self.stage_shift)
-            names = ("raddr_lut", "twiddle_lut", "waddr_lut")
-            self._luts = [
-                dict(zip(names, _stage_schedules(stage, self.twiddle_bits)))
-                for stage in range(3)]
-            mgr = ConfigurationManager()
-            mgr.load(cfg)
-            self._config = cfg
-            self._sim = Simulator(mgr)
-        return self._config, self._sim
 
     def run(self, x_re: np.ndarray, x_im: np.ndarray):
         """Transform 64 integer I/Q samples; returns ``(re, im)``."""
@@ -209,7 +216,10 @@ class Fft64Kernel:
         rev = _DIGIT_REVERSED
         data = pack_array(re[rev] + 1j * im[rev], LANE_BITS).tolist()
 
-        cfg, sim = self._resident()
+        if self._sim is None:
+            self._config, self._sim, self._luts = resident_stage(
+                self.twiddle_bits, self.stage_shift, make_scheduler().name)
+        cfg, sim = self._config, self._sim
         ram = cfg.object("data_ram")
         self.last_stats = []
         for stage in range(3):

@@ -777,8 +777,8 @@ def make_alu(name: str, opcode: str, **params) -> AluPae:
     if opcode in _BINARY_FUNCS:
         return BinaryAlu(name, opcode, **params)
     if opcode in _UNARY_FUNCS:
-        if params:
+        if set(params) - {"bits"}:
             raise ConfigurationError(
-                f"{name}: opcode {opcode} takes no parameters, got {params}")
-        return UnaryAlu(name, opcode)
+                f"{name}: opcode {opcode} takes only bits, got {params}")
+        return UnaryAlu(name, opcode, **params)
     raise ConfigurationError(f"unknown opcode {opcode!r}")

@@ -24,10 +24,13 @@ def _fresh_fallback_warnings():
 @pytest.fixture(autouse=True)
 def _fresh_schedule_memos():
     """Traced schedules are remembered per compiled netlist process-
-    wide; empty the memos so no test adopts a schedule another test
-    traced."""
+    wide, and FFT64 stages stay resident per process; empty the memos
+    and the stage pool so no test adopts a schedule or a stage another
+    test left behind."""
     from repro.fastpath.cache import clear_schedule_memos
+    from repro.kernels.fft64 import resident_stage
     clear_schedule_memos()
+    resident_stage.cache_clear()
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ import pytest
 
 from repro.fastpath import FastpathFallbackWarning, cache
 from repro.fastpath.capture import capture
-from repro.fastpath.lower import _node_streams, select_split
+from repro.fastpath.lower import select_split
 from repro.kernels import Fft64Kernel, RakeChainKernel
 from repro.xpp import ConfigBuilder, ConfigurationManager, RamPae, Simulator
 from repro.xpp.scheduler import SCHEDULER_ENV
@@ -164,16 +164,34 @@ def _split_oracle(kind, sel, a, b=None):
     return [a[:n][~mask], a[:n][mask]]
 
 
-class _Node:
-    def __init__(self, kind):
-        self.kind = kind
-        self.obj = None
+def _routing(kind):
+    """A SEQ select (a data-plan stream) and stream sources into one
+    ``kind`` node, each of its outputs into a sink."""
+    b = ConfigBuilder(kind)
+    node = b.alu(kind.upper(), name="route")
+    b.connect(b.alu("SEQ", name="sel", values=[0, 1]), 0, node, 0)
+    for port, name in enumerate(("a", "b")[:2 if kind == "merge" else 1]):
+        b.connect(b.source(name), 0, node, port + 1)
+    for port in range(2 if kind == "demux" else 1):
+        b.connect(node, port, b.sink(f"out{port}"), 0)
+    cfg = b.build()
+    mgr = ConfigurationManager()
+    mgr.load(cfg)
+    graph = capture(mgr)
+    route = next(n for n in graph.nodes if n.obj.name == "route")
+    return cfg, graph, route
 
 
 @pytest.mark.parametrize("kind", ["demux", "merge", "gate"])
 def test_select_tables_of_a_longer_stream_route_every_prefix(kind):
     """The plan hands a select's tables from its longest window to
-    shorter ones; routing by them equals routing by the prefix."""
+    shorter ones; the generated value pass routes by them exactly as by
+    the prefix."""
+    cfg, graph, route = _routing(kind)
+    netlist = cache.Netlist(graph)
+    objs = [n.obj for n in graph.nodes]
+    wires = [e.wire for e in graph.edges]
+    s = route.in_edges[0]
     rng = np.random.default_rng(7)
     for _ in range(200):
         full = rng.integers(0, 3, int(rng.integers(0, 40)))
@@ -182,8 +200,14 @@ def test_select_tables_of_a_longer_stream_route_every_prefix(kind):
         b = rng.integers(-99, 99, int(rng.integers(0, 40)))
         ins = [sel, a, b] if kind == "merge" else [sel, a]
         want = _split_oracle(kind, *ins)
-        for split in (None, select_split(full)):
-            got = _node_streams(_Node(kind), ins, 1 << 20, split)
+        for name, data in zip(("a", "b"), ins[1:]):
+            cfg.sources[name].set_data(data)
+        for split in (select_split(sel), select_split(full)):
+            vals = [None] * len(graph.edges)
+            vals[s] = sel
+            netlist.values(objs, wires, vals, [None] * len(vals),
+                           {s: split}, 1 << 20, graph, netlist.epochs, {})
+            got = [vals[j] for j in route.out_edges()]
             assert [g.tolist() for g in got] == [w.tolist() for w in want]
 
 

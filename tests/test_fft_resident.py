@@ -193,6 +193,7 @@ def test_one_kernel_over_many_inputs_matches_the_rebuild(scheduler,
         for k, (re, im) in enumerate(_inputs(6)):
             yr, yi = kernel.run(re, im)
             if k == 0:
+                manager_sim = kernel._sim
                 manager = kernel._sim.manager
                 version = manager.version
             gr, gi = fft64_fixed(re, im)
@@ -206,8 +207,9 @@ def test_one_kernel_over_many_inputs_matches_the_rebuild(scheduler,
         assert board[f"xpp.fft64.overflow.stage{stage}"].count == 6
     assert fastpath_steps[0] == 0           # every stage replayed whole
     # a recording registry changes nothing: whole runs that adopt the
-    # stage schedule, with one compile-cache lookup per kernel and no
-    # fallback; per-cycle replay must match too
+    # stage schedule, with no fallback and no compile-cache lookup (the
+    # stage the first kernel left resident is already compiled);
+    # per-cycle replay must match too
     for leg in ("observed", "per_cycle"):
         kernel = Fft64Kernel()
         adopted = adoptions[0]
@@ -232,7 +234,45 @@ def test_one_kernel_over_many_inputs_matches_the_rebuild(scheduler,
         assert registry.counter("fastpath.fallback").value == 0
         lookups = registry.counter("fastpath.cache.hit").value \
             + registry.counter("fastpath.cache.miss").value
-        assert lookups == (1 if on_fastpath else 0)
+        assert lookups == 0
+        assert kernel._sim is manager_sim
+
+
+@pytest.mark.parametrize("scheduler", SCHEDULERS)
+def test_interleaved_kernels_share_one_resident_stage(scheduler,
+                                                      monkeypatch):
+    """Two kernels of one shape, run alternately, share the process's
+    resident stage: one build, one load, one compile-cache lookup in
+    all.  Every run reloads the RAM and the three lookup FIFOs, which
+    resets each of the stage's objects and wires, so both stay
+    bit-exact with the golden model and the per-stage rebuild."""
+    monkeypatch.setenv(SCHEDULER_ENV, scheduler)
+    kernels = (Fft64Kernel(), Fft64Kernel())
+    with collecting() as registry, warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        for k, (re, im) in enumerate(_inputs(6)):
+            kernel = kernels[k % 2]
+            yr, yi = kernel.run(re, im)
+            gr, gi = fft64_fixed(re, im)
+            assert np.array_equal(yr, gr) and np.array_equal(yi, gi)
+            words, stats = _rebuild_fft(re, im)
+            assert list(zip(yr.tolist(), yi.tolist())) == words
+            assert [_stats_key(s) for s in kernel.last_stats] \
+                == [_stats_key(s) for s in stats]
+            cfg = kernel._config
+            if k == 0:
+                resets = [x.resets for x in cfg.objects + cfg.wires]
+            assert [x.resets for x in cfg.objects + cfg.wires] \
+                == [r + 3 * k for r in resets]
+    assert kernels[0]._sim is kernels[1]._sim
+    assert kernels[0]._sim.manager.version == 1
+    lookups = registry.counter("fastpath.cache.hit").value \
+        + registry.counter("fastpath.cache.miss").value
+    assert lookups == (1 if scheduler == "fastpath" else 0)
+    # another shape, or another scheduler, gets a stage of its own
+    other = Fft64Kernel(stage_shift=1)
+    other.run(*_inputs(1)[0])
+    assert other._sim is not kernels[0]._sim
 
 
 def test_every_stage_session_shares_one_netlist(monkeypatch):

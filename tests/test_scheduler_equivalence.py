@@ -30,6 +30,7 @@ from repro.kernels import (
     RakeChainKernel,
     build_descrambler_config,
 )
+from repro.kernels.fft64 import resident_stage
 from repro.telemetry.metrics import collecting
 from repro.wlan import Fig10Schedule
 from repro.xpp import Simulator, execute
@@ -73,6 +74,7 @@ def _run_channel_correction():
 
 def _run_fft64():
     rng = np.random.default_rng(13)
+    resident_stage.cache_clear()        # a fresh stage config per run
     kern = Fft64Kernel()
     re, im = kern.run(rng.integers(-512, 512, 64),
                       rng.integers(-512, 512, 64))
