@@ -355,8 +355,7 @@ class DataPlan:
         return PlanView(streams, splits, lists)
 
     def _build(self, graph: Graph, limit: int) -> tuple:
-        vals = self.fill([n.obj for n in graph.nodes],
-                         [e.wire for e in graph.edges], limit)
+        vals = self.fill(graph.objs, graph.wires, limit)
         for j in self.edges:
             vals[j].flags.writeable = False
         splits = {}

@@ -4,7 +4,7 @@ Walks every resident configuration's objects and wires, resolves each
 wire's producer/consumer ports, classifies every object against the
 supported-kind table and topologically schedules the result.  The
 capture is purely structural — no simulation state is read here; the
-runtime snapshots state separately each time it opens a trace session.
+runtime reads it live each time it opens a trace session.
 """
 
 from __future__ import annotations
@@ -79,8 +79,9 @@ def capture_sets(objs, wires) -> Graph:
                           in_edges=in_edges, out_ports=out_ports))
 
     topo, schedule, sccs, late = build_schedule(nodes, edges)
-    return Graph(nodes=nodes, edges=edges, topo=topo,
-                 schedule=schedule, sccs=sccs, late=late)
+    return Graph(nodes=nodes, edges=edges, objs=tuple(objs),
+                 wires=tuple(wires), topo=topo, schedule=schedule,
+                 sccs=sccs, late=late)
 
 
 def check_runtime_state(graph: Graph) -> None:

@@ -163,11 +163,15 @@ class Graph:
     the generated epoch kernel ``sccs[s]``.  ``topo`` flattens the
     schedule into one node order for the count-level trace kernel
     (whose plan/commit split makes node order irrelevant, cycles
-    included).
+    included).  ``objs`` and ``wires`` are the captured objects and
+    wires themselves, indexed like ``nodes`` and ``edges``: what the
+    generated kernels read live state from.
     """
 
     nodes: list
     edges: list
+    objs: tuple         # objs[i] is nodes[i].obj
+    wires: tuple        # wires[j] is edges[j].wire
     topo: list          # flat node order (schedule order, SCCs inlined)
     schedule: list      # ("node", i) | ("scc", s) units, topo order
     sccs: list          # non-trivial SCCs: tuples of node indices

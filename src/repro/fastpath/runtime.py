@@ -8,9 +8,12 @@ where a whole ``Simulator.run`` stops without stepping it.  Replay
 keeps live only what stop predicates and ``collect_stats`` read:
 ``obj.fired``, sink ``received``, probe ``seen``.  Wires and object
 registers stay frozen until :meth:`TraceSession.materialize` writes
-the count state at the cursor back (on ``invalidate`` or a manager
-version bump), so per-cycle telemetry reads the replayed cycles off
-the trace instead (:meth:`TraceSession.records`).
+the count state at the cursor back (when the trace goes quiet, on
+``invalidate`` or on a manager version bump), so per-cycle telemetry
+reads the replayed cycles off the trace instead
+(:meth:`TraceSession.records`).  Whatever touches that state from
+outside the scheduler (``reset``, ``set_data``, ``flip_bit``, ``reload``,
+``diagnose``) first settles the session (:meth:`TraceSession.settle`).
 
 Every session of one netlist shape reads the same compiled
 :class:`repro.fastpath.cache.Netlist`: its kernels, its count-state
@@ -39,6 +42,7 @@ cannot prove.
 from __future__ import annotations
 
 import warnings
+import weakref
 from collections import Counter, deque
 from typing import NamedTuple
 
@@ -121,6 +125,7 @@ class TraceSession:
         self.trace = netlist.trace
         self.memo = netlist.memo
         self.version = version
+        self.retired = False    # settled by an outside access
         self.spec = netlist.spec
         self.s0 = netlist.initial_state(graph)
         self.state = self.s0
@@ -150,53 +155,15 @@ class TraceSession:
                 self._sink_at[id(n.obj)] = n.i
             elif n.kind == "probe":
                 self.collect[n.i] = [n.obj.seen, None, 0]
-        # flat per-node lookups for the replay hot loop and value pass
-        self._fobjs = [n.obj for n in graph.nodes]
-        self._wires = [e.wire for e in graph.edges]
         self._clist = [self.collect.get(i) for i in range(len(graph.nodes))]
         # firing bitmasks repeat heavily (steady-state pipelines fire the
         # same set every cycle), so replay decodes each distinct mask once
         self._decode = {}
         self._closed = False
         self._obs = (0, self.s0)    # (cycle, count state) of records
-        # snapshots of exactly the state materialize writes: a live
-        # field that no longer matches its snapshot was mutated from
-        # outside the session (set_data / reset between runs), and the
-        # external mutation wins over the stale computed write-back.
-        # Reset counts are part of them, so a reset object is never
-        # written back even when its reset state equals the snapshot.
-        self._wire_snap = [(e.wire.resets, tuple(e.wire._q))
-                           for e in graph.edges]
-        self._node_snap = [(n.obj.resets, self._snap_node(n))
-                           for n in graph.nodes]
-
-    @staticmethod
-    def _snap_node(n):
-        o = n.obj
-        k = n.kind
-        if k == "source":
-            return (id(o._data), o._pos)
-        if k == "const":
-            return (o._emitted,)
-        if k == "seq":
-            return (o._pos,)
-        if k == "counter":
-            return (o._value, o._emitted, o._stopped)
-        if k == "integ":
-            return (o._sum,)
-        if k == "cinteg":
-            return (o._re, o._im)
-        if k == "acc":
-            return (o._sum, o._n)
-        if k == "cacc":
-            return (o._re, o._im, o._n)
-        if k == "reg":
-            return tuple(o._preload)
-        if k == "fifo":
-            return tuple(o._q)
-        if k == "ram":
-            return tuple(o.mem)
-        return None
+        ref = weakref.ref(self)     # a dropped session is freed at once
+        for x in graph.objs + graph.wires:
+            x._session = ref
 
     # -- tracing -------------------------------------------------------------
 
@@ -209,7 +176,7 @@ class TraceSession:
         plan = self.netlist.plan.view(self.graph, limit)
         self.edge_vals = list(plan.streams)
         self.lanes = [None] * len(self.edge_vals)
-        self.netlist.values(self._fobjs, self._wires, self.edge_vals,
+        self.netlist.values(self.graph.objs, self.graph.wires, self.edge_vals,
                             self.lanes, plan.splits, limit, self.graph,
                             self.netlist.epochs, self._epoch_rt)
         self._splits = plan.splits
@@ -234,9 +201,9 @@ class TraceSession:
             prev = None
             for _ in range(2 + sum(len(self.sv[j]) for j in self._stamped)):
                 exact, reads = self.netlist.late(
-                    self._fobjs, self._wires, self.edge_vals, self.lanes,
-                    self._splits, self.sv, self.limit, self.graph,
-                    self.netlist.epochs)
+                    self.graph.objs, self.graph.wires, self.edge_vals,
+                    self.lanes, self._splits, self.sv, self.limit,
+                    self.graph, self.netlist.epochs)
                 if exact or prev is not None and all(
                         np.array_equal(a, b) for a, b in zip(prev, reads)):
                     break
@@ -318,8 +285,8 @@ class TraceSession:
         self.cursor = t + 1
         if self.z is not None and t >= self.z:
             # the array is absorbed: write the final state back now, so
-            # a run that ends quiescent leaves no frozen session behind
-            # (external mutation between runs then lands on live state)
+            # a run that ends quiescent leaves live state current for
+            # raw reads (the FFT64 kernel reads ``mem`` after a drain)
             self.materialize()
             return 0
         self.ensure(t + 1)
@@ -340,7 +307,7 @@ class TraceSession:
         objs = []
         recs = []
         clist = self._clist
-        fobjs = self._fobjs
+        fobjs = self.graph.objs
         fired = 0
         m = mask
         while m:
@@ -509,7 +476,7 @@ class TraceSession:
         t, end = self.cursor - n, self.cursor
         st = self._obs[1] if self._obs[0] == t else self._state_at(t)
         ne = len(self.graph.edges)
-        objs = self._fobjs
+        objs = self.graph.objs
         base = [o.fired - c for o, c in zip(objs, self._cum_fires(end))]
         sv = self._unstamped()
         out = []
@@ -525,25 +492,17 @@ class TraceSession:
         return out
 
     def materialize(self) -> None:
-        """Write the count state at the replay cursor back into the live
-        wires and objects, closing the session (idempotent).  Wires and
-        objects mutated or reset since the session opened keep their
-        live state; a session whose every wire and object was reset (a
-        ``Configuration.reset`` or ``reload``) is void and closes
-        without computing any state."""
+        """Write the count state at the replay cursor back into every
+        live wire and object, closing the session (idempotent).  Nothing
+        outside the scheduler touches that state while the session is
+        open: every such access settles the session first (see
+        :meth:`settle`)."""
         if self._closed or self.cursor == 0:
             return
         self._closed = True
-        edges = [e for e in self.graph.edges
-                 if (e.wire.resets, tuple(e.wire._q)) == self._wire_snap[e.j]]
-        nodes = [n for n in self.graph.nodes
-                 if self._node_snap[n.i] == (n.obj.resets,
-                                             self._snap_node(n))]
-        if not edges and not nodes:
-            return
         st = self._state_at(self.cursor)
         sd = dict(zip(self.spec, st))
-        for e in edges:
+        for e in self.graph.edges:
             w = e.wire
             o = sd[("o", e.j)]
             p = sd[("p", e.j)]
@@ -553,8 +512,15 @@ class TraceSession:
             w._avail = o
             w._space = e.cap - o
             w.total_transfers += p
-        for n in nodes:
+        for n in self.graph.nodes:
             self._writeback(n, sd)
+
+    def settle(self) -> None:
+        """Write the session back and retire it ahead of an outside
+        access (the ``settle()`` of an object or wire it holds); the
+        scheduler then reopens from live state."""
+        self.materialize()
+        self.retired = True
 
     def _writeback(self, n, sd) -> None:
         o = n.obj
@@ -695,10 +661,10 @@ class FastpathScheduler:
         mgr = self.manager
         s = self._session
         if s is not None:
-            if s.version == mgr.version:
+            if s.version == mgr.version and not s.retired:
                 return s
-            self._close_session()       # mid-run reconfiguration: write
-            s = None                    # back, then recompile below
+            self._close_session()       # mid-run reconfiguration or an
+            s = None                    # outside access: reopen below
         if self._fallback_version == mgr.version:
             return None
         st = self._structure

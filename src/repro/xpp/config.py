@@ -112,6 +112,7 @@ class Configuration:
                     f"{self.name}: {name!r} is not a RAM-PAE")
             images.append((obj, obj.image(data)))
         for obj, image in images:
+            obj.settle()
             obj._preload = image
         self.reset()
 

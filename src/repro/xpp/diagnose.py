@@ -42,13 +42,18 @@ def diagnose(manager: ConfigurationManager) -> list:
 
     Call between simulator steps (the wires must be inside a cycle for
     availability to be meaningful, so this latches a fresh view first).
-    Objects that *can* fire are omitted.
+    A fastpath session still holding the array state is settled first,
+    so every scheduler reports the same.  Objects that *can* fire are
+    omitted.
     """
+    objs = manager.active_objects()
     wires = manager.active_wires()
+    for x in objs + wires:
+        x.settle()
     for w in wires:
         w.begin_cycle()
     stalls = []
-    for obj in manager.active_objects():
+    for obj in objs:
         if obj.plan():
             continue
         info = StallInfo(name=obj.name,

@@ -32,6 +32,7 @@ class StreamSource(DataflowObject):
 
     def set_data(self, data: Iterable) -> None:
         """Attach (or replace) the sample stream this port will emit."""
+        self.settle()
         self._data = wrap_list(data, self.bits)
         self._pos = 0
 

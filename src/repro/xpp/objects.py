@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from repro.xpp.port import InPort, OutPort
+from repro.xpp.port import InPort, OutPort, Wire
 
 
 class DataflowObject:
@@ -44,6 +44,8 @@ class DataflowObject:
     #: loads; ``has_work`` is the bound ``_has_work`` override, or None
     #: when inherited) and ``None`` for objects with a custom ``plan``.
     _sched_fast = None
+
+    _session = None     # weak reference: see :meth:`settle`
 
     def __init__(self, name: str, n_in: int, n_out: int,
                  in_names: Optional[list] = None,
@@ -123,6 +125,8 @@ class DataflowObject:
     def on_load(self) -> None:
         """Hook invoked when the owning configuration is loaded."""
 
+    settle = Wire.settle
+
     def reset(self) -> None:
         """Restore the object's configured initial state.
 
@@ -133,6 +137,7 @@ class DataflowObject:
         their internal registers; the base resets the firing counter
         and counts the reset.
         """
+        self.settle()
         self.fired = 0
         self.resets += 1
 

@@ -36,7 +36,7 @@ class Wire:
 
     __slots__ = ("name", "capacity", "_q", "_avail", "_space", "_pops",
                  "_pushes", "total_transfers", "_events", "_marked", "_tap",
-                 "resets")
+                 "resets", "_session")
 
     def __init__(self, name: str = "", capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -53,6 +53,7 @@ class Wire:
         self._marked = False                 # already on the event list?
         self._tap = None                     # fault-injector transfer tap
         self.resets = 0                      # configuration reloads
+        self._session = None                 # weakref: fastpath session
 
     # -- start of cycle -----------------------------------------------------
 
@@ -134,9 +135,21 @@ class Wire:
         self._q.extend(self._pushes)
         self._pushes = []
 
+    def settle(self) -> None:
+        """Write back and retire the fastpath session that holds this
+        wire's (or object's) state, if any: a session keeps it frozen
+        while it replays, so whatever touches it from outside the
+        scheduler calls this first.  The session sets ``_session``, a
+        weak reference, when it opens."""
+        ref = self._session
+        session = ref() if ref is not None else None
+        if session is not None:
+            session.settle()
+
     def reset(self) -> None:
         """Drop all buffered and in-flight tokens (configuration
         reload: the freed communication resources start empty)."""
+        self.settle()
         self.resets += 1
         self._q.clear()
         self._pushes = []

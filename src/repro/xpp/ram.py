@@ -71,6 +71,7 @@ class RamPae(DataflowObject):
         if not 0 <= word < self.words:
             raise ConfigurationError(
                 f"{self.name}: no word {word} (holds {self.words})")
+        self.settle()
         self.mem[word] = wrap(self.mem[word] ^ (1 << (bit % self.bits)),
                               self.bits)
         return self.mem[word]
@@ -144,6 +145,7 @@ class FifoPae(DataflowObject):
     def flip_bit(self, word: int, bit: int) -> int:
         """Flip one bit of the ``word``-th queued entry (SRAM soft
         error in the FIFO's backing RAM)."""
+        self.settle()
         if not self._q:
             raise ConfigurationError(f"{self.name}: FIFO empty, no bit "
                                      f"to flip")

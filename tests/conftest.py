@@ -4,8 +4,13 @@ import contextlib
 import functools
 
 import pytest
+from hypothesis import settings
 
 from repro.testing import DEFAULT_SEED, seed_numpy, spawn_rngs
+
+# the compilers CI job runs the compiler fuzz (value pass, place and
+# route) ten times as long: ``--hypothesis-profile=compilers``
+settings.register_profile("compilers", max_examples=1000)
 
 
 @pytest.fixture(autouse=True)

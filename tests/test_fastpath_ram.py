@@ -198,6 +198,24 @@ def test_flip_bit_between_runs():
     assert mem["ram"][2] == 0 and mem["ram"][5] == 76
 
 
+def test_flip_bit_after_an_early_stop_sees_the_committed_writes():
+    # run(3) stops with the session open after both writes committed:
+    # the flip settles it first, so it flips 77, and the drain keeps 88
+    def build():
+        b = ConfigBuilder("flip_early")
+        ram = b.ram(name="ram", words=8, preload=range(8))
+        b.connect(b.source("raddr", [5, 6, 5, 6]), 0, ram, "raddr")
+        b.connect(b.source("waddr", [5, 6]), 0, ram, "waddr")
+        b.connect(b.source("wdata", [77, 88]), 0, ram, "wdata")
+        b.connect(ram, "rdata", b.sink("out"), 0)
+        return b.build()
+    outs, log, mem, _, _ = _differential(
+        build, [("run", 3), ("flip", "ram", 5, 0), ("drain",)])
+    assert log[1] == 76
+    assert mem["ram"][5:7] == [76, 88]
+    assert outs["out"] == [5, 6, 76, 88]
+
+
 def _read_modify_write():
     """Read-modify-write of one word: every write carries a value read
     a few cycles earlier, and later reads observe those writes — the

@@ -1,11 +1,12 @@
-"""A reset voids the open fastpath session.
+"""A reset settles the open fastpath session before it resets.
 
 A run that stops before quiescence (on its sinks, or out of cycles)
-leaves its fastpath session open, and the next run closes it by writing
-the count state back into the live objects.  ``Configuration.reset``
-and ``reload`` put those objects back in their build-time state, which
-can equal the state the session opened on, so the write-back must key
-on the reset itself, not on the values.  Each scenario here stops a
+leaves its fastpath session open, holding the count state that the
+live wires and objects have not seen yet.  ``reset`` (of an object, a
+wire or a whole ``Configuration``) and ``Configuration.reload`` first
+settle that session: it writes the state back and retires, and only
+then does the reset put the objects back in their build-time state, so
+a later write-back can never overwrite it.  Each scenario here stops a
 rake finger early, resets or reloads it, feeds new data and runs again
 on the naive, event and fastpath schedulers; all three must agree on
 outputs, cycles, firings, energy and the live state left behind.
@@ -72,8 +73,8 @@ def test_reset_after_an_early_stop_matches_naive(stop, op):
 
 
 def test_partial_reset_keeps_the_other_objects_write_back():
-    """Resetting one object voids the session for it alone: the rest of
-    an early-stopped run is still written back."""
+    """Resetting one object settles the session first: the rest of an
+    early-stopped run is still written back."""
     def script(scheduler):
         cfg = build_rake_chain_config(3, 8, [0.5] * 3, pre_shift=2)
         mgr = ConfigurationManager()

@@ -12,8 +12,19 @@ Each netlist drains on the naive, event and fastpath schedulers, which
 must agree on every sink's tokens, firings, cycles, energy, stop reason
 and final RAM contents.  Fixed netlists put every fold rule of the
 value pass at its edges, where random ones reach it only rarely.
+
+The "cut, touch, drain" leg stops each netlist after a few cycles,
+while a fastpath session still holds its state, touches that state
+from outside once (a stream refill, a reset, a RAM/FIFO reload or bit
+flip, a stall diagnosis) and drains: the touch must see, and change,
+what the other schedulers' touch does.
+
+The properties take their example counts from the active hypothesis
+profile: 100 by default, more under ``--hypothesis-profile=compilers``
+(registered in ``tests/conftest.py``).
 """
 
+import copy
 import warnings
 
 import pytest
@@ -25,10 +36,14 @@ from repro.fixed import pack_complex
 from repro.xpp import (
     ConfigBuilder,
     ConfigurationManager,
+    FifoPae,
     RamPae,
     Simulator,
+    StreamSource,
     XppArray,
+    diagnose,
 )
+from repro.xpp.errors import ConfigurationError
 
 # widths one bit apart and one bit over a lane pair, where an
 # off-by-one in a fold rule shows
@@ -63,9 +78,10 @@ def _words(bits: int, max_size: int = 20):
 
 
 @st.composite
-def netlists(draw):
+def netlists(draw, writer=False):
     """A random acyclic configuration; every output port ends in a
-    consumer or a sink."""
+    consumer or a sink.  With ``writer`` its first node is a RAM that
+    sources write to from the first cycles on."""
     b = ConfigBuilder("fuzz")
     ports = []          # (object, port, late, half width of its lanes)
     used = set()
@@ -108,8 +124,8 @@ def netlists(draw):
         bits = draw(widths)
         add(b.source(f"src{k}", draw(_words(bits).filter(bool)), bits=bits),
             [])
-    for _ in range(draw(st.integers(1, 14))):
-        kind = draw(st.sampled_from(KINDS))
+    for k in range(draw(st.integers(1, 14))):
+        kind = "ram" if writer and k == 0 else draw(st.sampled_from(KINDS))
         bits = draw(widths)
         hb = draw(halves)
         if kind == "binary":
@@ -206,7 +222,7 @@ def netlists(draw):
             values = draw(_words(bits, 6).filter(bool))
             add(b.alu("SEQ", values=values, bits=bits), [])
         else:   # ram: counter, LUT or any stream addressing
-            words = draw(st.integers(1, 8))
+            words = draw(st.integers(1, 2 if writer and k == 0 else 8))
             ram = b.ram(words=words, bits=bits,
                         preload=draw(_words(bits, words)))
             how = draw(st.sampled_from(("counter", "lut", "any")))
@@ -223,7 +239,14 @@ def netlists(draw):
                     used.add((id(lut), 0))
             add(ram, [("raddr", raddr)], outs=("rdata",))
             ports[-1] = (ram, "rdata", True, None)
-            rams.append((ram, draw(st.booleans())))
+            if writer and k == 0:   # written from the first cycles on
+                wire((b.source("waddr", draw(st.lists(
+                    st.integers(0, words - 1), min_size=1, max_size=8))), 0),
+                    ram, "waddr")
+                wire((b.source("wdata", draw(_words(bits).filter(bool)),
+                               bits=bits), 0), ram, "wdata")
+            else:
+                rams.append((ram, draw(st.booleans())))
     for ram, writes in rams:        # write data from anywhere, even
         if writes:                  # downstream of the RAM's own reads
             wire(pick(early=True), ram, "waddr")
@@ -241,10 +264,18 @@ def netlists(draw):
     return b.build()
 
 
-def _drain(cfg, scheduler):
+def _load(cfg, scheduler):
     mgr = ConfigurationManager(XppArray(io_ports=32))   # room for sinks
     mgr.load(cfg)
-    stats = Simulator(mgr, scheduler=scheduler).drain(3000)
+    return mgr, Simulator(mgr, scheduler=scheduler)
+
+
+def _drain(cfg, scheduler):
+    return _drained(cfg, _load(cfg, scheduler)[1])
+
+
+def _drained(cfg, sim):
+    stats = sim.drain(3000)
     return ((stats.cycles, stats.stop_reason, stats.total_firings,
              stats.energy, dict(stats.firings)),
             {name: list(s.received) for name, s in cfg.sinks.items()},
@@ -347,9 +378,12 @@ def test_shifted_compare_result_is_folded():
         assert _drain(cfg, "fastpath") == ref
 
 
-@settings(max_examples=100, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow,
-                                 HealthCheck.filter_too_much])
+_FUZZ = settings(deadline=None,
+                 suppress_health_check=[HealthCheck.too_slow,
+                                        HealthCheck.filter_too_much])
+
+
+@_FUZZ
 @given(netlists())
 def test_generated_value_pass_matches_naive_and_event(cfg):
     ref = _drain(cfg, "naive")
@@ -359,3 +393,77 @@ def test_generated_value_pass_matches_naive_and_event(cfg):
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _drain(cfg, "fastpath") == ref
+
+
+# -- cut, touch, drain ---------------------------------------------------------
+
+
+@st.composite
+def touches(draw):
+    """``(netlist, k, touch)``: stop the netlist after ``k`` cycles, then
+    ``touch`` its state once from outside, as ``(what, object index,
+    argument)``."""
+    # a flip both reads and writes the state it touches: twice the weight
+    what = draw(st.sampled_from(("set_data", "reset", "diagnose", "reload",
+                                 "flip", "flip")))
+    cfg = draw(netlists(writer=what in ("reload", "flip")
+                        or draw(st.booleans())))
+    objs = cfg.objects
+    i = arg = None
+    if what == "set_data":
+        i = draw(st.sampled_from([i for i, o in enumerate(objs)
+                                  if isinstance(o, StreamSource)]))
+        arg = draw(_words(objs[i].bits).filter(bool))
+    elif what == "reset":
+        i = draw(st.integers(0, len(objs) - 1))
+    elif what in ("reload", "flip"):     # the writer half the time
+        mems = [i for i, o in enumerate(objs)
+                if isinstance(o, (RamPae, FifoPae))]
+        i = draw(st.one_of(st.just(mems[0]), st.sampled_from(mems)))
+        o = objs[i]
+        size = o.words if isinstance(o, RamPae) else o.depth
+        arg = (draw(_words(o.bits, size)) if what == "reload"
+               else (draw(st.integers(0, size - 1)),
+                     draw(st.integers(0, o.bits - 1))))
+    k = draw(st.one_of(st.integers(1, 8), st.integers(1, 40)))
+    return cfg, k, (what, i, arg)
+
+
+def _touch(cfg, mgr, what, i, arg):
+    """Apply one outside access; returns what it returns."""
+    obj = None if i is None else cfg.objects[i]
+    if what == "set_data":
+        return obj.set_data(arg)
+    if what == "reset":
+        return obj.reset()
+    if what == "reload":
+        return cfg.reload({obj.name: arg})
+    if what == "flip":
+        try:
+            return obj.flip_bit(*arg)
+        except ConfigurationError as exc:   # a flip on an empty FIFO
+            return type(exc).__name__, str(exc)
+    return [str(stall) for stall in diagnose(mgr)]
+
+
+def _cut_touch_drain(cfg, scheduler, k, touch):
+    mgr, sim = _load(cfg, scheduler)
+    stats = sim.run(k)
+    first = (stats.cycles, stats.stop_reason, stats.total_firings)
+    got = _touch(cfg, mgr, *touch)
+    return first, got, _drained(cfg, sim)
+
+
+@_FUZZ
+@given(touches())
+def test_an_outside_touch_after_an_early_stop_matches_naive(case):
+    cfg, k, touch = case
+    # cut while the array still fires, so that a fastpath session holds
+    # the state the touch reaches (the drain's last 8 cycles are idle)
+    k = 1 + (k - 1) % max(_drain(copy.deepcopy(cfg), "naive")[0][0] - 8, 1)
+    # each scheduler gets its own copy: a reload outlives ``reset``
+    ref = _cut_touch_drain(copy.deepcopy(cfg), "naive", k, touch)
+    assert _cut_touch_drain(copy.deepcopy(cfg), "event", k, touch) == ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        assert _cut_touch_drain(cfg, "fastpath", k, touch) == ref

@@ -16,6 +16,10 @@ Three contracts, each enforced over generated inputs:
   ``tests/corpus/pnr/`` pins the code it must trigger (or that it must
   compile cleanly), and together the entries cover the entire
   diagnostic vocabulary.
+
+Example counts scale with the active hypothesis profile: the counts
+below under the default profile's 100, ten times them under
+``--hypothesis-profile=compilers`` (registered in ``tests/conftest.py``).
 """
 
 import json
@@ -47,6 +51,12 @@ from repro.diagnostics import (
 from repro.xpp import ConfigBuilder, execute
 from repro.xpp.array import XppArray
 from repro.xpp.port import DEFAULT_CAPACITY
+
+
+def _examples(n: int) -> int:
+    """``n`` scaled by the active profile's example count over 100."""
+    return n * settings().max_examples // 100
+
 
 # the same stateless scalar op vocabulary the xpp property suite uses
 _OPS = st.sampled_from([
@@ -128,7 +138,7 @@ class TestLegalGraphsCompile:
            st.lists(st.integers(min_value=-(2 ** 20), max_value=2 ** 20),
                     min_size=1, max_size=25),
            st.data())
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=_examples(30), deadline=None)
     def test_pipeline_places_routes_and_runs_bit_exact(self, ops, data,
                                                        draw):
         """The tentpole property: a random legal pipeline compiles, the
@@ -159,7 +169,7 @@ class TestLegalGraphsCompile:
         assert _stats_key(result.stats) == _stats_key(hand.stats)
 
     @given(st.lists(_OPS, min_size=1, max_size=8))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=_examples(20), deadline=None)
     def test_placement_is_deterministic(self, ops):
         caps = [None] * len(ops)
         p1 = compile_graph(_dsl_pipeline(ops, caps)).placement
@@ -169,7 +179,7 @@ class TestLegalGraphsCompile:
     @given(st.integers(min_value=1, max_value=6),
            st.lists(st.integers(min_value=-1000, max_value=1000),
                     min_size=1, max_size=15))
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=_examples(20), deadline=None)
     def test_balanced_reconvergence_gets_skew_slack_and_stays_exact(
             self, depth, data):
         """A diamond with one long branch: ``balance=True`` grants the
@@ -203,7 +213,7 @@ class TestLegalGraphsCompile:
     @given(st.integers(min_value=1, max_value=4),
            st.lists(st.integers(min_value=0, max_value=500),
                     min_size=1, max_size=20))
-    @settings(max_examples=15, deadline=None)
+    @settings(max_examples=_examples(15), deadline=None)
     def test_fanout_delivers_every_stream(self, width, data):
         """Inferred depths are sufficient under fan-out: every sink of a
         1-to-N split receives the full stream.  A per-branch PASS stage
@@ -295,7 +305,7 @@ _MUTATIONS = {
 class TestIllegalGraphsAreCoded:
     @given(st.lists(_OPS, min_size=1, max_size=5),
            st.sampled_from(sorted(_MUTATIONS)))
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=_examples(40), deadline=None)
     def test_mutation_raises_expected_code_never_crashes(self, ops,
                                                          mutation):
         """Any way of breaking a legal pipeline yields a PnrError whose
@@ -319,7 +329,7 @@ class TestIllegalGraphsAreCoded:
         max_leaves=20)
 
     @given(_JSON)
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=_examples(60), deadline=None)
     def test_hostile_payloads_never_crash(self, payload):
         """from_dict + report_graph on arbitrary JSON: either a graph
         report (ok or coded) or a PnrError — no other exception type

@@ -1,5 +1,6 @@
 """Tests for the stall diagnosis utility."""
 
+import pytest
 
 from repro.xpp import (
     ConfigBuilder,
@@ -23,6 +24,62 @@ def starved_config():
     return b.build()
 
 
+def blocked_config():
+    """A MERGE whose select stream never arrives, behind a CONST."""
+    b = ConfigBuilder("blocked")
+    gen = b.alu("CONST", name="gen", value=1)
+    sel = b.source("sel", [])           # never provides
+    other = b.source("other", [])
+    merge = b.alu("MERGE", name="mrg")
+    snk = b.sink("y")
+    b.connect(sel, 0, merge, "sel")
+    b.connect(gen, 0, merge, "a", capacity=1)
+    b.connect(other, 0, merge, "b")
+    b.connect(merge, 0, snk, 0)
+    return b.build()
+
+
+def two_source_config():
+    """An ADD of a 10-token and a 6-token stream."""
+    b = ConfigBuilder("two_sources")
+    add = b.alu("ADD", name="adder")
+    b.connect(b.source("a", list(range(10))), 0, add, "a")
+    b.connect(b.source("b", list(range(6))), 0, add, "b")
+    b.connect(add, 0, b.sink("y"), 0)
+    return b.build()
+
+
+#: scenario -> (netlist, cycles to run before the diagnosis)
+SCENARIOS = {
+    "starved": (starved_config, 100),
+    "blocked": (blocked_config, 20),
+    "early_stop": (two_source_config, 3),   # stopped mid-stream
+    "drained": (two_source_config, 100),
+}
+
+
+def _report(scenario, scheduler):
+    build, cycles = SCENARIOS[scenario]
+    mgr = ConfigurationManager()
+    mgr.load(build())
+    sim = Simulator(mgr, scheduler=scheduler)   # holds the fastpath
+    sim.run(cycles)                             # session until diagnose
+    return [str(s) for s in diagnose(mgr)]
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scheduler", ["naive", "event", "fastpath"])
+def test_every_scheduler_reports_the_same_stalls(scheduler, scenario):
+    """A fastpath run that stops early leaves its session holding the
+    wires and registers; the diagnosis settles it before it reads."""
+    report = _report(scenario, scheduler)
+    assert report == _report(scenario, "naive")
+    if scenario == "early_stop":
+        assert report == []
+    else:
+        assert report
+
+
 class TestDiagnose:
     def test_starvation_identified(self):
         mgr = ConfigurationManager()
@@ -37,18 +94,8 @@ class TestDiagnose:
         """A MERGE whose select stream never arrives blocks its data
         producer: the producer reports the full output, the merge the
         missing select."""
-        b = ConfigBuilder("blocked")
-        gen = b.alu("CONST", name="gen", value=1)
-        sel = b.source("sel", [])           # never provides
-        other = b.source("other", [])
-        merge = b.alu("MERGE", name="mrg")
-        snk = b.sink("y")
-        b.connect(sel, 0, merge, "sel")
-        b.connect(gen, 0, merge, "a", capacity=1)
-        b.connect(other, 0, merge, "b")
-        b.connect(merge, 0, snk, 0)
         mgr = ConfigurationManager()
-        mgr.load(b.build())
+        mgr.load(blocked_config())
         Simulator(mgr).run(20)
         stalls = {s.name: s for s in diagnose(mgr)}
         assert stalls["gen"].full_outputs == ["out0"]
