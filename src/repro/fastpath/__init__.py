@@ -5,8 +5,10 @@ schedules it topologically, and executes whole slots/symbols per call
 as batched NumPy int64 operations instead of object-at-a-time
 plan/commit dispatch.  Results are bit-exact with the event and naive
 schedulers.  Feedback rings compile too: each strongly-connected
-component is lowered into a generated time-stepped *epoch kernel*
-while the acyclic remainder keeps the whole-trace value pass, and
+component is lowered into a generated time-stepped *epoch kernel*, or
+computed in closed form when it is an additive ring (an
+integrate-and-dump loop), while the acyclic remainder keeps the
+whole-trace value pass, and
 RAM-PAE reads take their values after the trace, which stamps each
 read with the writes committed before it.  Graphs the compiler cannot
 prove (custom firing rules, RAM read data steering a select, fault

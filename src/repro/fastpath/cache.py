@@ -2,10 +2,11 @@
 
 Compiling a captured graph costs three codegen passes (the count-level
 trace kernel, the value pass and one epoch kernel per feedback
-component) and a CPython ``compile()`` each — pure overhead when the
-same netlist shape is compiled again: every campaign shard compiles the
-identical config, and every Fig. 10 version bump recompiles a config
-that was resident minutes ago.  This module makes recompilation a lookup:
+component that is not an additive ring) and a CPython ``compile()``
+each — pure overhead when the same netlist shape is compiled again:
+every campaign shard compiles the identical config, and every Fig. 10
+version bump recompiles a config that was resident minutes ago.  This
+module makes recompilation a lookup:
 
 * **Fingerprint** — :func:`graph_fingerprint` hashes the *structural*
   descriptor of the graph: per-node kind + port bindings + exactly the
@@ -51,6 +52,7 @@ from repro.fastpath.lower import (
     emit_epoch,
     emit_trace,
     emit_values,
+    ring_of,
     select_split,
     state_spec,
 )
@@ -123,11 +125,13 @@ def graph_fingerprint(graph: Graph) -> str:
 
 def emit_sources(graph: Graph) -> dict:
     """The generated sources of one netlist shape, by kernel: ``trace``,
-    ``values`` and ``epoch<s>`` per feedback component."""
+    ``values`` and ``epoch<s>`` per feedback component that is not an
+    additive ring (the value pass computes a ring in closed form)."""
     sources = {"trace": emit_trace(graph),
                "values": emit_values(graph, plan_nodes(graph))}
     for s in range(len(graph.sccs)):
-        sources[f"epoch{s}"] = emit_epoch(graph, s)
+        if ring_of(graph, s) is None:
+            sources[f"epoch{s}"] = emit_epoch(graph, s)
     return sources
 
 
@@ -137,12 +141,13 @@ class Netlist:
     ``sources`` holds the emitted kernels (:func:`emit_sources`); built
     from them, ``trace`` is the count-level trace kernel, ``values`` and
     ``late`` the value pass and its late sweep, ``epochs`` the epoch
-    kernels indexed like ``graph.sccs``.  ``spec`` is the count-state
-    layout with ``state0``, its template (see :meth:`initial_state`),
-    ``selects`` and ``stamps`` the select and RAM read-address edges
-    (all functions of the structure alone).  ``memo`` maps the count
-    state a session opened on to the :class:`~repro.fastpath.runtime.
-    Schedule` traced from it; ``plan`` is the :class:`DataPlan`.
+    kernels indexed like ``graph.sccs`` (None for an additive ring).
+    ``spec`` is the count-state layout with ``state0``, its template
+    (see :meth:`initial_state`), ``selects`` and ``stamps`` the select
+    and RAM read-address edges (all functions of the structure alone).
+    ``memo`` maps the count state a session opened on to the
+    :class:`~repro.fastpath.runtime.Schedule` traced from it; ``plan``
+    is the :class:`DataPlan`.
     Building one compiles every kernel without touching the LRU.
     """
 
@@ -153,6 +158,7 @@ class Netlist:
             self.sources["values"], "_plan", "_values", "_late")
         self.epochs = tuple(compile_kernel(self.sources[f"epoch{s}"],
                                            "_epoch")[0]
+                            if f"epoch{s}" in self.sources else None
                             for s in range(len(graph.sccs)))
         self.spec = state_spec(graph)
         self.state0 = [0] * len(self.spec)

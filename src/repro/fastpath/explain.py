@@ -15,15 +15,17 @@ reports in too:
   object diagnostic already carries its code;
 * the node census per kind tag (``kinds``) and, in ``details``: the
   generator kinds present, the member object names of each feedback
-  SCC the epoch lowering absorbs (``sccs``; every other node lowers
-  into the whole-trace value pass), the graph's compile-cache
+  SCC (``sccs``; every other node lowers into the whole-trace value
+  pass) and how each is lowered (``lowering``: ``ring`` for an
+  additive ring the value pass computes in closed form, ``epoch`` for
+  a generated epoch kernel), the graph's compile-cache
   ``fingerprint`` and where a compile would hit right now (``cache``:
   ``memory`` / ``miss``, probed without populating anything: the
   dry-run compiles a :class:`~repro.fastpath.cache.Netlist` of its own,
-  so it stays side-effect free), the emitted ``kernel_lines``, the
-  replay probe's ``trace_cycles`` within its window and whether its
-  zero mask falls inside it (``absorbed``), and the ``checkpoints``
-  cadences ``[FIRES_CHECK, STATE_CHECK]``;
+  so it stays side-effect free), the lines of the sources it emits
+  (``kernel_lines``), the replay probe's ``trace_cycles`` within its
+  window and whether its zero mask falls inside it (``absorbed``), and
+  the ``checkpoints`` cadences ``[FIRES_CHECK, STATE_CHECK]``;
 * wall-clock phase timings (capture / emit / compile / replay; the
   replay includes the value pass) recorded as tracer spans, so the
   same report feeds Chrome traces.
@@ -50,7 +52,7 @@ from repro.fastpath.cache import (
 )
 from repro.fastpath.capture import capture, check_runtime_state
 from repro.fastpath.ir import GENERATORS, UnsupportedGraphError, classify
-from repro.fastpath.lower import FIRES_CHECK, STATE_CHECK
+from repro.fastpath.lower import FIRES_CHECK, STATE_CHECK, ring_of
 from repro.fastpath.runtime import TraceSession
 from repro.telemetry.tracer import Tracer
 
@@ -102,6 +104,8 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
         "generators": sorted(k for k in report.kinds if k in GENERATORS),
         "sccs": [[graph.nodes[i].obj.name for i in scc]
                  for scc in graph.sccs],
+        "lowering": ["epoch" if ring_of(graph, s) is None else "ring"
+                     for s in range(len(graph.sccs))],
         "fingerprint": fingerprint,
         "cache": probe(fingerprint),
     }

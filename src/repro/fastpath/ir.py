@@ -20,10 +20,12 @@ Cyclic wiring is *not* a rejection: feedback rings (the despreader's
 integrate-and-dump loop, self-loop accumulators) are grouped into
 strongly-connected components and lowered by a second strategy — a
 generated time-stepped *epoch kernel* per SCC (see
-:func:`repro.fastpath.lower.emit_epoch`) — while the acyclic remainder
-keeps the whole-trace numpy value pass.  :func:`build_schedule`
-computes the condensation order that interleaves both, with the SCC
-pass shared with place-and-route (:mod:`repro.graphcore`).
+:func:`repro.fastpath.lower.emit_epoch`), or a closed-form NumPy
+kernel for an additive ring (:func:`repro.fastpath.lower.ring_of`) —
+while the acyclic remainder keeps the whole-trace numpy value pass.
+:func:`build_schedule` computes the condensation order that interleaves
+both, with the SCC pass shared with place-and-route
+(:mod:`repro.graphcore`).
 
 A RAM-PAE is the one node whose output values depend on *when* it
 fires: a read returns the memory image with every write committed in

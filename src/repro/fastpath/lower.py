@@ -30,7 +30,9 @@ Graph` into code that executes whole runs per call:
   the window ``limit`` is reached.  Values stay exact (Python ints with
   the same folds, applied per token), deterministic and
   prefix-consistent, so ``TraceSession._grow_values`` regrowth works
-  unchanged.
+  unchanged.  A component that is an *additive ring* (the despreader's
+  integrate-and-dump loop, :func:`ring_of`) gets no epoch kernel: the
+  value pass computes its streams in closed form (:func:`_ring`).
 
 Data-dependent routing (DEMUX/MERGE/GATE) is the one place values feed
 back into scheduling; those select streams are handed to the trace
@@ -636,7 +638,11 @@ def emit_values(graph: Graph, held) -> str:
     for head, units, lines, ret in parts:
         P = _Pass(graph, forms, selects)
         for tag, x in units:
-            if tag == "scc":
+            ring = ring_of(graph, x) if tag == "scc" else None
+            if ring is not None:
+                P.lines.append(f"_ring(graph, V, limit, {ring[0]!r}, "
+                               f"{ring[1]!r})")
+            elif tag == "scc":
                 P.lines.append(f"_scc(graph, {x}, epochs[{x}], V, limit, rt)")
             else:
                 _vnode(P, graph.nodes[x])
@@ -651,7 +657,7 @@ def compile_kernel(src: str, *names: str) -> list:
           "_generate": _generate, "_split": select_split,
           "_merge_at": _merge_at, "_mix": _mix, "_acc_sums": _acc_sums,
           "_qw": _qw, "_ql": _ql, "_tile": _tile,
-          "_ram_read": _ram_read, "_scc": _scc}
+          "_ram_read": _ram_read, "_scc": _scc, "_ring": _ring}
     exec(compile(src, "<fastpath>", "exec"), ns)
     return [ns[name] for name in names]
 
@@ -740,6 +746,20 @@ def _run_epoch(graph: Graph, s: int, fn, edge_vals: list, limit: int,
     return env
 
 
+def _seed(graph: Graph, j: int) -> list:
+    """Edge ``j``'s tokens at session open: those queued on its wire,
+    then a REG producer's preload (wrapped) or a FIFO producer's
+    contents."""
+    e = graph.edges[j]
+    q = [int(x) for x in e.wire._q]
+    n = graph.nodes[e.src]
+    if n.kind == "reg":
+        q += [wrap(int(x), n.obj.bits) for x in n.obj._preload]
+    elif n.kind == "fifo":
+        q += [int(x) for x in n.obj._q]
+    return q
+
+
 def epoch_env(graph: Graph, s: int, edge_vals: list) -> list:
     """Build the env tuple for one epoch-kernel call from the live
     state (what the value pass reads for acyclic nodes)."""
@@ -748,14 +768,7 @@ def epoch_env(graph: Graph, s: int, edge_vals: list) -> list:
         if tag == "ext":
             env.append(edge_vals[key].tolist())
         elif tag == "seed":
-            e = graph.edges[key]
-            vals = [int(x) for x in e.wire._q]
-            n = graph.nodes[e.src]
-            if n.kind == "reg":
-                vals += [wrap(int(x), n.obj.bits) for x in n.obj._preload]
-            elif n.kind == "fifo":
-                vals += [int(x) for x in n.obj._q]
-            env.append(vals)
+            env.append(_seed(graph, key))
         elif tag == "table":
             o = graph.nodes[key].obj
             env.append([wrap(int(x), o.bits) for x in o.table])
@@ -996,6 +1009,188 @@ def emit_epoch(graph: Graph, s: int) -> str:
     lines.append("            break")
     lines.append(f"    return ({', '.join(state)},)")
     return "\n".join(lines) + "\n"
+
+
+# ---------------------------------------------------------------------------
+# additive rings: closed-form kernels for integrate-and-dump loops
+# ---------------------------------------------------------------------------
+#
+# The despreader's accumulator is a loop ADD/CADD -> [DEMUX -> MERGE] ->
+# FIFO -> ADD: each adder firing adds an outside token to the partial
+# sum the FIFO hands back, the DEMUX dumps a finished sum out of the
+# loop and the MERGE injects a fresh one in its place.  Such a component
+# needs no per-token loop.  Every adder firing ``t`` computes ``x[t] +
+# b[t]``, and its ring operand ``b[t]`` is either a *root* (a token
+# queued on a loop edge or in the FIFO at session open, or one the
+# MERGE takes from its alternate input) or the result of an earlier
+# firing ``p(t) < t``.  Walking the loop backwards from the adder turns
+# the select streams' prefix counts into that map, and into the one
+# token each operand waits for, so how far the adder gets is the first
+# operand that waits on a later firing or on a stage past its budget.
+# Pointer jumping then sums each chain of firings back to its root in
+# about log2(chain length) NumPy rounds.
+#
+# Sums run in int64 and wrap once at the end.  The two's-complement wrap
+# is a ring homomorphism, so that is exact, but only while nothing on
+# the way folds narrower than the adder: the FIFO folds every token to
+# its width, hence the FIFO must be at least as wide as the adder's
+# result (``2 * half_bits`` for a CADD, whose lanes then survive the
+# fold).  DEMUX and MERGE pass tokens unchanged.  The streams are the
+# epoch kernel's exactly, in values and lengths, for every ``limit``;
+# each call recomputes them from the session snapshot.
+
+
+def ring_of(graph: Graph, s: int):
+    """``(adder, stages)`` if SCC ``s`` is an additive ring, else None.
+
+    ``adder`` is ``(node, operand edge or None for its const, loop out
+    edge)``; ``stages`` lists the loop's other members in loop order
+    from the adder as ``(kind, node, loop out edge, select edge,
+    alternate edge, keep)``, where a DEMUX keeps a token in the loop
+    and a MERGE takes one from the loop when the select's truth equals
+    ``keep``.  A function of the structure alone."""
+    members = graph.sccs[s]
+    nodes, edges = graph.nodes, graph.edges
+    inside = set(members)
+    into, out = {}, {}          # member -> its one loop in / out edge
+    for e in edges:
+        if e.src in inside and e.dst in inside:
+            if e.dst in into or e.src in out:
+                return None
+            into[e.dst], out[e.src] = e, e
+    adders = [i for i in members if nodes[i].kind == "cadd"
+              or nodes[i].kind == "binary" and nodes[i].obj.OPCODE == "ADD"]
+    if len(adders) != 1 or len(into) != len(members) \
+            or len(out) != len(members):
+        return None
+    a = adders[0]
+    add = nodes[a].obj
+    kinds = sorted(nodes[i].kind for i in members if i != a)
+    if add.shift or kinds not in (["fifo"], ["demux", "fifo"],
+                                  ["fifo", "merge"],
+                                  ["demux", "fifo", "merge"]):
+        return None
+    stages = []
+    i = out[a].dst
+    while i != a:
+        n, e_in, e_out = nodes[i], into[i], out[i]
+        if n.kind == "fifo":
+            width = 2 * add.half_bits if nodes[a].kind == "cadd" \
+                else add.bits
+            if n.obj.circular or n.obj.bits < width:
+                return None
+            stages.append(("fifo", i, e_out.j, None, None, None))
+        elif n.kind == "demux":
+            if e_in.dst_port != 1:
+                return None
+            stages.append(("demux", i, e_out.j, n.in_edges[0], None,
+                           e_out.src_port == 1))
+        else:
+            if e_in.dst_port == 0:
+                return None
+            stages.append(("merge", i, e_out.j, n.in_edges[0],
+                           n.in_edges[3 - e_in.dst_port],
+                           e_in.dst_port == 2))
+        i = e_out.dst
+    x = nodes[a].in_edges[1 - into[a].dst_port]
+    return (a, x, out[a].j), tuple(stages)
+
+
+def _at(a, m):
+    """``a[m]`` where ``0 <= m < len(a)``; an element or 0 elsewhere."""
+    if not len(a):
+        return np.zeros(len(m), dtype=np.int64)
+    return np.take(a, m, mode="clip")
+
+
+def _ring_back(graph: Graph, j: int, pos, root, rv):
+    """One step of the backward walk: positions ``pos`` on edge ``j``
+    that fall on its seed become roots (the first root on each path is
+    its value); the rest move to their producer's firing index."""
+    q = _seed(graph, j)
+    if not q:
+        return pos
+    new = (pos >= 0) & (pos < len(q)) & ~root
+    rv[new] = _arr(q)[pos[new]]
+    root |= new
+    return np.where(pos >= len(q), pos - len(q), -1)
+
+
+def _ring(graph: Graph, V: list, limit: int, adder: tuple,
+          stages: tuple) -> None:
+    """Grow the produced streams of the additive ring ``(adder,
+    stages)`` (see :func:`ring_of`) into ``V`` in closed form."""
+    nodes = graph.nodes
+    a, xj, ej = adder
+    o = nodes[a].obj
+    hb = o.half_bits if nodes[a].kind == "cadd" else None
+    x = np.full(limit, o.const, dtype=np.int64) if xj is None else V[xj]
+    n = min(limit, len(x))
+    # backward: for each firing t < n, the loop position its ring
+    # operand waits for (-1: none), and whether the value is a root
+    pos = np.arange(n, dtype=np.int64)
+    ok = np.ones(n, dtype=bool)
+    root = np.zeros(n, dtype=bool)
+    rv = np.zeros(n, dtype=np.int64)
+    for kind, _, oj, sj, aj, keep in reversed(stages):
+        m = _ring_back(graph, oj, pos, root, rv)    # output index
+        live = m >= 0
+        if kind == "fifo":
+            ok &= m < limit
+            pos = m
+        elif kind == "demux":
+            idx = np.flatnonzero((V[sj][:limit] != 0) == keep)
+            ok &= m < len(idx)
+            pos = np.where(live, _at(idx, m), -1)
+        else:
+            take = (V[sj][:limit] != 0) != keep     # alternate tokens
+            alts = np.cumsum(take)
+            am = _at(alts, m)
+            ok &= ~live | (m < len(take)) & (am <= len(V[aj]))
+            new = live & ok & (_at(take, m) != 0) & ~root
+            rv[new] = V[aj][am[new] - 1]
+            root |= new
+            pos = np.where(live, m - am, -1)
+    dep = _ring_back(graph, ej, pos, root, rv)      # firing waited on
+    stuck = np.flatnonzero(~ok | (dep >= np.arange(n)))
+    if len(stuck):
+        n = int(stuck[0])
+    # values: sum each chain of firings back to its root (``rv`` is 0
+    # off the roots).  A CADD's lanes are summed unfolded: the final
+    # pack keeps each lane modulo ``2 ** hb``, as the folds would
+    ptr = np.append(np.where(root[:n], n, dep[:n]), n)
+    v = np.zeros((2 if hb else 1, n + 1), dtype=np.int64)
+    v[-1, :n] = x[:n] + rv[:n]
+    if hb:
+        v[0, :n] = (x[:n] >> hb) + (rv[:n] >> hb)
+    while (ptr[:n] != n).any():
+        v += np.take(v, ptr, axis=1)
+        ptr = ptr[ptr]
+    acc = _vpack(v[0, :n], v[1, :n], hb) if hb else _wrap(v[0, :n], o.bits)
+    # forward: every produced stream, from the adder's results on
+
+    def put(i, k, words):
+        for j in nodes[i].out_ports[k]:
+            q = _seed(graph, j)
+            V[j] = np.concatenate((_arr(q), words)) if q else words
+
+    put(a, 0, acc)
+    cur = V[ej]
+    for kind, i, oj, sj, aj, keep in stages:
+        if kind == "fifo":
+            put(i, 0, _wrap(cur[:limit], nodes[i].obj.bits))
+        elif kind == "demux":
+            f = min(limit, len(V[sj]), len(cur))
+            t = V[sj][:f] != 0
+            put(i, 1, cur[:f][t])
+            put(i, 0, cur[:f][~t])
+        else:
+            sel = V[sj][:limit]
+            ins = (V[aj], cur) if keep else (cur, V[aj])
+            f, xa, xb = _merge_at(*select_split(sel), len(sel),
+                                  len(ins[0]), len(ins[1]))
+            put(i, 0, _mix(f, xa, ins[0], xb, ins[1]))
+        cur = V[oj]
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,9 @@ reads the replayed cycles off the trace instead
 (:meth:`TraceSession.records`).  Whatever touches that state from
 outside the scheduler (``reset``, ``set_data``, ``flip_bit``, ``reload``,
 ``diagnose``) first settles the session (:meth:`TraceSession.settle`).
+The configuration manager owns its one open session, so a dropped
+simulator's session still settles, and every ``Simulator`` settles one
+another simulator left open before it runs.
 
 Every session of one netlist shape reads the same compiled
 :class:`repro.fastpath.cache.Netlist`: its kernels, its count-state
@@ -631,6 +634,8 @@ class FastpathScheduler:
         s = self._session
         if s is not None:
             self._session = None
+            if self.manager._session is s:
+                self.manager._session = None
             s.materialize()
 
     def _netlist_key(self) -> tuple:
@@ -681,7 +686,10 @@ class FastpathScheduler:
         except UnsupportedGraphError as exc:
             self._note_fallback(exc, mgr.version)
             return None
-        self._session = TraceSession(st[1], st[2], mgr.version)
+        # the manager owns its open session; every Simulator run first
+        # settles one another simulator left open
+        self._session = mgr._session = TraceSession(st[1], st[2],
+                                                    mgr.version)
         return self._session
 
     def step(self) -> int:

@@ -61,6 +61,10 @@ class ConfigurationManager:
         self.version = 0
         self._objects_cache: Optional[tuple] = None
         self._wires_cache: Optional[tuple] = None
+        #: the one open fastpath session holding the resident objects'
+        #: state (:meth:`settle`); owned here, so that it outlives the
+        #: simulator that opened it
+        self._session = None
 
     # -- load / remove ------------------------------------------------------------
 
@@ -230,6 +234,13 @@ class ConfigurationManager:
         self.version += 1
         self._objects_cache = None
         self._wires_cache = None
+
+    def settle(self) -> None:
+        """Write back and retire the open fastpath session, if any:
+        whatever runs the array next starts from current state."""
+        session, self._session = self._session, None
+        if session is not None:
+            session.settle()
 
     # -- prefetch ----------------------------------------------------------------
 

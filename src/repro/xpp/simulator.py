@@ -85,6 +85,7 @@ class Simulator:
         Use :meth:`step_n` or :meth:`run` for the batched fast path.
         """
         self.scheduler.invalidate()
+        self.manager.settle()       # a session another simulator holds
         fired = self.scheduler.step()
         self.cycle += 1
         return fired
@@ -98,6 +99,7 @@ class Simulator:
         """
         sched = self.scheduler
         sched.invalidate()
+        self.manager.settle()
         emit = self._emitter(get_tracer(), get_metrics())
         batched = getattr(sched, "step_n", None)
         if emit is not None or batched is None:
@@ -130,6 +132,7 @@ class Simulator:
             tracer.set_time(start_cycle)
         sched = self.scheduler
         sched.invalidate()
+        self.manager.settle()
         whole = None
         if until is None or isinstance(until, SinksDone):
             run_all = getattr(sched, "run", None)

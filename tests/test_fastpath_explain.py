@@ -245,8 +245,8 @@ def test_graph_level_rejections_keep_object_verdicts_clean():
 
 
 def test_explain_reports_epoch_strategy_for_feedback():
-    # the despreader's accumulate-dump ring compiles via the epoch
-    # lowering: the report names exactly the ring members as the one
+    # the despreader's accumulate-dump ring compiles as one feedback
+    # component: the report names exactly the ring members as the one
     # SCC; every other object keeps the whole-trace value pass
     from repro.kernels import build_despreader_config
     mgr = _load(build_despreader_config(2, 4))
@@ -263,6 +263,31 @@ def test_explain_reports_epoch_strategy_for_feedback():
     assert len(d["details"]["sccs"]) == 1 \
         and d["details"]["cache"] in ("memory", "miss")
     assert d["details"]["sccs"][0]
+
+
+def test_explain_names_each_components_lowering():
+    # the despreader's integrate-and-dump loop is an additive ring: the
+    # value pass computes it in closed form and no epoch source is
+    # emitted; a loop through a PASS keeps its epoch kernel, and
+    # kernel_lines counts exactly the sources emitted
+    from repro.fastpath import capture
+    from repro.fastpath.cache import emit_sources
+    from repro.kernels import build_despreader_config
+    b = ConfigBuilder("pass_ring")
+    add, back = b.alu("ADD"), b.alu("PASS")
+    b.connect(b.source("x", [1, 2, 3]), 0, add, 0)
+    b.connect(add, 0, back, 0)
+    b.connect(back, 0, add, 1)._q.append(7)
+    b.connect(add, 0, b.sink("y"), 0)
+    for cfg, lowering in ((build_despreader_config(2, 4), ["ring"]),
+                          (b.build(), ["epoch"])):
+        mgr = _load(cfg)
+        report = explain(mgr)
+        assert report.details["lowering"] == lowering
+        sources = emit_sources(capture(mgr))
+        assert ("epoch0" in sources) == (lowering == ["epoch"])
+        assert report.details["kernel_lines"] == sum(
+            src.count("\n") + 1 for src in sources.values())
 
 
 def test_explain_reports_cache_outlook_without_populating():

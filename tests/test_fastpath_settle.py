@@ -100,21 +100,46 @@ def test_a_flip_from_an_until_hook_sees_the_committed_writes():
 
 
 def test_the_back_reference_does_not_keep_a_session_alive():
-    """Objects and wires reach their session through a weak reference,
-    so a simulator dropped with its session open frees the session at
-    once, with no garbage-collector pass."""
+    """Objects and wires reach their session through a weak reference;
+    the manager owns it.  A simulator dropped with its session open
+    leaves the session with the manager, and once the manager settles
+    it, it is freed at once, with no garbage-collector pass."""
     cfg = _adder()
     mgr = ConfigurationManager()
     mgr.load(cfg)
     sim = Simulator(mgr, scheduler="fastpath")
     sim.run(3)
     ref = cfg.object("add")._session
-    assert ref() is not None and cfg.wires[0]._session is ref
+    assert ref() is mgr._session and cfg.wires[0]._session is ref
     gc.disable()
     try:
         del sim
+        assert ref() is not None            # the manager holds it
+        mgr.settle()
         assert ref() is None
     finally:
         gc.enable()
+    assert cfg.sources["x"].remaining == 7  # written back
     cfg.sources["x"].set_data([1])          # nothing left to settle
     assert cfg.sources["x"].remaining == 1
+
+
+@pytest.mark.parametrize("keep", [True, False], ids=["kept", "dropped"])
+@pytest.mark.parametrize("second", SCHEDULERS)
+@pytest.mark.parametrize("first", SCHEDULERS)
+def test_a_second_simulator_continues_where_the_first_stopped(first, second,
+                                                              keep):
+    """Two simulators on one manager: the first stops after 4 cycles,
+    the second drains.  Whatever runs the array first settles a session
+    the other simulator still holds, kept alive or dropped, so the sink
+    sees each token once."""
+    cfg = _adder()
+    mgr = ConfigurationManager()
+    mgr.load(cfg)
+    sim = Simulator(mgr, scheduler=first)
+    sim.run(4)
+    if not keep:
+        del sim
+        gc.collect()
+    Simulator(mgr, scheduler=second).drain()
+    assert cfg.sinks["y"].received == list(range(100, 110))

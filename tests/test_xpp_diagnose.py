@@ -1,5 +1,7 @@
 """Tests for the stall diagnosis utility."""
 
+import gc
+
 import pytest
 
 from repro.xpp import (
@@ -78,6 +80,19 @@ def test_every_scheduler_reports_the_same_stalls(scheduler, scenario):
         assert report == []
     else:
         assert report
+
+
+@pytest.mark.parametrize("scenario", sorted(SCENARIOS))
+@pytest.mark.parametrize("scheduler", ["naive", "event", "fastpath"])
+def test_a_dropped_simulator_reports_the_same_stalls(scheduler, scenario):
+    """The simulator is gone before the diagnosis: the manager owns the
+    fastpath session it left open, and the diagnosis settles it."""
+    build, cycles = SCENARIOS[scenario]
+    mgr = ConfigurationManager()
+    mgr.load(build())
+    Simulator(mgr, scheduler=scheduler).run(cycles)
+    gc.collect()
+    assert [str(s) for s in diagnose(mgr)] == _report(scenario, "naive")
 
 
 class TestDiagnose:
