@@ -123,7 +123,7 @@ def explain(manager, *, cycles: int = DEFAULT_CYCLES,
 
     with tr.span("explain.replay", cat="fastpath"):
         t0 = time.perf_counter()
-        session = TraceSession(graph, netlist, manager.version)
+        session = TraceSession(graph, netlist)
         session.ensure(cycles)
         report.details.update(
             trace_cycles=min(len(session.masks), cycles),

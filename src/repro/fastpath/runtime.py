@@ -8,15 +8,15 @@ where a whole ``Simulator.run`` stops without stepping it.  Replay
 keeps live only what stop predicates and ``collect_stats`` read:
 ``obj.fired``, sink ``received``, probe ``seen``.  Wires and object
 registers stay frozen until :meth:`TraceSession.materialize` writes
-the count state at the cursor back (when the trace goes quiet, on
-``invalidate`` or on a manager version bump), so per-cycle telemetry
-reads the replayed cycles off the trace instead
-(:meth:`TraceSession.records`).  Whatever touches that state from
-outside the scheduler (``reset``, ``set_data``, ``flip_bit``, ``reload``,
-``diagnose``) first settles the session (:meth:`TraceSession.settle`).
-The configuration manager owns its one open session, so a dropped
-simulator's session still settles, and every ``Simulator`` settles one
-another simulator left open before it runs.
+the count state at the cursor back (when the trace goes quiet, or when
+the configuration manager settles), so per-cycle telemetry reads the
+replayed cycles off the trace instead (:meth:`TraceSession.records`).
+The manager owns its one open session.  Whatever touches that state
+from outside the scheduler (``reset``, ``set_data``, ``flip_bit``,
+``reload``, ``diagnose``) and every scheduler that takes over from
+another, or steps after a ``load``/``remove``, settles the manager
+first, so a session lives across ``step``/``run`` calls until one of
+those happens, and a dropped simulator's session still settles.
 
 Every session of one netlist shape reads the same compiled
 :class:`repro.fastpath.cache.Netlist`: its kernels, its count-state
@@ -35,17 +35,16 @@ change (counters, the selects they drive) from the netlist's data plan
 only its data.
 
 :class:`FastpathScheduler` plugs this in behind the standard scheduler
-seam: it compiles on first step, recompiles from live state whenever
-the configuration manager's version changes (the Fig. 10 mid-run swap),
-and transparently falls back to an inner :class:`EventScheduler` —
-with a :class:`FastpathFallbackWarning` — for graphs the compiler
-cannot prove.
+seam: it compiles on first step, reopens from live state whenever its
+claim on the configuration manager fails (recompiling when the version
+changed: the Fig. 10 mid-run swap), and transparently falls back to an
+inner :class:`EventScheduler` — with a :class:`FastpathFallbackWarning`
+— for graphs the compiler cannot prove.
 """
 
 from __future__ import annotations
 
 import warnings
-import weakref
 from collections import Counter, deque
 from typing import NamedTuple
 
@@ -122,13 +121,11 @@ class TraceSession:
     capture, ``netlist`` the :class:`~repro.fastpath.cache.Netlist` of
     its shape, whose schedule memo the session reads and stores into."""
 
-    def __init__(self, graph, netlist, version):
+    def __init__(self, graph, netlist):
         self.graph = graph
         self.netlist = netlist
         self.trace = netlist.trace
         self.memo = netlist.memo
-        self.version = version
-        self.retired = False    # settled by an outside access
         self.spec = netlist.spec
         self.s0 = netlist.initial_state(graph)
         self.state = self.s0
@@ -164,9 +161,6 @@ class TraceSession:
         self._decode = {}
         self._closed = False
         self._obs = (0, self.s0)    # (cycle, count state) of records
-        ref = weakref.ref(self)     # a dropped session is freed at once
-        for x in graph.objs + graph.wires:
-            x._session = ref
 
     # -- tracing -------------------------------------------------------------
 
@@ -498,8 +492,8 @@ class TraceSession:
         """Write the count state at the replay cursor back into every
         live wire and object, closing the session (idempotent).  Nothing
         outside the scheduler touches that state while the session is
-        open: every such access settles the session first (see
-        :meth:`settle`)."""
+        open: every such access settles the configuration manager, which
+        calls this first."""
         if self._closed or self.cursor == 0:
             return
         self._closed = True
@@ -517,13 +511,6 @@ class TraceSession:
             w.total_transfers += p
         for n in self.graph.nodes:
             self._writeback(n, sd)
-
-    def settle(self) -> None:
-        """Write the session back and retire it ahead of an outside
-        access (the ``settle()`` of an object or wire it holds); the
-        scheduler then reopens from live state."""
-        self.materialize()
-        self.retired = True
 
     def _writeback(self, n, sd) -> None:
         o = n.obj
@@ -613,30 +600,14 @@ class FastpathScheduler:
     def __init__(self):
         self.manager = None
         self._inner = EventScheduler()
-        self._session = None
         self._structure = None          # (version, graph, netlist)
         self._fallback_version = None
 
     def bind(self, manager) -> None:
         self.manager = manager
         self._inner.bind(manager)
-        self._session = None            # fresh bind: no state to write back
         self._structure = None
         self._fallback_version = None
-
-    def invalidate(self) -> None:
-        """Close any open session (writing its state back), so state
-        mutated outside the commit phase is picked up on the next step."""
-        self._close_session()
-        self._inner.invalidate()
-
-    def _close_session(self) -> None:
-        s = self._session
-        if s is not None:
-            self._session = None
-            if self.manager._session is s:
-                self.manager._session = None
-            s.materialize()
 
     def _netlist_key(self) -> tuple:
         """Cheap structural key of the resident netlist for warning
@@ -660,18 +631,17 @@ class FastpathScheduler:
                     f"fastpath: falling back to the event scheduler ({exc})",
                     code),
                 stacklevel=4)
-        self._inner.invalidate()
 
     def _ensure_session(self):
+        """The manager's open session while this scheduler's claim on it
+        holds, else a new one opened from live state; None on the event
+        fallback, checked before claiming so that the inner scheduler
+        keeps its own claim."""
         mgr = self.manager
-        s = self._session
-        if s is not None:
-            if s.version == mgr.version and not s.retired:
-                return s
-            self._close_session()       # mid-run reconfiguration or an
-            s = None                    # outside access: reopen below
         if self._fallback_version == mgr.version:
             return None
+        if mgr.claim(self) and mgr._session is not None:
+            return mgr._session
         st = self._structure
         if st is None or st[0] != mgr.version:
             try:
@@ -686,11 +656,8 @@ class FastpathScheduler:
         except UnsupportedGraphError as exc:
             self._note_fallback(exc, mgr.version)
             return None
-        # the manager owns its open session; every Simulator run first
-        # settles one another simulator left open
-        self._session = mgr._session = TraceSession(st[1], st[2],
-                                                    mgr.version)
-        return self._session
+        mgr._session = TraceSession(st[1], st[2])
+        return mgr._session
 
     def step(self) -> int:
         s = self._ensure_session()
@@ -706,8 +673,9 @@ class FastpathScheduler:
 
     def records(self, n: int):
         """:meth:`TraceSession.records` of the last ``n`` cycles, or None
-        when they ran on the event fallback, whose live state is current."""
-        s = self._session
+        when they ran on the event fallback, whose live state is current
+        (the fallback's claim settled any session)."""
+        s = self.manager._session
         return None if s is None else s.records(n)
 
     def run(self, max_cycles: int, sinks, quiescent_limit: int):

@@ -172,6 +172,7 @@ class FaultInjector:
             if tap is None:
                 tap = _WireTap(self, w.name)
                 self._taps[w] = tap
+                w.settle()      # an open fastpath session ignores taps
                 w._tap = tap
             for f in faults or ():
                 tap.add(f)
@@ -226,6 +227,7 @@ class FaultInjector:
                 self._log(f.kind, obj.name, f.fire_index,
                           f"word {f.word} bit {f.bit} -> {new}")
 
+        obj.settle()
         obj.commit = commit
         self._wrapped.append(obj)
 

@@ -42,14 +42,12 @@ def diagnose(manager: ConfigurationManager) -> list:
 
     Call between simulator steps (the wires must be inside a cycle for
     availability to be meaningful, so this latches a fresh view first).
-    A fastpath session still holding the array state is settled first,
-    so every scheduler reports the same.  Objects that *can* fire are
-    omitted.
+    The manager settles first, so every scheduler reports the same.
+    Objects that *can* fire are omitted.
     """
+    manager.settle()
     objs = manager.active_objects()
     wires = manager.active_wires()
-    for x in objs + wires:
-        x.settle()
     for w in wires:
         w.begin_cycle()
     stalls = []

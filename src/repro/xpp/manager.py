@@ -13,6 +13,7 @@ resources.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -65,6 +66,9 @@ class ConfigurationManager:
         #: state (:meth:`settle`); owned here, so that it outlives the
         #: simulator that opened it
         self._session = None
+        #: weak reference to the scheduler whose cached view of the
+        #: array is current (:meth:`claim`), or None after a touch
+        self._stepper = None
 
     # -- load / remove ------------------------------------------------------------
 
@@ -125,6 +129,11 @@ class ConfigurationManager:
         self.total_reconfig_cycles += entry.load_cycles
         self.loaded[config.name] = entry
         self._invalidate_active()
+        ref = weakref.ref(self)
+        for x in (*config.objects, *config.wires):
+            if x._manager is not None and x._manager() is not self:
+                x.settle()      # another manager's session may hold it
+            x._manager = ref
         for obj in config.objects:
             obj.on_load()
         tracer = get_tracer()
@@ -231,16 +240,39 @@ class ConfigurationManager:
             self.router.unroute(wire.name)
 
     def _invalidate_active(self) -> None:
+        # the stepper goes stale, but an open session is written back
+        # only at the next claim: a load/remove that nothing steps after
+        # (a one-shot ``execute``) pays no write-back
         self.version += 1
         self._objects_cache = None
         self._wires_cache = None
+        self._stepper = None
+
+    # -- touch protocol ------------------------------------------------------------
 
     def settle(self) -> None:
-        """Write back and retire the open fastpath session, if any:
-        whatever runs the array next starts from current state."""
+        """Bring the live state up to date ahead of an outside access.
+
+        Writes back the open fastpath session, if any, and forgets which
+        scheduler's view is current, so whatever steps the array next
+        starts from live state.  Every object and wire this manager
+        loaded calls this from its ``settle()`` (``set_data``,
+        ``reset``, ``reload``, ``flip_bit``, ``diagnose``)."""
+        self._stepper = None
         session, self._session = self._session, None
         if session is not None:
-            session.settle()
+            session.materialize()
+
+    def claim(self, scheduler) -> bool:
+        """Make ``scheduler`` the one stepping the array.  True when it
+        already was and nothing touched the array since, so its cached
+        view is current; otherwise settle first and return False."""
+        ref = self._stepper
+        if ref is not None and ref() is scheduler:
+            return True
+        self.settle()
+        self._stepper = weakref.ref(scheduler)
+        return False
 
     # -- prefetch ----------------------------------------------------------------
 

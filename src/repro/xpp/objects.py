@@ -45,7 +45,7 @@ class DataflowObject:
     #: when inherited) and ``None`` for objects with a custom ``plan``.
     _sched_fast = None
 
-    _session = None     # weak reference: see :meth:`settle`
+    _manager = None     # weak reference: see :meth:`settle`
 
     def __init__(self, name: str, n_in: int, n_out: int,
                  in_names: Optional[list] = None,

@@ -36,7 +36,7 @@ class Wire:
 
     __slots__ = ("name", "capacity", "_q", "_avail", "_space", "_pops",
                  "_pushes", "total_transfers", "_events", "_marked", "_tap",
-                 "resets", "_session")
+                 "resets", "_manager")
 
     def __init__(self, name: str = "", capacity: int = DEFAULT_CAPACITY):
         if capacity < 1:
@@ -53,7 +53,7 @@ class Wire:
         self._marked = False                 # already on the event list?
         self._tap = None                     # fault-injector transfer tap
         self.resets = 0                      # configuration reloads
-        self._session = None                 # weakref: fastpath session
+        self._manager = None                 # weakref: see :meth:`settle`
 
     # -- start of cycle -----------------------------------------------------
 
@@ -136,15 +136,15 @@ class Wire:
         self._pushes = []
 
     def settle(self) -> None:
-        """Write back and retire the fastpath session that holds this
-        wire's (or object's) state, if any: a session keeps it frozen
-        while it replays, so whatever touches it from outside the
-        scheduler calls this first.  The session sets ``_session``, a
-        weak reference, when it opens."""
-        ref = self._session
-        session = ref() if ref is not None else None
-        if session is not None:
-            session.settle()
+        """Settle the configuration manager that loaded this wire (or
+        object), if any (:meth:`ConfigurationManager.settle`): whatever
+        touches the state from outside the scheduler calls this first.
+        ``load`` sets ``_manager``, a weak reference, and ``remove``
+        keeps it, since a session opened before still holds the state."""
+        ref = self._manager
+        mgr = ref() if ref is not None else None
+        if mgr is not None:
+            mgr.settle()
 
     def reset(self) -> None:
         """Drop all buffered and in-flight tokens (configuration

@@ -23,13 +23,16 @@ implementations share one interface:
   property layers — and :meth:`EventScheduler.step_n` runs whole
   batches through one loop with all state loads hoisted.
 
-Both schedulers fall back to a full evaluation whenever the
-configuration manager's ``version`` changes (a ``load``/``remove``, so
-mid-run reconfiguration stays bit-exact) and whenever
-:meth:`invalidate` is called (``Simulator.run``/``step_n`` do this on
-entry, and ``Simulator.step`` on every single step, so state mutated
-from outside the simulator — e.g. ``StreamSource.set_data`` between
-runs — is always picked up).
+The configuration manager decides when a scheduler's cached view of
+the array is stale.  Every step first claims the array
+(:meth:`~repro.xpp.manager.ConfigurationManager.claim`); the claim
+holds only while the same scheduler keeps stepping and nothing touched
+the array in between.  A ``load``/``remove`` breaks it, and so does
+every outside access (``set_data``, ``reset``, ``reload``,
+``flip_bit``, ``diagnose``: each settles the manager first), also from
+an ``until`` hook in the middle of a run.  On a failed claim the event
+scheduler plans everything once, so mid-run reconfiguration and outside
+touches stay bit-exact.
 
 Equivalence guarantee: for any sequence of runs and reconfigurations,
 the event scheduler fires exactly the same objects in exactly the same
@@ -64,26 +67,20 @@ class NaiveScheduler:
 
     def __init__(self):
         self.manager = None
-        self._version = None
 
     def bind(self, manager) -> None:
         """Attach to a configuration manager (called by the simulator)."""
         self.manager = manager
-        self._version = None
-
-    def invalidate(self) -> None:
-        """No-op: the naive scheduler always evaluates everything."""
 
     def step(self) -> int:
         """Advance one cycle; returns the number of firings."""
         mgr = self.manager
-        if mgr.version != self._version:
-            # detach any stale event lists a previous EventScheduler left
-            # installed, so wires stop recording for a dead listener
+        if not mgr.claim(self):
+            # detach the event lists another scheduler left installed,
+            # so wires stop recording for a listener that is not stepping
             for w in mgr.active_wires():
                 w._events = None
                 w._marked = False
-            self._version = mgr.version
         objects = []
         wires = []
         for entry in mgr.loaded.values():
@@ -131,16 +128,6 @@ class EventScheduler:
         """Attach to a configuration manager (called by the simulator)."""
         self.manager = manager
         self._version = None
-        self._full = True
-
-    def invalidate(self) -> None:
-        """Force a full evaluation on the next step.
-
-        Cheap (structural maps are only rebuilt when the manager's
-        version changed); use after mutating simulation state from
-        outside the commit phase.
-        """
-        self._full = True
 
     # -- structure -----------------------------------------------------------
 
@@ -181,13 +168,7 @@ class EventScheduler:
                 tuple(dict.fromkeys(consumers[w])))
             for w in wires}
 
-        self._events.clear()
-        for w in wires:
-            w._events = self._events
-            w._marked = False
-        self._pending_begin = ()
         self._version = mgr.version
-        self._full = True
 
     # -- stepping ------------------------------------------------------------
 
@@ -200,12 +181,16 @@ class EventScheduler:
 
         Semantically identical to ``n`` calls of :meth:`step`.  Nothing
         outside the scheduler can run between batched cycles, so the
-        manager version check happens once at entry and all scheduler
-        state lives in locals across the whole batch.
+        claim happens once at entry and all scheduler state lives in
+        locals across the whole batch.  A failed claim plans every
+        object in the first cycle (re-installing the event list), after
+        rebuilding the structure if the manager's version moved.
         """
         mgr = self.manager
-        if mgr.version != self._version:
-            self._rebuild()
+        if not mgr.claim(self):
+            self._full = True
+            if mgr.version != self._version:
+                self._rebuild()
 
         events = self._events
         watchers = self._watchers
@@ -218,9 +203,9 @@ class EventScheduler:
             if full:
                 for w in self._wires:
                     w.begin_cycle()
-                del events[:]           # drop events from aborted cycles
-                for w in self._wires:
+                    w._events = events
                     w._marked = False
+                del events[:]           # drop events from aborted cycles
                 candidates = all_objects
                 full = False
             else:

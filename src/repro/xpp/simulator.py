@@ -79,13 +79,10 @@ class Simulator:
     def step(self) -> int:
         """Advance one clock cycle; returns the number of firings.
 
-        Single steps always run a full evaluation: callers that step
-        manually may have mutated object or wire state in between (e.g.
-        refilling a source), which the event scheduler cannot observe.
-        Use :meth:`step_n` or :meth:`run` for the batched fast path.
+        State touched between steps (a refilled source, a reloaded RAM)
+        settles the manager, and the scheduler's next claim on it fails,
+        so it starts from live state (see :mod:`repro.xpp.scheduler`).
         """
-        self.scheduler.invalidate()
-        self.manager.settle()       # a session another simulator holds
         fired = self.scheduler.step()
         self.cycle += 1
         return fired
@@ -94,12 +91,11 @@ class Simulator:
         """Advance ``n`` clock cycles; returns the total number of firings.
 
         The batched counterpart of :meth:`step`: the event scheduler's
-        ready list stays warm across the whole batch.  Under recording
-        telemetry the per-cycle loop runs instead, to the same results.
+        ready list stays warm across the whole batch, with no per-cycle
+        claim.  Under recording telemetry the per-cycle loop runs
+        instead, to the same results.
         """
         sched = self.scheduler
-        sched.invalidate()
-        self.manager.settle()
         emit = self._emitter(get_tracer(), get_metrics())
         batched = getattr(sched, "step_n", None)
         if emit is not None or batched is None:
@@ -121,8 +117,9 @@ class Simulator:
         a ``run`` method (fastpath) gets the whole run at once and
         returns ``(cycles, stop_reason)`` — or None to fall through to
         the per-cycle loop.  Any other ``until`` callable is opaque and
-        is called every cycle.  Installed telemetry never changes which
-        path runs: it is fed afterwards, cycle by cycle.
+        is called every cycle; a touch it makes settles the manager, so
+        the next step starts from live state.  Installed telemetry never
+        changes which path runs: it is fed afterwards, cycle by cycle.
         """
         start_cycle = self.cycle
         tracer = get_tracer()
@@ -130,12 +127,9 @@ class Simulator:
         emit = self._emitter(tracer, metrics)
         if tracer.enabled:
             tracer.set_time(start_cycle)
-        sched = self.scheduler
-        sched.invalidate()
-        self.manager.settle()
         whole = None
         if until is None or isinstance(until, SinksDone):
-            run_all = getattr(sched, "run", None)
+            run_all = getattr(self.scheduler, "run", None)
             if run_all is not None:
                 whole = run_all(max_cycles, getattr(until, "sinks", None),
                                 quiescent_limit)

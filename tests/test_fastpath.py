@@ -622,10 +622,10 @@ def test_op_family_compiles_and_is_bit_exact(family):
 
 
 def _stateful_script(scheduler):
-    """step_n partway (session open, mid-accumulation), then run() —
-    whose entry invalidate closes the fastpath session *before*
+    """step_n partway (session open, mid-accumulation), then an explicit
+    ``mgr.settle()`` — which closes the fastpath session *before*
     quiescence, forcing the write-back of partial ACC/INTEG/REG/FIFO/
-    counter/SEQ state that the recompiled session then resumes from."""
+    counter/SEQ state that the next session resumes from — then run()."""
     rng = np.random.default_rng(77)
     b = ConfigBuilder("stateful")
     src = b.source("x")
@@ -656,13 +656,14 @@ def _stateful_script(scheduler):
     mid = ({name: list(s.received) for name, s in cfg.sinks.items()},
            list(probe.seen), {o.name: o.fired for o in cfg.objects},
            sim.cycle)
+    mgr.settle()
     stats = sim.run(2000)
     final = ({name: list(s.received) for name, s in cfg.sinks.items()},
              list(probe.seen), _stats_key(stats))
     return mid, final
 
 
-def test_midstream_invalidate_materializes_bit_exactly():
+def test_midstream_settle_materializes_bit_exactly():
     ref = _stateful_script("naive")
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)

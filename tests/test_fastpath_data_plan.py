@@ -82,9 +82,9 @@ def _drive(lengths, scheduler, calls, seed=0):
         before = calls[0]
         log.append(_stats_key(sim.drain(5000)))
         traced.append(calls[0] - before)
-        session = getattr(sim.scheduler, "_session", None)
+        session = mgr._session
         opened.append((None if session is None else session.s0, phases))
-    sim.scheduler.invalidate()
+    sim.manager.settle()
     observed = (log, {n: list(s.received) for n, s in cfg.sinks.items()},
                 [list(w._q) for w in cfg.wires])
     return observed, traced, opened, (mgr, cfg)

@@ -62,7 +62,7 @@ def _drive(build, script, scheduler):
             log.append(cfg.object(args[0]).flip_bit(*args[1:]))
         else:
             raise ValueError(op)
-    sim.scheduler.invalidate()          # write any open session back
+    sim.manager.settle()                # write any open session back
     return ({n: list(s.received) for n, s in cfg.sinks.items()}, log,
             {o.name: list(o.mem) for o in cfg.objects
              if isinstance(o, RamPae)},
@@ -349,7 +349,7 @@ def _fig10_with_resident_fft(scheduler, *, between_runs=False):
             return False
 
         stats = _stats_key(sim.run(400, until=maybe_swap))
-    sim.scheduler.invalidate()
+    sim.manager.settle()
     fired = {o.name: o.fired for o in sched.manager.active_objects()}
     out = (stats, fired, list(ram.mem),
            list(sched.config2b.sinks["out"].received))
@@ -388,7 +388,7 @@ def _absorbed_session(cfg) -> TraceSession:
     mgr = ConfigurationManager()
     mgr.load(cfg)
     graph = capture(mgr)
-    s = TraceSession(graph, compile_graph(graph).netlist, mgr.version)
+    s = TraceSession(graph, compile_graph(graph).netlist)
     s.ensure(100_000)
     assert s.z is not None, "trace never went quiet"
     return s

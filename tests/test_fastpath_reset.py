@@ -53,7 +53,7 @@ def _script(scheduler, stop, op):
     _feed(cfg, rng, 3 * 8 * 8)
     sink.expect = 6
     second = sim.run(10_000, until=SinksDone([sink]))
-    sim.scheduler.invalidate()
+    sim.manager.settle()
     return ([(s.cycles, s.stop_reason, s.total_firings, s.energy,
               dict(s.firings)) for s in (first, second)],
             list(sink.received), [list(w._q) for w in cfg.wires],
@@ -87,7 +87,7 @@ def test_partial_reset_keeps_the_other_objects_write_back():
         cfg.object("chip_counter").reset()
         sink.expect = 8
         stats = sim.run(10_000, until=SinksDone([sink]))
-        sim.scheduler.invalidate()
+        sim.manager.settle()
         return (stats.cycles, stats.total_firings, list(sink.received),
                 [list(w._q) for w in cfg.wires])
 

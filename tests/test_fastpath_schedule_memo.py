@@ -119,7 +119,7 @@ def _drive(build, script, scheduler, calls):
             cache.clear_memory_cache()
         else:
             raise ValueError(op)
-    sim.scheduler.invalidate()          # write any open session back
+    sim.manager.settle()                # write any open session back
     observed = (log, {n: list(s.received) for n, s in cfg.sinks.items()},
                 [list(w._q) for w in cfg.wires],
                 {o.name: list(o.mem) for o in cfg.objects
@@ -274,7 +274,7 @@ def _fig10_rounds(scheduler, calls):
             before = calls[0]
             log.append(_stats_key(sim.run(2000)))
             traced.append(calls[0] - before)
-        sim.scheduler.invalidate()
+        sim.manager.settle()
         cfgs = [*sched.config1, sched.config2a, sched.config2b]
         outputs.append(
             {(c.name, n): list(s.received) for c in cfgs

@@ -17,7 +17,10 @@ The "cut, touch, drain" leg stops each netlist after a few cycles,
 while a fastpath session still holds its state, touches that state
 from outside once (a stream refill, a reset, a RAM/FIFO reload or bit
 flip, a stall diagnosis) and drains: the touch must see, and change,
-what the other schedulers' touch does.
+what the other schedulers' touch does.  Its sibling leg makes the same
+touch from an opaque ``until`` hook at the same cycle of one drain, in
+the middle of the run, where the touched object may have gone idle
+long before.
 
 The properties take their example counts from the active hypothesis
 profile: 100 by default, more under ``--hypothesis-profile=compilers``
@@ -274,8 +277,8 @@ def _drain(cfg, scheduler):
     return _drained(cfg, _load(cfg, scheduler)[1])
 
 
-def _drained(cfg, sim):
-    stats = sim.drain(3000)
+def _drained(cfg, sim, until=None):
+    stats = sim.run(3000, until=until)
     return ((stats.cycles, stats.stop_reason, stats.total_firings,
              stats.energy, dict(stats.firings)),
             {name: list(s.received) for name, s in cfg.sinks.items()},
@@ -467,3 +470,29 @@ def test_an_outside_touch_after_an_early_stop_matches_naive(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _cut_touch_drain(cfg, "fastpath", k, touch) == ref
+
+
+def _touch_in_run(cfg, scheduler, k, touch):
+    """One drain whose opaque ``until`` hook makes ``touch`` on its
+    call after cycle ``k``."""
+    mgr, sim = _load(cfg, scheduler)
+    calls = []
+
+    def until():
+        calls.append(_touch(cfg, mgr, *touch) if len(calls) == k else None)
+        return False
+
+    drained = _drained(cfg, sim, until)
+    return calls[k], drained
+
+
+@_FUZZ
+@given(touches())
+def test_an_outside_touch_from_an_until_hook_matches_naive(case):
+    cfg, k, touch = case
+    k = 1 + (k - 1) % max(_drain(copy.deepcopy(cfg), "naive")[0][0] - 8, 1)
+    ref = _touch_in_run(copy.deepcopy(cfg), "naive", k, touch)
+    assert _touch_in_run(copy.deepcopy(cfg), "event", k, touch) == ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        assert _touch_in_run(cfg, "fastpath", k, touch) == ref

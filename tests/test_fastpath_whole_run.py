@@ -115,7 +115,7 @@ def _drive(build, script, scheduler, opaque):
             cfg.sinks[args[0]].received.extend(args[1])
         else:
             raise ValueError(op)
-    sim.scheduler.invalidate()          # write any open session back
+    sim.manager.settle()                # write any open session back
     return ({n: list(s.received) for n, s in cfg.sinks.items()}, log,
             [list(w._q) for w in cfg.wires],
             {o.name: list(o.mem) for o in cfg.objects
@@ -271,7 +271,7 @@ def test_trace_grows_no_further_than_per_cycle_replay(build, budget):
         mgr.load(build())
         sim = Simulator(mgr, scheduler="fastpath")
         sim.run(budget, until=until)
-        lengths.append(len(sim.scheduler._session.masks))
+        lengths.append(len(mgr._session.masks))
     assert lengths[0] == lengths[1] < 2 * max(budget, FIRES_CHECK)
 
 
