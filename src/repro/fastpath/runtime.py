@@ -601,13 +601,19 @@ class FastpathScheduler:
         self.manager = None
         self._inner = EventScheduler()
         self._structure = None          # (version, graph, netlist)
+        # the version whose netlist does not compile, and the version
+        # whose runtime state (taps, overrides) failed the session-open
+        # check: the first holds until a load/remove, the second only
+        # until the next touch
         self._fallback_version = None
+        self._held_version = None
 
     def bind(self, manager) -> None:
         self.manager = manager
         self._inner.bind(manager)
         self._structure = None
         self._fallback_version = None
+        self._held_version = None
 
     def _netlist_key(self) -> tuple:
         """Cheap structural key of the resident netlist for warning
@@ -617,8 +623,7 @@ class FastpathScheduler:
         return (tuple((o.name, type(o).__name__) for o in objs),
                 len(self.manager.active_wires()))
 
-    def _note_fallback(self, exc, version) -> None:
-        self._fallback_version = version
+    def _note_fallback(self, exc) -> None:
         code = getattr(exc, "code", REASON_UNSUPPORTED_TYPE)
         metrics = get_metrics()
         metrics.counter("fastpath.fallback").inc()
@@ -640,6 +645,12 @@ class FastpathScheduler:
         mgr = self.manager
         if self._fallback_version == mgr.version:
             return None
+        if self._held_version == mgr.version:
+            # untouched since the check failed: the stepper is still
+            # this scheduler or its inner one
+            ref = mgr._stepper
+            if ref is not None and ref() in (self, self._inner):
+                return None
         if mgr.claim(self) and mgr._session is not None:
             return mgr._session
         st = self._structure
@@ -647,15 +658,19 @@ class FastpathScheduler:
             try:
                 compiled = compile_graph(capture(mgr))
             except UnsupportedGraphError as exc:
-                self._note_fallback(exc, mgr.version)
+                self._fallback_version = mgr.version
+                self._note_fallback(exc)
                 return None
             st = self._structure = (mgr.version, compiled.graph,
                                     compiled.netlist)
         try:
             check_runtime_state(st[1])
         except UnsupportedGraphError as exc:
-            self._note_fallback(exc, mgr.version)
+            if self._held_version != mgr.version:   # once per episode
+                self._held_version = mgr.version
+                self._note_fallback(exc)
             return None
+        self._held_version = None
         mgr._session = TraceSession(st[1], st[2])
         return mgr._session
 

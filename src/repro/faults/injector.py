@@ -187,11 +187,15 @@ class FaultInjector:
         dsp.fault_hook = self._on_invoke
 
     def detach(self) -> None:
-        """Remove every hook this injector installed."""
+        """Remove every hook this injector installed.  Like arming, an
+        outside access: it settles what it disarms, so a fastpath
+        scheduler held on the event fallback by a tap reopens a session."""
         for wire in self._taps:
+            wire.settle()
             wire._tap = None
         self._taps.clear()
         for obj in self._wrapped:
+            obj.settle()
             obj.__dict__.pop("commit", None)
         self._wrapped = []
         # == not `is`: bound methods are re-created per attribute access

@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.ofdm.scrambler import scrambler_sequence
+
 #: FFT size and cyclic prefix (samples at 20 MHz).
 N_FFT = 64
 N_CP = 16
@@ -31,6 +33,18 @@ DATA_CARRIERS = tuple(k for k in list(range(-26, 0)) + list(range(1, 27))
                       if k not in PILOT_CARRIERS)
 
 assert len(DATA_CARRIERS) == N_DATA_CARRIERS
+
+
+def _bins(carriers) -> np.ndarray:
+    out = np.array([k % N_FFT for k in carriers])
+    out.flags.writeable = False
+    return out
+
+
+#: FFT bins of :data:`DATA_CARRIERS` and :data:`PILOT_CARRIERS`, in the
+#: same order (gather/scatter indices).
+DATA_BINS = _bins(DATA_CARRIERS)
+PILOT_BINS = _bins(PILOT_CARRIERS)
 
 
 @dataclass(frozen=True)
@@ -88,10 +102,4 @@ def carrier_to_fft_bin(k: int) -> int:
 def pilot_polarity_sequence(n_symbols: int) -> np.ndarray:
     """The pilot polarity scrambler p_0, p_1, ... (x^7 + x^4 + 1, seed all
     ones), one +-1 value per OFDM symbol including SIGNAL (index 0)."""
-    state = 0x7F
-    out = np.empty(n_symbols, dtype=np.int64)
-    for i in range(n_symbols):
-        bit = ((state >> 6) ^ (state >> 3)) & 1
-        state = ((state << 1) | bit) & 0x7F
-        out[i] = 1 - 2 * bit
-    return out
+    return 1 - 2 * scrambler_sequence(n_symbols, 0x7F)

@@ -11,6 +11,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from repro.ofdm.params import N_FFT
 from repro.telemetry.probes import get_probes
@@ -64,9 +65,17 @@ def short_preamble() -> np.ndarray:
     return np.tile(period[:16], 10)
 
 
+@lru_cache(maxsize=1)
+def long_training_symbol() -> np.ndarray:
+    """One 64-sample long training symbol in time (read-only)."""
+    sym = np.fft.ifft(long_training_bins()) * np.sqrt(N_FFT)
+    sym.flags.writeable = False
+    return sym
+
+
 def long_preamble() -> np.ndarray:
     """The 160-sample long training sequence (GI2 + T1 + T2)."""
-    sym = np.fft.ifft(long_training_bins()) * np.sqrt(N_FFT)
+    sym = long_training_symbol()
     return np.concatenate([sym[-32:], sym, sym])
 
 
@@ -113,27 +122,25 @@ class PreambleDetector:
     def fine_timing(self, rx: np.ndarray, coarse: int) -> int:
         """Sample index of the first long training symbol (start of T1).
 
-        Cross-correlates with the known 64-sample long symbol in a
-        window after the coarse hit.
+        Cross-correlates with the known 64-sample long symbol at each
+        of up to 400 offsets after the coarse hit; -1 when no offset
+        correlates (or the capture is too short for two symbols).
         """
         r = np.asarray(rx, dtype=np.complex128)
-        ref = np.fft.ifft(long_training_bins()) * np.sqrt(N_FFT)
         lo = max(coarse, 0)
         hi = min(r.size - 2 * N_FFT, lo + 400)
         if hi <= lo:
             return -1
-        best, best_val = -1, 0.0
-        for n in range(lo, hi):
-            seg = r[n:n + N_FFT]
-            val = np.abs(np.vdot(ref, seg)) ** 2
-            # the two long symbols give two equal peaks 64 apart; take
-            # the first by requiring the next-symbol correlation too
-            seg2 = r[n + N_FFT:n + 2 * N_FFT]
-            val += np.abs(np.vdot(ref, seg2)) ** 2
-            if val > best_val:
-                best_val = val
-                best = n
-        return best
+        # one correlation per window start in [lo, hi + N_FFT)
+        c = sliding_window_view(r[lo:hi + 2 * N_FFT - 1], N_FFT) \
+            @ np.conj(long_training_symbol())
+        p = np.abs(c) ** 2
+        # the two long symbols give two equal peaks 64 apart; take the
+        # first by requiring the next-symbol correlation too.  fmax
+        # scores a NaN window 0, so it never wins
+        score = np.fmax(p[:-N_FFT] + p[N_FFT:], 0.0)
+        best = int(np.argmax(score))
+        return int(lo + best) if score[best] > 0 else -1
 
     def detect(self, rx: np.ndarray) -> int:
         """Full detection: sample index of T1, or -1."""

@@ -28,18 +28,16 @@ from repro.ofdm.convcode import conv_encode, depuncture
 from repro.ofdm.interleaver import deinterleave
 from repro.ofdm.mapping import hard_demap, map_bits, soft_demap
 from repro.ofdm.params import (
+    DATA_BINS,
     DATA_CARRIERS,
     N_CP,
     N_FFT,
-    PILOT_CARRIERS,
+    PILOT_BINS,
     PILOT_VALUES,
     pilot_polarity_sequence,
     rate_params,
 )
-from repro.ofdm.preamble import (
-        PreambleDetector,
-    long_training_bins,
-)
+from repro.ofdm.preamble import PreambleDetector, long_training_bins
 from repro.ofdm.scrambler import scramble_bits
 from repro.ofdm.transmitter import (
     DATA_SCRAMBLER_SEED,
@@ -191,11 +189,10 @@ class OfdmReceiver:
         eq[used] = bins[used] / h[used]
         # common phase error from the 4 pilots
         pilot_ref = polarity * np.array(PILOT_VALUES, dtype=np.complex128)
-        pilot_rx = np.array([eq[k % N_FFT] for k in PILOT_CARRIERS])
-        cpe = np.vdot(pilot_ref, pilot_rx)
+        cpe = np.vdot(pilot_ref, eq[PILOT_BINS])
         phase = cpe / np.abs(cpe) if np.abs(cpe) > 0 else 1.0
         eq = eq * np.conj(phase)
-        return np.array([eq[k % N_FFT] for k in DATA_CARRIERS])
+        return eq[DATA_BINS]
 
     def _decode_bits(self, soft: np.ndarray, rp, *,
                      terminated: bool = True) -> np.ndarray:

@@ -16,10 +16,11 @@ from repro.ofdm.convcode import conv_encode, puncture
 from repro.ofdm.interleaver import interleave
 from repro.ofdm.mapping import map_bits
 from repro.ofdm.params import (
+    DATA_BINS,
     DATA_CARRIERS,
     N_CP,
     N_FFT,
-    PILOT_CARRIERS,
+    PILOT_BINS,
     PILOT_VALUES,
     RATES,
     RateParams,
@@ -42,10 +43,8 @@ def assemble_symbol(data_points: np.ndarray, polarity: int) -> np.ndarray:
     if data_points.size != len(DATA_CARRIERS):
         raise ValueError(f"need {len(DATA_CARRIERS)} data points")
     bins = np.zeros(N_FFT, dtype=np.complex128)
-    for k, v in zip(DATA_CARRIERS, data_points):
-        bins[k % N_FFT] = v
-    for k, p in zip(PILOT_CARRIERS, PILOT_VALUES):
-        bins[k % N_FFT] = polarity * p
+    bins[DATA_BINS] = data_points
+    bins[PILOT_BINS] = polarity * np.array(PILOT_VALUES)
     sym = np.fft.ifft(bins) * np.sqrt(N_FFT)
     return np.concatenate([sym[-N_CP:], sym])
 

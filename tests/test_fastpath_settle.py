@@ -24,6 +24,7 @@ import pytest
 from repro.fastpath import FastpathFallbackWarning
 from repro.faults import FaultInjector, RamBitFlip, StuckAtFault
 from repro.kernels.despreader import build_despreader_config
+from repro.telemetry.metrics import collecting
 from repro.xpp import ConfigBuilder, ConfigurationManager, RamPae, Simulator
 
 SCHEDULERS = ("naive", "event", "fastpath")
@@ -261,6 +262,48 @@ def test_arming_faults_between_runs_reaches_an_open_session(case):
     assert ref != _armed("naive", case, arm=False)
     for scheduler in ("event", "fastpath"):
         assert _armed(scheduler, case) == ref
+
+
+def _attach_detach(scheduler):
+    """Run 5 cycles, then twice: attach a stuck-at tap, 5 cycles and 3
+    single steps, detach, 5 cycles; then drain.  Returns every run's
+    stats, the sink tokens, whether a session was open after each
+    post-detach run and after the drain, and the fallback count."""
+    cfg = _adder(range(100))
+    mgr = ConfigurationManager()
+    mgr.load(cfg)
+    sim = Simulator(mgr, scheduler=scheduler)
+    runs, open_after = [sim.run(5)], []
+    with collecting() as registry, warnings.catch_warnings():
+        warnings.simplefilter("ignore", FastpathFallbackWarning)
+        for _ in range(2):
+            injector = FaultInjector(
+                [StuckAtFault(wire=cfg.wires[-1].name, bit=3)]).attach(sim)
+            runs.append(sim.run(5))
+            runs.extend(sim.step() for _ in range(3))
+            injector.detach()
+            runs.append(sim.run(5))
+            open_after.append(mgr._session is not None)
+        runs.append(sim.drain())
+        open_after.append(mgr._session is not None)
+    stats = [s if isinstance(s, int) else
+             (s.cycles, s.stop_reason, s.total_firings, s.energy,
+              dict(s.firings)) for s in runs]
+    return (stats, list(cfg.sinks["y"].received), open_after,
+            registry.counter("fastpath.fallback").value)
+
+
+def test_a_detached_fault_lets_a_session_reopen():
+    """A wire tap holds fastpath on the event fallback only until the
+    injector detaches: detaching settles the manager, the next run
+    opens a session again, and the fallback counts once per attach."""
+    ref = _attach_detach("naive")
+    assert ref[1] != [x + 100 for x in range(100)]      # the tap bit
+    assert _attach_detach("event")[:2] == ref[:2]
+    stats, out, open_after, fallbacks = _attach_detach("fastpath")
+    assert (stats, out) == ref[:2]
+    assert open_after == [True, True, True]
+    assert fallbacks == 2
 
 
 @pytest.mark.parametrize("second", SCHEDULERS)
