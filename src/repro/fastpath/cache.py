@@ -142,8 +142,9 @@ class Netlist:
     from them, ``trace`` is the count-level trace kernel, ``values`` and
     ``late`` the value pass and its late sweep, ``epochs`` the epoch
     kernels indexed like ``graph.sccs`` (None for an additive ring).
-    ``spec`` is the count-state layout with ``state0``, its template
-    (see :meth:`initial_state`), ``selects`` and ``stamps`` the select
+    ``spec`` is the count-state layout with ``at``, its index by key,
+    and ``state0``, its template (see :meth:`initial_state`);
+    ``selects`` and ``stamps`` are the select
     and RAM read-address edges (all functions of the structure alone).
     ``memo`` maps the count state a session opened on to the
     :class:`~repro.fastpath.runtime.Schedule` traced from it; ``plan``
@@ -161,6 +162,7 @@ class Netlist:
                             if f"epoch{s}" in self.sources else None
                             for s in range(len(graph.sccs)))
         self.spec = state_spec(graph)
+        self.at = {key: k for k, key in enumerate(self.spec)}
         self.state0 = [0] * len(self.spec)
         self._live = {t: [] for t in ("o", "g", "an", "pre", "fl")}
         for k, (tag, x) in enumerate(self.spec):

@@ -263,7 +263,7 @@ def _ram_read(o, raddr, stamps, waddr, wdata, waddr_exact, wdata_exact):
     """
     n = len(stamps)
     addr = raddr[:n] % o.words
-    vals = _arr(o.mem)[addr]
+    vals = _arr(o._mem)[addr]
     w = stamps[-1] if n else 0          # stamps never decrease
     if not w:
         return vals, True

@@ -7,16 +7,27 @@ bitmasks ahead of the simulator's clock, ``replay_step`` /
 where a whole ``Simulator.run`` stops without stepping it.  Replay
 keeps live only what stop predicates and ``collect_stats`` read:
 ``obj.fired``, sink ``received``, probe ``seen``.  Wires and object
-registers stay frozen until :meth:`TraceSession.materialize` writes
-the count state at the cursor back (when the trace goes quiet, or when
-the configuration manager settles), so per-cycle telemetry reads the
-replayed cycles off the trace instead (:meth:`TraceSession.records`).
-The manager owns its one open session.  Whatever touches that state
-from outside the scheduler (``reset``, ``set_data``, ``flip_bit``,
-``reload``, ``diagnose``) and every scheduler that takes over from
-another, or steps after a ``load``/``remove``, settles the manager
-first, so a session lives across ``step``/``run`` calls until one of
-those happens, and a dropped simulator's session still settles.
+registers stay frozen, so per-cycle telemetry reads the replayed cycles
+off the trace instead (:meth:`TraceSession.records`).
+
+One write-back rule: the session's state goes back into the live
+objects and wires only when the configuration manager settles
+(:meth:`~repro.xpp.manager.ConfigurationManager.settle`), never at the
+end of a run, not even one that ends absorbed.  The manager owns its one
+open session.  Whatever touches that state from outside the scheduler
+(``reset``, ``set_data``, ``flip_bit``, ``reload``, ``diagnose``) and
+every scheduler that takes over from another, or steps after a
+``load``/``remove``, settles the manager first, so a session lives
+across ``step``/``run`` calls until one of those happens, and a dropped
+simulator's session still settles.  What a settle writes back depends on
+what comes next: everything (:meth:`TraceSession.materialize`), or,
+ahead of a reset of a configuration holding the session's whole graph
+(the resident FFT64's refill), only what the reset keeps
+(:meth:`TraceSession.materialize_survivors`).  Reading a RAM-PAE's
+``mem`` off an absorbed session writes back that RAM alone and leaves
+the session open (:meth:`TraceSession.materialize_ram`).  The
+``fastpath.writeback.full`` and ``fastpath.writeback.partial`` metrics
+counters count the two kinds.
 
 Every session of one netlist shape reads the same compiled
 :class:`repro.fastpath.cache.Netlist`: its kernels, its count-state
@@ -160,6 +171,7 @@ class TraceSession:
         # same set every cycle), so replay decodes each distinct mask once
         self._decode = {}
         self._closed = False
+        self._written = set()       # nodes materialize_ram wrote back
         self._obs = (0, self.s0)    # (cycle, count state) of records
 
     # -- tracing -------------------------------------------------------------
@@ -239,7 +251,7 @@ class TraceSession:
         (``o > 0``), and only for its truth, so the truth of
         ``sv[j][:p + o]`` at the final state covers everything it could
         have read: with ``s0`` that fixes the schedule."""
-        at = {key: k for k, key in enumerate(self.spec)}
+        at = self.netlist.at
         st = self.state
         canon = {}
         self.masks = [canon.setdefault(m, m) for m in self.masks]
@@ -281,11 +293,7 @@ class TraceSession:
         t = self.cursor
         self.cursor = t + 1
         if self.z is not None and t >= self.z:
-            # the array is absorbed: write the final state back now, so
-            # a run that ends quiescent leaves live state current for
-            # raw reads (the FFT64 kernel reads ``mem`` after a drain)
-            self.materialize()
-            return 0
+            return 0                    # absorbed: nothing fires again
         self.ensure(t + 1)
         m = self.masks[t]
         dec = self._decode.get(m)
@@ -342,8 +350,6 @@ class TraceSession:
                     k = rec[2]
                     rec[0].extend(rec[1][k:k + d])
                     rec[2] = k + d
-        if self.z is not None and self.cursor > self.z:
-            self.materialize()          # absorbed: see replay_step
         return total
 
     def stop(self, max_cycles: int, sinks, quiescent_limit: int):
@@ -488,34 +494,87 @@ class TraceSession:
         self._obs = (end, st)
         return out
 
+    @property
+    def absorbed(self) -> bool:
+        """Whether the replay went past the trace's zero mask (a run
+        that stopped quiescent): the session fires nothing more, and its
+        state is the trace's final one."""
+        return self.z is not None and self.cursor > self.z
+
+    def covered_by(self, config) -> bool:
+        """Whether every object and wire of this session's graph belongs
+        to ``config``, so that its reset overwrites all the session
+        holds but the wires' transfer counts."""
+        g = self.graph
+        if g.objs == tuple(config.objects) and g.wires == tuple(config.wires):
+            return True
+        objs, wires = set(config.objects), set(config.wires)
+        return all(o in objs for o in g.objs) \
+            and all(w in wires for w in g.wires)
+
     def materialize(self) -> None:
         """Write the count state at the replay cursor back into every
         live wire and object, closing the session (idempotent).  Nothing
         outside the scheduler touches that state while the session is
         open: every such access settles the configuration manager, which
-        calls this first."""
+        calls this first.  A RAM :meth:`materialize_ram` already wrote
+        back is left as it is."""
         if self._closed or self.cursor == 0:
             return
         self._closed = True
+        get_metrics().counter("fastpath.writeback.full").inc()
         st = self._state_at(self.cursor)
-        sd = dict(zip(self.spec, st))
-        for e in self.graph.edges:
+        ne = len(self.graph.edges)
+        for e, o, p in zip(self.graph.edges, st[1:1 + ne],
+                           st[1 + ne:1 + 2 * ne]):
             w = e.wire
-            o = sd[("o", e.j)]
-            p = sd[("p", e.j)]
             w._q = deque(self._word(e.j)[p:p + o].tolist() if o else ())
             w._pushes = []
             w._pops = 0
             w._avail = o
             w._space = e.cap - o
             w.total_transfers += p
+        done = self._written
         for n in self.graph.nodes:
-            self._writeback(n, sd)
+            if n.i not in done:
+                self._writeback(n, st)
 
-    def _writeback(self, n, sd) -> None:
+    def materialize_survivors(self) -> None:
+        """Close the session ahead of a reset of every object and wire
+        of its graph (:meth:`covered_by`), writing back only what such a
+        reset keeps: each wire's ``total_transfers``."""
+        if self._closed or self.cursor == 0:
+            return
+        self._closed = True
+        get_metrics().counter("fastpath.writeback.partial").inc()
+        st = self._state_at(self.cursor)
+        ne = len(self.graph.edges)
+        for w, p in zip(self.graph.wires, st[1 + ne:1 + 2 * ne]):
+            w.total_transfers += p
+
+    def materialize_ram(self, ram) -> bool:
+        """Write RAM-PAE ``ram``'s image back alone, leaving the session
+        open, when the session is absorbed (it fires nothing more, so the
+        image is final); the later :meth:`materialize` skips it.  False
+        when the session may still fire: the caller settles instead."""
+        if self._closed or self.cursor == 0:
+            return True
+        if not self.absorbed:
+            return False
+        for n in self.graph.nodes:
+            if n.obj is ram:
+                if n.i not in self._written:
+                    self._written.add(n.i)
+                    get_metrics().counter("fastpath.writeback.partial").inc()
+                    self._writeback(n, self._state_at(self.cursor))
+                break
+        return True
+
+    def _writeback(self, n, st) -> None:
+        at = self.netlist.at
         o = n.obj
         k = n.kind
-        f = sd[("f", n.i)]
+        f = st[at["f", n.i]]
         if k in ("sink", "probe") or f == 0 and k != "fifo":
             return
         if k == "source":
@@ -549,11 +608,11 @@ class TraceSession:
             o._re, _ = self._acc_state(re, o.length, o._n, o._re)
             o._im, o._n = self._acc_state(im, o.length, o._n, o._im)
         elif k == "reg":
-            pre = sd[("pre", n.i)]
+            pre = st[at["pre", n.i]]
             o._preload = o._preload[len(o._preload) - pre:]
         elif k == "fifo":
-            fin = sd[("fin", n.i)]
-            fout = sd[("fout", n.i)]
+            fin = st[at["fin", n.i]]
+            fout = st[at["fout", n.i]]
             if o.circular:
                 snap = list(o._q)
                 if snap and fout:
@@ -569,16 +628,16 @@ class TraceSession:
             o._do_out = False
         elif k == "ram":
             _, wa, wd = n.in_edges
-            w = sd[("p", wa)] if wa is not None and wd is not None else 0
+            w = st[at["p", wa]] if wa is not None and wd is not None else 0
             if w:
                 # last write to each address wins: the first occurrence
                 # in the reversed write stream
                 addrs, last = np.unique(self.edge_vals[wa][w - 1::-1]
                                         % o.words, return_index=True)
                 vals = _wrap(self.edge_vals[wd][w - 1::-1][last], o.bits)
-                mem = np.array(o.mem, dtype=np.int64)
+                mem = np.array(o._mem, dtype=np.int64)
                 mem[addrs] = vals
-                o.mem[:] = mem.tolist()
+                o._mem[:] = mem.tolist()
             o._do_read = False
             o._do_write = False
 

@@ -45,8 +45,9 @@ def wrap(value, bits: int = WORD_BITS):
         if value.dtype.kind in "iu" and bits <= 62:
             # int64-native fast path: the mask fits in an int64, so the
             # fold stays in machine integers instead of object arrays
-            v = value.astype(np.int64) & np.int64(mask)
-            return np.where(v >= sign, v - (mask + 1), v)
+            # (the offset add may wrap around 2**64, which keeps the low
+            # ``bits`` bits the mask takes)
+            return ((value.astype(np.int64) + sign) & mask) - sign
         v = value.astype(object) & mask
         return np.where(v >= sign, v - (mask + 1), v).astype(np.int64)
     v = int(value) & mask

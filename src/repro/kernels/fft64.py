@@ -160,19 +160,27 @@ def build_fft_stage_config(stage_index: int, data: list, *,
     return b.build()
 
 
+def _frozen(values) -> np.ndarray:
+    table = np.array(values, dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 @functools.lru_cache(maxsize=16)
 def resident_stage(twiddle_bits: int, stage_shift: int,
                    scheduler: str) -> tuple:
     """This process's resident stage of one FFT64 shape on one scheduler:
     ``(config, simulator, luts)``, the loaded stage configuration, the
-    simulator bound to it and, per stage, its lookup FIFOs' contents.
+    simulator bound to it and, per stage, its lookup FIFOs' contents as
+    read-only int64 arrays (a reload wraps them in NumPy).
 
     Every :class:`Fft64Kernel` of the shape shares it.  A run reloads
     the RAM and all three lookup FIFOs before each stage, which resets
     every object and wire of the configuration, so no run sees what
     another left behind."""
     names = ("raddr_lut", "twiddle_lut", "waddr_lut")
-    luts = tuple(dict(zip(names, _stage_schedules(stage, twiddle_bits)))
+    luts = tuple({name: _frozen(table) for name, table
+                  in zip(names, _stage_schedules(stage, twiddle_bits))}
                  for stage in range(3))
     cfg = build_fft_stage_config(0, [0] * N, twiddle_bits=twiddle_bits,
                                  stage_shift=stage_shift)
@@ -214,7 +222,7 @@ class Fft64Kernel:
         # load in digit-reversed order (the paper's initial streaming of
         # 64 samples into the data RAM through the address LUT)
         rev = _DIGIT_REVERSED
-        data = pack_array(re[rev] + 1j * im[rev], LANE_BITS).tolist()
+        data = pack_array(re[rev] + 1j * im[rev], LANE_BITS)
 
         if self._sim is None:
             self._config, self._sim, self._luts = resident_stage(
@@ -228,7 +236,7 @@ class Fft64Kernel:
             cfg.reload({"data_ram": data, **self._luts[stage]})
             stats = sim.drain(20_000)
             self.last_stats.append(stats)
-            data = list(ram.mem)
+            data = np.array(ram.mem, dtype=np.int64)
             probes = get_probes()
             if probes.enabled:
                 # scan the stage's RAM image against the paper's 12-bit

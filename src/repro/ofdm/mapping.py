@@ -30,9 +30,12 @@ _AXIS_LEVELS = {
 }
 
 
-def _axis_bits(level: int, n: int) -> tuple:
-    inv = {v: k for k, v in _AXIS_LEVELS[n].items()}
-    return inv[level]
+#: per axis width: the level of each bit group, indexed by the group
+#: read as a binary number (first bit most significant)
+_LEVEL_OF = {
+    n: np.array([table[tuple((i >> (n - 1 - k)) & 1 for k in range(n))]
+                 for i in range(1 << n)], dtype=float)
+    for n, table in _AXIS_LEVELS.items()}
 
 
 def map_bits(bits: np.ndarray, modulation: str) -> np.ndarray:
@@ -49,9 +52,10 @@ def map_bits(bits: np.ndarray, modulation: str) -> np.ndarray:
     if modulation == "BPSK":
         return ((2 * groups[:, 0] - 1) + 0j).astype(np.complex128)
     half = n_bpsc // 2
-    table = _AXIS_LEVELS[half]
-    i_levels = np.array([table[tuple(g[:half])] for g in groups], dtype=float)
-    q_levels = np.array([table[tuple(g[half:])] for g in groups], dtype=float)
+    weights = 1 << np.arange(half - 1, -1, -1)
+    levels = _LEVEL_OF[half]
+    i_levels = levels[groups[:, :half] @ weights]
+    q_levels = levels[groups[:, half:] @ weights]
     return K_MOD[modulation] * (i_levels + 1j * q_levels)
 
 

@@ -471,8 +471,8 @@ class Counter(AluPae):
         self._emitted = 0
         self._stopped = False
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._value = self.start
         self._emitted = 0
         self._stopped = False
@@ -518,8 +518,8 @@ class Const(AluPae):
     def _has_work(self) -> bool:
         return self.count is None or self._emitted < self.count
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._emitted = 0
 
     def compute(self, args: list) -> list:
@@ -548,8 +548,8 @@ class Seq(AluPae):
     def _has_work(self) -> bool:
         return self.circular or self._pos < len(self.values)
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._pos = 0
 
     def compute(self, args: list) -> list:
@@ -581,8 +581,8 @@ class Acc(AluPae):
         self._sum = 0
         self._n = 0
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._sum = 0
         self._n = 0
 
@@ -622,8 +622,8 @@ class ComplexAcc(ComplexAlu):
         self._im = 0
         self._n = 0
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._re = 0
         self._im = 0
         self._n = 0
@@ -667,8 +667,8 @@ class Integrator(AluPae):
         self.init = init
         self._sum = init
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._sum = self.init
 
     def compute(self, args: list) -> list:
@@ -686,8 +686,8 @@ class ComplexIntegrator(ComplexAlu):
         self._re = 0
         self._im = 0
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._re = 0
         self._im = 0
 
@@ -712,8 +712,8 @@ class Reg(AluPae):
         self.init = tuple(init)
         self._preload = list(init)
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self._preload = list(self.init)
 
     def plan(self) -> bool:

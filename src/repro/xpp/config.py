@@ -87,22 +87,51 @@ class Configuration:
         initial values and all in-flight tokens are lost.  Recovery
         policies (:mod:`repro.faults.recovery`) call this before
         re-loading a configuration onto spare resources.
+
+        Settles once, then resets every object and wire without a
+        settle each.  An open fastpath session whose whole graph lies
+        inside this configuration writes back only what the reset keeps.
         """
+        for mgr in self._managers():
+            mgr.settle(covering=self)
+        self._reset()
+
+    def _reset(self) -> None:
         for o in self.objects:
-            o.reset()
+            o._reset()
         for w in self.wires:
-            w.reset()
+            w._reset()
+
+    def _managers(self):
+        """The live configuration managers holding this configuration's
+        state (one, while it is loaded)."""
+        last = None
+        for x in (*self.objects, *self.wires):
+            ref = x._manager
+            if ref is not last and ref is not None:
+                last = ref
+                mgr = ref()
+                if mgr is not None:
+                    yield mgr
+
+    def settle(self) -> None:
+        """Bring every object's and wire's live state up to date ahead of
+        an outside read (:meth:`ConfigurationManager.settle
+        <repro.xpp.manager.ConfigurationManager.settle>`)."""
+        for mgr in self._managers():
+            mgr.settle()
 
     def reload(self, contents: dict) -> None:
         """Replace the configured contents of FIFO/RAM PAEs, then
         :meth:`reset`.
 
         ``contents`` maps RAM-PAE names (FIFO or RAM mode) to their new
-        preloads, checked and wrapped as the constructors do; nothing
-        changes when any of them is refused.  This is the paper's
-        RAM read-back (Fig. 9): a resident configuration gets new data
-        words without a ``load``/``remove``, so the manager's
-        ``version`` stays put and schedulers keep their structure.
+        preloads, checked and wrapped as the constructors do (an integer
+        ndarray wraps in NumPy); nothing changes when any of them is
+        refused.  This is the paper's RAM read-back (Fig. 9): a resident
+        configuration gets new data words without a ``load``/``remove``,
+        so the manager's ``version`` stays put and schedulers keep their
+        structure.
         """
         images = []
         for name, data in contents.items():
@@ -111,10 +140,11 @@ class Configuration:
                 raise ConfigurationError(
                     f"{self.name}: {name!r} is not a RAM-PAE")
             images.append((obj, obj.image(data)))
+        for mgr in self._managers():
+            mgr.settle(covering=self)
         for obj, image in images:
-            obj.settle()
             obj._preload = image
-        self.reset()
+        self._reset()
 
     def validate(self) -> None:
         """Check the netlist is runnable: inputs that an object's firing

@@ -36,9 +36,9 @@ class StreamSource(DataflowObject):
         self._data = wrap_list(data, self.bits)
         self._pos = 0
 
-    def reset(self) -> None:
+    def _reset(self) -> None:
         """Rewind to the start of the attached stream."""
-        super().reset()
+        super()._reset()
         self._pos = 0
 
     @property
@@ -74,9 +74,9 @@ class StreamSink(DataflowObject):
         """True once the expected token count has arrived."""
         return self.expect is not None and len(self.received) >= self.expect
 
-    def reset(self) -> None:
+    def _reset(self) -> None:
         """Discard collected tokens (configuration reload)."""
-        super().reset()
+        super()._reset()
         self.received = []
 
     def compute(self, args: list) -> None:

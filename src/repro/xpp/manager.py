@@ -13,6 +13,7 @@ resources.
 
 from __future__ import annotations
 
+import sys
 import weakref
 from dataclasses import dataclass, field
 from typing import Optional
@@ -250,18 +251,47 @@ class ConfigurationManager:
 
     # -- touch protocol ------------------------------------------------------------
 
-    def settle(self) -> None:
+    def settle(self, covering=None) -> None:
         """Bring the live state up to date ahead of an outside access.
 
-        Writes back the open fastpath session, if any, and forgets which
-        scheduler's view is current, so whatever steps the array next
-        starts from live state.  Every object and wire this manager
-        loaded calls this from its ``settle()`` (``set_data``,
-        ``reset``, ``reload``, ``flip_bit``, ``diagnose``)."""
+        This is the one place where a fastpath session's state is written
+        back into the live objects and wires: a run, absorbed or not,
+        leaves its session open.  Settling closes the open session, if
+        any, and forgets which scheduler's view is current, so whatever
+        steps the array next starts from live state.  Every object and
+        wire this manager loaded calls this from its ``settle()``
+        (``set_data``, ``reset``, ``flip_bit``, ``diagnose``).
+
+        ``covering`` is a configuration about to be reset as a whole
+        (:meth:`Configuration.reset <repro.xpp.config.Configuration.reset>`,
+        ``reload``).  When the session's graph lies wholly inside it, the
+        session writes back only what that reset keeps (each wire's
+        transfer count): the reset overwrites everything else."""
         self._stepper = None
         session, self._session = self._session, None
         if session is not None:
-            session.materialize()
+            if covering is not None and session.covered_by(covering):
+                session.materialize_survivors()
+            else:
+                session.materialize()
+
+    def settle_ram(self, ram) -> None:
+        """Make ``ram``'s memory image current for a read
+        (:attr:`RamPae.mem <repro.xpp.ram.RamPae.mem>`).  An absorbed
+        session (one that will fire nothing more) writes that RAM alone
+        back and stays open; any other open session settles."""
+        session = self._session
+        if session is not None and not session.materialize_ram(ram):
+            self.settle()
+
+    def __del__(self, _finalizing=sys.is_finalizing) -> None:
+        # a configuration can outlive its manager (``execute`` drops its
+        # own): an absorbed session's final state goes back into the
+        # objects it holds.  A session cut short is dropped with the
+        # manager, unwritten: its write-back re-runs the trace kernel.
+        session = self._session
+        if session is not None and session.absorbed and not _finalizing():
+            self.settle()
 
     def claim(self, scheduler) -> bool:
         """Make ``scheduler`` the one stepping the array.  True when it

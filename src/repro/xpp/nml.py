@@ -243,8 +243,8 @@ def _decl_line(obj) -> str:
         parts = [f"ram {obj.name}", f"words={obj.words}"]
         if obj.bits != 24:
             parts.append(f"bits={obj.bits}")
-        if any(obj.mem):
-            parts.append(f"preload={_fmt_value(obj.mem)}")
+        if any(obj._mem):
+            parts.append(f"preload={_fmt_value(obj._mem)}")
         return " ".join(parts)
     if isinstance(obj, FifoPae):
         parts = [f"fifo {obj.name}", f"depth={obj.depth}"]
@@ -262,7 +262,10 @@ def _decl_line(obj) -> str:
 
 
 def dump_nml(config: Configuration) -> str:
-    """Serialise a configuration to NML text."""
+    """Serialise a configuration to NML text.  Memory images, FIFO
+    contents and register preloads are the live ones, settled first, so
+    an export after a run reads the same on every scheduler."""
+    config.settle()
     lines = [f"config {config.name}"]
     for obj in config.objects:
         lines.append(_decl_line(obj))

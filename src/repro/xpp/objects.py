@@ -133,11 +133,18 @@ class DataflowObject:
         A configuration reload (remap after a fault, Fig. 10 style
         swap-back) streams the original configuration words through the
         configuration tree again, so PAE registers return to their
-        build-time values.  Stateful subclasses override this to restore
-        their internal registers; the base resets the firing counter
-        and counts the reset.
+        build-time values.  Settles the configuration manager first, then
+        resets (:meth:`_reset`).
         """
         self.settle()
+        self._reset()
+
+    def _reset(self) -> None:
+        """The reset itself, on settled state: stateful subclasses extend
+        this to restore their internal registers; the base resets the
+        firing counter and counts the reset.
+        :meth:`Configuration.reset <repro.xpp.config.Configuration.reset>`
+        settles once and calls this on every object."""
         self.fired = 0
         self.resets += 1
 
@@ -164,6 +171,6 @@ class Probe(DataflowObject):
         self.seen.append(args[0])
         return [args[0]]
 
-    def reset(self) -> None:
-        super().reset()
+    def _reset(self) -> None:
+        super()._reset()
         self.seen = []

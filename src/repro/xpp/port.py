@@ -150,6 +150,10 @@ class Wire:
         """Drop all buffered and in-flight tokens (configuration
         reload: the freed communication resources start empty)."""
         self.settle()
+        self._reset()
+
+    def _reset(self) -> None:
+        """:meth:`reset` on settled state."""
         self.resets += 1
         self._q.clear()
         self._pushes = []

@@ -42,7 +42,7 @@ class RamPae(DataflowObject):
         self.words = words
         self.bits = bits
         self._preload = self.image(() if preload is None else preload)
-        self.mem = list(self._preload)
+        self._mem = list(self._preload)
         self._do_read = False
         self._do_write = False
 
@@ -55,10 +55,27 @@ class RamPae(DataflowObject):
                 f"{self.name}: preload exceeds {self.words} words")
         return mem + [0] * (self.words - len(mem))
 
-    def reset(self) -> None:
+    @property
+    def mem(self) -> list:
+        """The memory image, current after any run: a session that still
+        holds this RAM writes it back first (the RAM alone, when the
+        session is absorbed: :meth:`ConfigurationManager.settle_ram
+        <repro.xpp.manager.ConfigurationManager.settle_ram>`)."""
+        ref = self._manager
+        mgr = ref() if ref is not None else None
+        if mgr is not None:
+            mgr.settle_ram(self)
+        return self._mem
+
+    @mem.setter
+    def mem(self, image) -> None:
+        self.settle()
+        self._mem = image
+
+    def _reset(self) -> None:
         """Restore the configured memory image (configuration reload)."""
-        super().reset()
-        self.mem = list(self._preload)
+        super()._reset()
+        self._mem = list(self._preload)
         self._do_read = False
         self._do_write = False
 
@@ -72,9 +89,9 @@ class RamPae(DataflowObject):
             raise ConfigurationError(
                 f"{self.name}: no word {word} (holds {self.words})")
         self.settle()
-        self.mem[word] = wrap(self.mem[word] ^ (1 << (bit % self.bits)),
-                              self.bits)
-        return self.mem[word]
+        self._mem[word] = wrap(self._mem[word] ^ (1 << (bit % self.bits)),
+                               self.bits)
+        return self._mem[word]
 
     def plan(self) -> bool:
         raddr, waddr, wdata = self.inputs
@@ -88,11 +105,11 @@ class RamPae(DataflowObject):
     def commit(self) -> None:
         if self._do_read:
             addr = self.inputs[0].pop() % self.words
-            self.outputs[0].push(self.mem[addr])
+            self.outputs[0].push(self._mem[addr])
         if self._do_write:
             addr = self.inputs[1].pop() % self.words
             value = wrap(self.inputs[2].pop(), self.bits)
-            self.mem[addr] = value
+            self._mem[addr] = value
         self.fired += 1
 
     def compute(self, args):  # pragma: no cover - plan/commit overridden
@@ -135,9 +152,9 @@ class FifoPae(DataflowObject):
     def __len__(self) -> int:
         return len(self._q)
 
-    def reset(self) -> None:
+    def _reset(self) -> None:
         """Restore the configured FIFO contents (configuration reload)."""
-        super().reset()
+        super()._reset()
         self._q = deque(self._preload)
         self._do_in = False
         self._do_out = False

@@ -10,8 +10,10 @@ results are shifted past them, where a fold the value pass drops
 wrongly (or a fold it keeps that the code then loses) changes a value.
 Each netlist drains on the naive, event and fastpath schedulers, which
 must agree on every sink's tokens, firings, cycles, energy, stop reason
-and final RAM contents.  Fixed netlists put every fold rule of the
-value pass at its edges, where random ones reach it only rarely.
+and final RAM contents, and, after a settle, on every wire's tokens,
+transfer and reset counts and every FIFO's contents.  Fixed netlists
+put every fold rule of the value pass at its edges, where random ones
+reach it only rarely.
 
 The "cut, touch, drain" leg stops each netlist after a few cycles,
 while a fastpath session still holds its state, touches that state
@@ -21,6 +23,14 @@ what the other schedulers' touch does.  Its sibling leg makes the same
 touch from an opaque ``until`` hook at the same cycle of one drain, in
 the middle of the run, where the touched object may have gone idle
 long before.
+
+The refill leg drains a netlist to quiescence, reads every RAM, reloads
+every RAM-PAE with new words, refills every source with new data of the
+same length and drains again, with or without a second configuration
+resident beside it: the reload's settle writes back only what a reset
+keeps when the session's graph lies inside the reloaded configuration,
+and everything otherwise, and a refill that keeps the count state
+meets the schedule memo with new select tokens.
 
 The properties take their example counts from the active hypothesis
 profile: 100 by default, more under ``--hypothesis-profile=compilers``
@@ -73,11 +83,11 @@ def _extremes(bits: int) -> list:
     return out
 
 
-def _words(bits: int, max_size: int = 20):
+def _words(bits: int, max_size: int = 20, min_size: int = 0):
     lo, hi = -(1 << bits - 1), (1 << bits - 1) - 1
     edge = st.sampled_from(_extremes(bits))
     word = st.one_of(edge, edge, st.integers(lo, hi))
-    return st.lists(word, max_size=max_size)
+    return st.lists(word, min_size=min_size, max_size=max_size)
 
 
 @st.composite
@@ -277,12 +287,28 @@ def _drain(cfg, scheduler):
     return _drained(cfg, _load(cfg, scheduler)[1])
 
 
-def _drained(cfg, sim, until=None):
+def _ran(cfg, sim, until=None):
+    """Run, then read what a run shows without a settle: stats, sink
+    tokens and every RAM's image (``mem`` brings it current itself)."""
     stats = sim.run(3000, until=until)
     return ((stats.cycles, stats.stop_reason, stats.total_firings,
              stats.energy, dict(stats.firings)),
             {name: list(s.received) for name, s in cfg.sinks.items()},
             [list(o.mem) for o in cfg.objects if isinstance(o, RamPae)])
+
+
+def _state(cfg):
+    """Every wire's tokens, transfer and reset counts, every object's
+    reset count and every FIFO's contents (read after a settle)."""
+    return ([(list(w._q), w.total_transfers, w.resets) for w in cfg.wires],
+            [o.resets for o in cfg.objects],
+            [list(o._q) for o in cfg.objects if isinstance(o, FifoPae)])
+
+
+def _drained(cfg, sim, until=None):
+    ran = _ran(cfg, sim, until)
+    sim.manager.settle()
+    return ran + _state(cfg)
 
 
 # every fold rule at its edges: 4-bit lanes and 9-bit words (one bit
@@ -352,11 +378,9 @@ def test_fold_rules_at_the_edges(family):
         for part in ("re", "im"):
             b.connect(lanes, part, b.sink(f"out{k}{part}"), 0)
     cfg = b.build()
-    ref = _drain(cfg, "naive")
+    ref = _drain(copy.deepcopy(cfg), "naive")
     assert sum(map(len, ref[1].values())) > 0
-    cfg.reset()
-    assert _drain(cfg, "event") == ref
-    cfg.reset()
+    assert _drain(copy.deepcopy(cfg), "event") == ref
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _drain(cfg, "fastpath") == ref
@@ -371,11 +395,9 @@ def test_shifted_compare_result_is_folded():
     b.connect(src, 0, cmp, "a")
     b.connect(cmp, 0, b.sink("out"), 0)
     cfg = b.build()
-    ref = _drain(cfg, "naive")
+    ref = _drain(copy.deepcopy(cfg), "naive")
     assert ref[1]["out"] == [0, -8, 0, -8, 0]
-    cfg.reset()
-    assert _drain(cfg, "event") == ref
-    cfg.reset()
+    assert _drain(copy.deepcopy(cfg), "event") == ref
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _drain(cfg, "fastpath") == ref
@@ -389,10 +411,10 @@ _FUZZ = settings(deadline=None,
 @_FUZZ
 @given(netlists())
 def test_generated_value_pass_matches_naive_and_event(cfg):
-    ref = _drain(cfg, "naive")
-    cfg.reset()
-    assert _drain(cfg, "event") == ref
-    cfg.reset()
+    # each scheduler gets its own copy: transfer and reset counts
+    # outlive ``reset``
+    ref = _drain(copy.deepcopy(cfg), "naive")
+    assert _drain(copy.deepcopy(cfg), "event") == ref
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _drain(cfg, "fastpath") == ref
@@ -496,3 +518,69 @@ def test_an_outside_touch_from_an_until_hook_matches_naive(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _touch_in_run(cfg, "fastpath", k, touch) == ref
+
+
+# -- refill --------------------------------------------------------------------
+
+
+@st.composite
+def refills(draw):
+    """``(netlist, contents, streams, partner)``: new words for every
+    RAM-PAE of the netlist (as many as before half the time), new data
+    of the same lengths for its sources, and the stream of a second
+    configuration loaded beside it (empty: none), which a reload of the
+    first must not reset.  Same lengths keep the count state the drain
+    opened on, so the refill meets the schedule memo with new select
+    tokens."""
+    cfg = draw(netlists(writer=draw(st.booleans())))
+    contents = {}
+    for o in cfg.objects:
+        if isinstance(o, (RamPae, FifoPae)):
+            size = o.words if isinstance(o, RamPae) else o.depth
+            same = len(o._preload) if isinstance(o, FifoPae) \
+                and draw(st.booleans()) else None
+            contents[o.name] = draw(_words(o.bits, same or size, same or 0))
+    streams = {}
+    for name, src in cfg.sources.items():
+        n = len(src._data)      # zeros and ones flip data-driven selects
+        streams[name] = draw(st.one_of(
+            _words(src.bits, n, n),
+            st.lists(st.sampled_from((0, 1)), min_size=n, max_size=n),
+            st.just([int(not v) for v in src._data])))
+    return cfg, contents, streams, draw(st.one_of(st.just([]), _words(12)))
+
+
+def _partner(data):
+    b = ConfigBuilder("partner")
+    src = b.source("p", data, bits=12)
+    b.chain(src, b.alu("REG", init=[5], bits=12), b.sink("pout"))
+    return b.build()
+
+
+def _refill(cfg, scheduler, contents, streams, partner):
+    """Drain, read every RAM, reload every RAM-PAE, refill every source
+    and drain again; with a partner configuration resident beside the
+    netlist."""
+    mgr, sim = _load(cfg, scheduler)
+    other = None
+    if partner:
+        other = _partner(partner)
+        mgr.load(other)
+    first = _ran(cfg, sim)
+    cfg.reload(contents)
+    for name, data in streams.items():
+        cfg.sources[name].set_data(data)
+    second = _drained(cfg, sim)
+    if other is None:
+        return first, second
+    return first, second, list(other.sinks["pout"].received), _state(other)
+
+
+@_FUZZ
+@given(refills())
+def test_a_refill_after_a_drain_matches_naive(case):
+    ref = _refill(copy.deepcopy(case[0]), "naive", *case[1:])
+    assert _refill(copy.deepcopy(case[0]), "event", *case[1:]) == ref
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        assert _refill(case[0], "fastpath", *case[1:]) == ref

@@ -136,3 +136,40 @@ connect mul.out0 -> o.in
         assert "LUT" in text and "CMUL" in text
         reparsed = parse_nml(text)
         assert reparsed.requirements() == cfg.requirements()
+
+
+def _stateful():
+    """A RAM written from sources, a FIFO filled and never read, and an
+    integrator: every kind whose export shows the state a run left."""
+    from repro.xpp import ConfigBuilder
+    b = ConfigBuilder("stateful")
+    ram = b.ram(name="r", words=4, bits=16)
+    b.connect(b.source("wa", [3, 1, 3]), 0, ram, "waddr")
+    b.connect(b.source("wd", [7, -2, 9], bits=16), 0, ram, "wdata")
+    b.connect(b.source("x", [4, 5, 6]), 0, b.fifo(name="f", depth=4), "in")
+    integ = b.alu("INTEG", name="integ")
+    b.connect(b.source("y", [1, 2, 3, 4]), 0, integ, "a")
+    b.connect(integ, 0, b.sink("s"), 0)
+    return b.build()
+
+
+@pytest.mark.parametrize("cycles", [None, 3], ids=["drained", "cut"])
+def test_export_after_a_run_is_the_same_on_every_scheduler(cycles):
+    """The export reads the state a run left (settled first), so a
+    fastpath run, whose session holds that state until something
+    settles it, exports what an event run does."""
+    from repro.xpp import ConfigurationManager, Simulator
+    before = dump_nml(_stateful())
+    dumps = {}
+    for scheduler in ("event", "fastpath"):
+        cfg = _stateful()
+        mgr = ConfigurationManager()
+        mgr.load(cfg)
+        sim = Simulator(mgr, scheduler=scheduler)
+        sim.drain() if cycles is None else sim.run(cycles)
+        dumps[scheduler] = dump_nml(cfg)
+    assert dumps["fastpath"] == dumps["event"] != before
+    if cycles is None:
+        assert "preload=[0,-2,0,9]" in dumps["event"]
+        assert "preload=[4,5,6]" in dumps["event"]
+        assert "init=10" in dumps["event"]
