@@ -14,6 +14,8 @@ codes`` and the table in ``docs/pnr.md`` print.
   compiler cannot prove; each ``UnsupportedGraphError`` carries one,
   and the fallback warning, :mod:`repro.fastpath.explain` and the
   ``fastpath.fallback.<code>`` metrics counters surface it.
+* ``xpp`` codes are run-protocol errors of the array simulator itself
+  (:class:`repro.xpp.errors.BatchRunError`).
 
 Both compilers describe one compile as a :class:`CompileReport`:
 :func:`repro.pnr.report_graph` / ``compile_graph(...).report`` and
@@ -28,6 +30,7 @@ from typing import Optional
 
 PNR = "pnr"
 FASTPATH = "fastpath"
+XPP = "xpp"
 
 #: code -> (compiler that raises it, one-line description)
 CODES: dict = {}
@@ -99,6 +102,10 @@ REASON_FAULT_TAP = _code(
 REASON_RAM_CONTROL = _code(
     FASTPATH, "ram-control",
     "RAM read data reaches a select or loops back to a RAM read address")
+
+BATCH_RUN = _code(
+    XPP, "batch-run",
+    "a batched configuration stepped or run toward an until predicate")
 
 
 #: the codes each compiler raises, in registry order

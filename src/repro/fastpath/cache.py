@@ -50,8 +50,10 @@ from repro.fastpath.lower import (
     budget,
     compile_kernel,
     emit_epoch,
+    emit_late_batch,
     emit_trace,
     emit_values,
+    member_edges,
     ring_of,
     select_split,
     state_spec,
@@ -148,7 +150,8 @@ class Netlist:
     and RAM read-address edges (all functions of the structure alone).
     ``memo`` maps the count state a session opened on to the
     :class:`~repro.fastpath.runtime.Schedule` traced from it; ``plan``
-    is the :class:`DataPlan`.
+    is the :class:`DataPlan`.  :meth:`batch_late` adds, on first use,
+    the late sweep that carries a batch's members.
     Building one compiles every kernel without touching the LRU.
     """
 
@@ -172,6 +175,28 @@ class Netlist:
         self.stamps = graph.stamp_edges()
         self.memo = OrderedDict()
         self.plan = DataPlan(graph, fill)
+        self._batch = {}        # batched RAM nodes -> late sweep or None
+
+    def batch_late(self, graph: Graph, rams: frozenset):
+        """The late sweep of a session whose RAM-PAEs ``rams`` (node
+        indices) hold one image per member, all members in one pass, or
+        None when they cannot share a session (:func:`~repro.fastpath.
+        lower.member_edges`).  Decided, emitted (into ``sources`` as
+        ``late_batch<rams>``) and compiled once per netlist and RAM
+        set."""
+        try:
+            return self._batch[rams]
+        except KeyError:
+            pass
+        member = member_edges(graph, rams)
+        late = None
+        if member is not None:
+            key = f"late_batch{sorted(rams)}"
+            self.sources[key] = emit_late_batch(graph, self.plan.nodes,
+                                                rams, member)
+            late, = compile_kernel(self.sources[key], "_late")
+        self._batch[rams] = late
+        return late
 
     def initial_state(self, graph: Graph) -> tuple:
         """Count-state tuple at session open, read from the live netlist:

@@ -205,11 +205,19 @@ def _merge_at(ia, ib, n: int, na: int, nb: int) -> tuple:
     return n, ia[:ka], ib[:n - ka]
 
 
-def _mix(n: int, xa, a, xb, b):
-    out = np.empty(n, dtype=np.int64)
+def _mix(n: int, xa, a, xb, b, B=None):
+    """A MERGE's output: ``a``'s tokens at ``xa``, ``b``'s at ``xb``;
+    ``(n, B)`` when its inputs carry ``B`` members."""
+    out = np.empty(n if B is None else (n, B), dtype=np.int64)
     out[xa] = a[:len(xa)]
     out[xb] = b[:len(xb)]
     return out
+
+
+def _lcat(head, x):
+    """Shared tokens ``head`` ahead of a member stream ``x``."""
+    return np.concatenate((np.broadcast_to(head[:, None],
+                                           (len(head), x.shape[1])), x))
 
 
 def _acc_sums(x, length, n0, s0):
@@ -251,7 +259,8 @@ def _tile(q, limit: int):
     return np.tile(snap, -(-limit // len(snap)))[:limit]
 
 
-def _ram_read(o, raddr, stamps, waddr, wdata, waddr_exact, wdata_exact):
+def _ram_read(o, raddr, stamps, waddr, wdata, waddr_exact, wdata_exact,
+              mem=None):
     """``(values, exact)`` of a RAM's traced reads.
 
     Read ``k`` returns the memory image at session open with the first
@@ -259,11 +268,13 @@ def _ram_read(o, raddr, stamps, waddr, wdata, waddr_exact, wdata_exact):
     write in the read's own cycle is not among them: read-before-write).
     Write streams still None (late, not swept yet) make the result
     provisional, and so do late ones (``*_exact`` False): ``exact`` is
-    False when the result leaned on one.
+    False when the result leaned on one.  ``mem`` is the members' images
+    at session open, ``(words, B)``, when the RAM holds one per member:
+    the values are then ``(n, B)``.
     """
     n = len(stamps)
     addr = raddr[:n] % o.words
-    vals = _arr(o._mem)[addr]
+    vals = (_arr(o._mem) if mem is None else mem)[addr]
     w = stamps[-1] if n else 0          # stamps never decrease
     if not w:
         return vals, True
@@ -281,8 +292,12 @@ def _ram_read(o, raddr, stamps, waddr, wdata, waddr_exact, wdata_exact):
         return vals, waddr_exact
     if wdata is None:
         return vals, False
-    wvals = _wrap(wdata[:w][order], o.bits)
-    return np.where(hit, wvals[at], vals), waddr_exact and wdata_exact
+    wvals = _wrap(wdata[:w][order], o.bits)[at]
+    if vals.ndim > 1:
+        hit = hit[:, None]
+        if wvals.ndim == 1:
+            wvals = wvals[:, None]
+    return np.where(hit, wvals, vals), waddr_exact and wdata_exact
 
 
 def _scc(graph: Graph, s: int, fn, vals: list, limit: int, rt) -> None:
@@ -412,14 +427,34 @@ def _forms(graph: Graph) -> tuple:
 
 class _Pass:
     """Emission state of one generated function: the graph's static
-    forms, and which streams are bound to locals so far."""
+    forms, which streams are bound to locals so far and, in a batched
+    late sweep, the RAMs holding one image per member and the edges
+    whose streams carry a member axis (:func:`member_edges`)."""
 
-    def __init__(self, graph: Graph, forms: tuple, held_selects: set):
+    def __init__(self, graph: Graph, forms: tuple, held_selects: set,
+                 member=frozenset(), rams=frozenset()):
         self.graph = graph
         self.lane, self.width, self.emits = forms
         self.held_selects = held_selects
+        self.member = member
+        self.rams = rams
         self.lines = []
         self.bound = set()
+
+    def lifts(self, ins) -> list:
+        """Per input edge of a node, ``", None"`` where a shared stream
+        meets member streams (its slice ``[:n, None]`` broadcasts as
+        ``(n, 1)``), else ``""``."""
+        member = self.member
+        if not any(j in member for j in ins):
+            return [""] * len(ins)
+        return ["" if j in member else ", None" for j in ins]
+
+    def cat(self, j: int, head: str, x: str) -> str:
+        """Tokens ``head`` ahead of edge ``j``'s stream ``x``."""
+        if j in self.member:
+            return f"_lcat({head}, {x})"
+        return f"_np.concatenate(({head}, {x}))"
 
     def _bind(self, name: str, line: str) -> str:
         if name not in self.bound:
@@ -494,6 +529,8 @@ def _vnode(P: _Pass, n) -> None:
         else:
             ok = [P.graph.edges[j].src not in late for j in (wa, wd)]
             writes = f"V[{wa}], V[{wd}], {ok[0]}, {ok[1]}"
+        if i in P.rams:         # the members' images, one column each
+            writes += f", _np.array(O[{i}]._members, dtype=_i64).T"
         emit(f"x, ok = _ram_read(O[{i}], V[{ra}], sv[{ra}], {writes})")
         emit("exact = exact and ok")
         emit("reads.append(x)")
@@ -507,12 +544,12 @@ def _vnode(P: _Pass, n) -> None:
             src = f"_arr(O[{i}]._q)"
         else:
             x = _fold(P.word(ins[0]), o.bits, width[ins[0]])
-            src = f"_np.concatenate((_arr(O[{i}]._q), {x}))"
+            src = P.cat(ins[0], f"_arr(O[{i}]._q)", x)
         P.put(n, 0, ("w", src))
     elif k == "reg":
         x = _fold(P.word(ins[0]), o.bits, width[ins[0]])
         pre = _swrap(f"_arr(O[{i}]._preload)", o.bits)
-        P.put(n, 0, ("w", f"_np.concatenate(({pre}, {x}))"))
+        P.put(n, 0, ("w", P.cat(ins[0], pre, x)))
     elif k == "lut":
         tbl = _swrap(f"_arr(O[{i}].table)", o.bits)
         P.put(n, 0, ("w", f"{tbl}[{P.word(ins[0])} % {len(o.table)}]"))
@@ -527,15 +564,17 @@ def _vnode(P: _Pass, n) -> None:
                 b = f"({o.const})"
             else:
                 b = P.word(ins[1])
+                la, lb = P.lifts(ins)
                 emit(f"n = min(len({a}), len({b}))")
-                a, b = f"{a}[:n]", f"{b}[:n]"
+                a, b = f"{a}[:n{la}]", f"{b}[:n{lb}]"
             r = _sshift(_binexpr(o.OPCODE, a, b, True), -o.shift)
         P.put(n, 0, ("w", _swrap(r, o.bits)))
     elif k == "pack":
         re, im = P.word(ins[0]), P.word(ins[1])
+        lr, li = P.lifts(ins)
         emit(f"n = min(len({re}), len({im}))")
-        P.put(n, 0, ("l", _fold(f"{re}[:n]", o.half_bits, width[ins[0]]),
-                      _fold(f"{im}[:n]", o.half_bits, width[ins[1]]),
+        P.put(n, 0, ("l", _fold(f"{re}[:n{lr}]", o.half_bits, width[ins[0]]),
+                      _fold(f"{im}[:n{li}]", o.half_bits, width[ins[1]]),
                       o.half_bits))
     elif k == "unpack":
         re, im = P.lanes(ins[0], o.half_bits)
@@ -558,9 +597,10 @@ def _vnode(P: _Pass, n) -> None:
         a, b = P.lanes(ins[0], hb), None
         if len(ins) == 2:
             b = P.lanes(ins[1], hb)
+            la, lb = P.lifts(ins)
             emit(f"n = min(len({a[0]}), len({b[0]}))")
-            emit(f"a0, a1, b0, b1 = {a[0]}[:n], {a[1]}[:n], "
-                 f"{b[0]}[:n], {b[1]}[:n]")
+            emit(f"a0, a1, b0, b1 = {a[0]}[:n{la}], {a[1]}[:n{la}], "
+                 f"{b[0]}[:n{lb}], {b[1]}[:n{lb}]")
             a, b = ("a0", "a1"), ("b0", "b1")
         (x, xf), (y, yf) = _lane_exprs(n, a, b)
         P.put(n, 0, ("l", x if xf else _swrap(x, hb),
@@ -581,14 +621,19 @@ def _vroute(P: _Pass, n) -> None:
         return ("l", *xs, hb) if hb else ("w", xs[0])
 
     s = P.word(ins[0])
+    # a select carries no members (member_edges); where data does, the
+    # select's mask and a shared data stream are lifted to (n, 1)
+    mixed = any(j in P.member for j in ins[1:])
+    if n.kind in ("mux", "swap", "merge"):
+        _, la, lb = P.lifts(ins)
     if n.kind in ("mux", "swap"):
         a, b = data(ins[1]), data(ins[2])
         emit(f"n = min(len({s}), len({a[0]}), len({b[0]}))")
-        emit(f"m = {s}[:n] != 0")
-        P.put(n, 0, out([f"_np.where(m, {y}[:n], {x}[:n])"
+        emit(f"m = {s}[:n{', None' if mixed else ''}] != 0")
+        P.put(n, 0, out([f"_np.where(m, {y}[:n{lb}], {x}[:n{la}])"
                          for x, y in zip(a, b)]))
         if n.kind == "swap":
-            P.put(n, 1, out([f"_np.where(m, {x}[:n], {y}[:n])"
+            P.put(n, 1, out([f"_np.where(m, {x}[:n{la}], {y}[:n{lb}])"
                              for x, y in zip(a, b)]))
         return
     emit(f"x0, x1 = S[{ins[0]}]" if ins[0] in P.held_selects
@@ -597,19 +642,57 @@ def _vroute(P: _Pass, n) -> None:
         a, b = data(ins[1]), data(ins[2])
         emit(f"n, xa, xb = _merge_at(x0, x1, len({s}), len({a[0]}), "
              f"len({b[0]}))")
-        P.put(n, 0, out([f"_mix(n, xa, {x}, xb, {y})"
+        la, lb = (f"[:{lift}]" if lift else "" for lift in (la, lb))
+        width = ", B" if mixed else ""
+        P.put(n, 0, out([f"_mix(n, xa, {x}{la}, xb, {y}{lb}{width})"
                          for x, y in zip(a, b)]))
         return
     a = data(ins[1])
     emit(f"n = min(len({s}), len({a[0]}))")
     emit("k1 = int(_np.searchsorted(x1, n))")     # true selects before n
     emit("y1 = x1[:k1]")
+    # rows of a member stream gather faster through take
+    at = "{}.take({}, 0)" if mixed else "{}[{}]"
     if n.kind == "gate":
-        P.put(n, 0, out([f"{x}[y1]" for x in a]))
+        P.put(n, 0, out([at.format(x, "y1") for x in a]))
         return
     emit("y0 = x0[:n - k1]")
-    P.put(n, 0, out([f"{x}[y0]" for x in a]))
-    P.put(n, 1, out([f"{x}[y1]" for x in a]))
+    P.put(n, 0, out([at.format(x, "y0") for x in a]))
+    P.put(n, 1, out([at.format(x, "y1") for x in a]))
+
+
+def _passes(graph: Graph, held) -> tuple:
+    """``(forms, held selects, plan units, early units, late units)`` of
+    the value pass over a graph whose data plan holds ``held``."""
+    held = set(held)
+    selects = {j for j in graph.select_edges() if graph.edges[j].src in held}
+    nodes = [u for u in graph.schedule if u[0] == "node" and u[1] in held]
+    early = [u for u in graph.schedule
+             if u not in nodes and not graph.is_late(u)]
+    late = [u for u in graph.schedule if graph.is_late(u)]
+    return _forms(graph), selects, nodes, early, late
+
+
+def _emit(graph: Graph, forms: tuple, selects: set, head: str, units,
+          lines: list, ret: str, member=frozenset(),
+          rams=frozenset()) -> str:
+    """Source of one generated function of the value pass."""
+    P = _Pass(graph, forms, selects, member, rams)
+    for tag, x in units:
+        ring = ring_of(graph, x) if tag == "scc" else None
+        if ring is not None:
+            P.lines.append(f"_ring(graph, V, limit, {ring[0]!r}, "
+                           f"{ring[1]!r})")
+        elif tag == "scc":
+            P.lines.append(f"_scc(graph, {x}, epochs[{x}], V, limit, rt)")
+        else:
+            _vnode(P, graph.nodes[x])
+    body = lines + P.lines + [ret]
+    return f"def {head}:\n" + "".join(f"    {ln}\n" for ln in body)
+
+
+_LATE = ("_late(O, W, V, L, S, sv, limit, graph, epochs{})",
+         ["exact = True", "reads = []", "rt = None"], "return exact, reads")
 
 
 def emit_values(graph: Graph, held) -> str:
@@ -620,42 +703,76 @@ def emit_values(graph: Graph, held) -> str:
     returning ``(exact, reads)``.  ``O`` and ``W`` are the live objects
     and wires, ``V`` and ``L`` the per-edge word and lane streams
     (filled in place), ``S`` the plan's select tables."""
-    forms = _forms(graph)
-    held = set(held)
-    selects = {j for j in graph.select_edges() if graph.edges[j].src in held}
-    nodes = [u for u in graph.schedule if u[0] == "node" and u[1] in held]
-    early = [u for u in graph.schedule
-             if u not in nodes and not graph.is_late(u)]
-    late = [u for u in graph.schedule if graph.is_late(u)]
-    parts = [("_plan(O, W, limit)", nodes, [f"V = [None] * {len(graph.edges)}"],
-              "return V"),
-             ("_values(O, W, V, L, S, limit, graph, epochs, rt)", early, [],
+    forms, selects, nodes, early, late = _passes(graph, held)
+    head, lines, ret = _LATE
+    return "\n\n".join((
+        _emit(graph, forms, selects, "_plan(O, W, limit)", nodes,
+              [f"V = [None] * {len(graph.edges)}"], "return V"),
+        _emit(graph, forms, selects,
+              "_values(O, W, V, L, S, limit, graph, epochs, rt)", early, [],
               "return"),
-             ("_late(O, W, V, L, S, sv, limit, graph, epochs)", late,
-              ["exact = True", "reads = []", "rt = None"],
-              "return exact, reads")]
-    out = []
-    for head, units, lines, ret in parts:
-        P = _Pass(graph, forms, selects)
-        for tag, x in units:
-            ring = ring_of(graph, x) if tag == "scc" else None
-            if ring is not None:
-                P.lines.append(f"_ring(graph, V, limit, {ring[0]!r}, "
-                               f"{ring[1]!r})")
-            elif tag == "scc":
-                P.lines.append(f"_scc(graph, {x}, epochs[{x}], V, limit, rt)")
-            else:
-                _vnode(P, graph.nodes[x])
-        body = lines + P.lines + [ret]
-        out.append(f"def {head}:\n" + "".join(f"    {ln}\n" for ln in body))
-    return "\n\n".join(out)
+        _emit(graph, forms, selects, head.format(""), late, lines, ret)))
+
+
+def emit_late_batch(graph: Graph, held, rams, member) -> str:
+    """Source of the late sweep of a session whose RAM-PAEs ``rams``
+    (node indices) hold one image per member: ``_late(O, W, V, L, S, sv,
+    limit, graph, epochs, B)`` over ``B`` members at once.  The streams
+    of the ``member`` edges (:func:`member_edges`) are token-major,
+    ``(n, B)``, so every slice, gather and ``len`` reads as in the solo
+    sweep; a shared ``(n,)`` stream is lifted to ``(n, 1)`` where it
+    meets them."""
+    forms, selects, _, _, late = _passes(graph, held)
+    head, lines, ret = _LATE
+    return _emit(graph, forms, selects, head.format(", B"), late, lines,
+                 ret, member, rams)
+
+
+#: kinds whose value-pass lines carry a member axis on any data input
+_MEMBER_KINDS = _CALU | {"binary", "unary", "shiftalu", "lut", "pack",
+                         "unpack", "demux", "merge", "gate", "mux", "swap",
+                         "probe", "sink", "fifo", "reg"}
+
+#: kinds whose first input is a select
+_SELECTORS = frozenset(_ROUTES) - {"probe"}
+
+
+def member_edges(graph: Graph, rams) -> frozenset | None:
+    """The edges whose values differ between members when the RAM-PAEs
+    ``rams`` (node indices) hold one image per member: everything their
+    read data reaches.  None when the members cannot share one session,
+    which a function of the structure decides: member data reaches a
+    select port (a DEMUX, MERGE, GATE, MUX or SWAP's first input), a RAM
+    address, the write data of a RAM outside ``rams``, a feedback
+    component or an accumulator."""
+    nodes, edges = graph.nodes, graph.edges
+    cyclic = {i for scc in graph.sccs for i in scc}
+    member = set()
+    stack = [j for i in rams for j in nodes[i].out_edges()]
+    while stack:
+        j = stack.pop()
+        if j in member:
+            continue
+        member.add(j)
+        e = edges[j]
+        d = nodes[e.dst]
+        if d.kind == "ram":
+            if e.dst_port != 2 or e.dst not in rams:
+                return None
+            continue            # its reads are member data already
+        if e.dst in cyclic or d.kind not in _MEMBER_KINDS \
+                or e.dst_port == 0 and d.kind in _SELECTORS:
+            return None
+        stack.extend(d.out_edges())
+    return frozenset(member)
 
 
 def compile_kernel(src: str, *names: str) -> list:
     """exec() a generated source; returns its functions ``names``."""
     ns = {"_np": np, "_i64": np.int64, "_E": _E, "_arr": _arr,
           "_generate": _generate, "_split": select_split,
-          "_merge_at": _merge_at, "_mix": _mix, "_acc_sums": _acc_sums,
+          "_merge_at": _merge_at, "_mix": _mix, "_lcat": _lcat,
+          "_acc_sums": _acc_sums,
           "_qw": _qw, "_ql": _ql, "_tile": _tile,
           "_ram_read": _ram_read, "_scc": _scc, "_ring": _ring}
     exec(compile(src, "<fastpath>", "exec"), ns)

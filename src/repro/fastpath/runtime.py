@@ -45,6 +45,15 @@ change (counters, the selects they drive) from the netlist's data plan
 (:class:`repro.fastpath.cache.DataPlan`), so an adopted run computes
 only its data.
 
+A batched reload (one RAM image per member, ``Configuration.reload``)
+runs in one session when the members can share it
+(:meth:`FastpathScheduler.share`): the count state, select tables, RAM
+read stamps and memo schedule are the members' common ones, and only
+the late sweep carries a member axis, its member streams token-major
+``(n, B)``.  A write-back gives each member its RAM images, every wire
+the transfer counts of all the members and everything else the last
+member's state.
+
 :class:`FastpathScheduler` plugs this in behind the standard scheduler
 seam: it compiles on first step, reopens from live state whenever its
 claim on the configuration manager fails (recompiling when the version
@@ -173,6 +182,39 @@ class TraceSession:
         self._closed = False
         self._written = set()       # nodes materialize_ram wrote back
         self._obs = (0, self.s0)    # (cycle, count state) of records
+        # a batch's members carried at once (:meth:`batch`), or None
+        self.members = None
+        self._late = netlist.late
+        self._bargs = ()
+
+    # -- batches -------------------------------------------------------------
+
+    def batch(self, config, members: int) -> bool:
+        """Carry the ``members`` members of ``config``'s batch (a
+        batched :meth:`~repro.xpp.config.Configuration.reload`) in this
+        fresh session, and say whether it can: the graph lies wholly
+        inside ``config``, so every member starts from its reset, and
+        the batched RAMs' data reaches nothing whose timing or
+        structure differs between members (:meth:`Netlist.batch_late
+        <repro.fastpath.cache.Netlist.batch_late>`).  Count state,
+        select tables, stamps and the schedule memo stay shared; the
+        late sweep's member streams get a member axis, and a write-back
+        gives each member its RAM images and everything else the last
+        member's state."""
+        if self.cursor or not self.covered_by(config):
+            return False
+        rams = frozenset(n.i for n in self.graph.nodes if n.kind == "ram"
+                         and n.obj._batch is not None)
+        late = self.netlist.batch_late(self.graph, rams)
+        if late is None:
+            return False
+        self.members, self._late, self._bargs = members, late, (members,)
+        return True
+
+    @staticmethod
+    def _last(v):
+        """A stream as the last member sees it."""
+        return v if v.ndim == 1 else v[:, -1]
 
     # -- tracing -------------------------------------------------------------
 
@@ -209,10 +251,10 @@ class TraceSession:
         if self.graph.late:
             prev = None
             for _ in range(2 + sum(len(self.sv[j]) for j in self._stamped)):
-                exact, reads = self.netlist.late(
+                exact, reads = self._late(
                     self.graph.objs, self.graph.wires, self.edge_vals,
                     self.lanes, self._splits, self.sv, self.limit,
-                    self.graph, self.netlist.epochs)
+                    self.graph, self.netlist.epochs, *self._bargs)
                 if exact or prev is not None and all(
                         np.array_equal(a, b) for a, b in zip(prev, reads)):
                     break
@@ -220,7 +262,8 @@ class TraceSession:
             else:
                 raise AssertionError("RAM read values did not settle")
         for i, rec in self.collect.items():
-            rec[1] = self.edge_vals[self.graph.nodes[i].in_edges[0]].tolist()
+            rec[1] = self._last(
+                self.edge_vals[self.graph.nodes[i].in_edges[0]]).tolist()
 
     def _word(self, j: int):
         """Edge ``j``'s token stream as words (the value pass keeps an
@@ -525,15 +568,17 @@ class TraceSession:
         get_metrics().counter("fastpath.writeback.full").inc()
         st = self._state_at(self.cursor)
         ne = len(self.graph.edges)
+        runs = self.members or 1
         for e, o, p in zip(self.graph.edges, st[1:1 + ne],
                            st[1 + ne:1 + 2 * ne]):
             w = e.wire
-            w._q = deque(self._word(e.j)[p:p + o].tolist() if o else ())
+            w._q = deque(self._last(self._word(e.j))[p:p + o].tolist()
+                         if o else ())
             w._pushes = []
             w._pops = 0
             w._avail = o
             w._space = e.cap - o
-            w.total_transfers += p
+            w.total_transfers += p * runs
         done = self._written
         for n in self.graph.nodes:
             if n.i not in done:
@@ -542,15 +587,17 @@ class TraceSession:
     def materialize_survivors(self) -> None:
         """Close the session ahead of a reset of every object and wire
         of its graph (:meth:`covered_by`), writing back only what such a
-        reset keeps: each wire's ``total_transfers``."""
+        reset keeps: each wire's ``total_transfers`` (over every member
+        of a batch)."""
         if self._closed or self.cursor == 0:
             return
         self._closed = True
         get_metrics().counter("fastpath.writeback.partial").inc()
         st = self._state_at(self.cursor)
         ne = len(self.graph.edges)
+        runs = self.members or 1
         for w, p in zip(self.graph.wires, st[1 + ne:1 + 2 * ne]):
-            w.total_transfers += p
+            w.total_transfers += p * runs
 
     def materialize_ram(self, ram) -> bool:
         """Write RAM-PAE ``ram``'s image back alone, leaving the session
@@ -621,7 +668,8 @@ class TraceSession:
             else:
                 full = list(o._q)
                 if n.in_edges[0] is not None and fin:
-                    arrivals = self.edge_vals[n.in_edges[0]][:fin].tolist()
+                    arrivals = self._last(
+                        self.edge_vals[n.in_edges[0]])[:fin].tolist()
                     full += [wrap(v, o.bits) for v in arrivals]
                 o._q = deque(full[fout:])
             o._do_in = False
@@ -635,9 +683,16 @@ class TraceSession:
                 addrs, last = np.unique(self.edge_vals[wa][w - 1::-1]
                                         % o.words, return_index=True)
                 vals = _wrap(self.edge_vals[wd][w - 1::-1][last], o.bits)
-                mem = np.array(o._mem, dtype=np.int64)
-                mem[addrs] = vals
-                o._mem[:] = mem.tolist()
+                if self.members is not None and o._batch is not None:
+                    # one column per member; shared write data lifted
+                    mem = np.array(o._members, dtype=np.int64).T
+                    mem[addrs] = vals if vals.ndim > 1 else vals[:, None]
+                    for image, col in zip(o._members, mem.T.tolist()):
+                        image[:] = col
+                else:
+                    mem = np.array(o._mem, dtype=np.int64)
+                    mem[addrs] = vals
+                    o._mem[:] = mem.tolist()
             o._do_read = False
             o._do_write = False
 
@@ -751,6 +806,20 @@ class FastpathScheduler:
         (the fallback's claim settled any session)."""
         s = self.manager._session
         return None if s is None else s.records(n)
+
+    def share(self, config, members: int) -> bool:
+        """Whether one session carries all ``members`` members of
+        ``config``'s batch (``Simulator.run``): the session opened from
+        the reload's reset state takes the batch
+        (:meth:`TraceSession.batch`), or the members run one by one, as
+        they do when something touched the array since the reload.
+        Counted as ``fastpath.batch.shared`` / ``fastpath.batch.split``."""
+        s = self._ensure_session()
+        shared = s is not None and not self.manager._touched \
+            and s.batch(config, members)
+        get_metrics().counter("fastpath.batch.shared" if shared
+                              else "fastpath.batch.split").inc()
+        return shared
 
     def run(self, max_cycles: int, sinks, quiescent_limit: int):
         """Whole-run replay for ``Simulator.run``: ``(cycles,

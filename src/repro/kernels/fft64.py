@@ -160,30 +160,25 @@ def build_fft_stage_config(stage_index: int, data: list, *,
     return b.build()
 
 
-def _frozen(values) -> np.ndarray:
-    table = np.array(values, dtype=np.int64)
-    table.flags.writeable = False
-    return table
-
-
 @functools.lru_cache(maxsize=16)
 def resident_stage(twiddle_bits: int, stage_shift: int,
                    scheduler: str) -> tuple:
     """This process's resident stage of one FFT64 shape on one scheduler:
     ``(config, simulator, luts)``, the loaded stage configuration, the
-    simulator bound to it and, per stage, its lookup FIFOs' contents as
-    read-only int64 arrays (a reload wraps them in NumPy).
+    simulator bound to it and, per stage, its lookup FIFOs' configured
+    images (:class:`~repro.xpp.ram.Image`), wrapped once here and taken
+    as they are by every reload.
 
     Every :class:`Fft64Kernel` of the shape shares it.  A run reloads
     the RAM and all three lookup FIFOs before each stage, which resets
     every object and wire of the configuration, so no run sees what
     another left behind."""
-    names = ("raddr_lut", "twiddle_lut", "waddr_lut")
-    luts = tuple({name: _frozen(table) for name, table
-                  in zip(names, _stage_schedules(stage, twiddle_bits))}
-                 for stage in range(3))
     cfg = build_fft_stage_config(0, [0] * N, twiddle_bits=twiddle_bits,
                                  stage_shift=stage_shift)
+    names = ("raddr_lut", "twiddle_lut", "waddr_lut")
+    luts = tuple({name: cfg.object(name).image(table) for name, table
+                  in zip(names, _stage_schedules(stage, twiddle_bits))}
+                 for stage in range(3))
     mgr = ConfigurationManager()
     mgr.load(cfg)
     return cfg, Simulator(mgr, scheduler=scheduler), luts
@@ -201,7 +196,10 @@ class Fft64Kernel:
     lookup FIFOs (read addresses, write addresses, twiddles) and the
     RAM image, followed by a drain: no load, no remove, so a fastpath
     scheduler keeps its compiled kernel across stages, transforms and
-    receivers.  Every stage runs 85 cycles and stops quiescent.
+    receivers.  Every stage runs 85 cycles and stops quiescent.  A batch
+    of transforms streams through the resident stage back to back: the
+    RAM takes one image per transform and each stage's one drain
+    carries them all.
     """
 
     def __init__(self, *, twiddle_bits: int = TWIDDLE_BITS,
@@ -214,15 +212,28 @@ class Fft64Kernel:
         self._luts = None       # per stage: lookup FIFO name -> contents
 
     def run(self, x_re: np.ndarray, x_im: np.ndarray):
-        """Transform 64 integer I/Q samples; returns ``(re, im)``."""
+        """Transform integer I/Q samples: ``x_re`` and ``x_im`` of shape
+        ``(64,)`` for one transform or ``(B, 64)`` for a batch of B;
+        returns ``(re, im)`` of the same shape.
+
+        Whatever the shape, each stage is one batched RAM reload
+        (``(B, 64)`` images, :meth:`~repro.xpp.Configuration.reload`)
+        and one drain, which carries every member, and the next stage
+        reads the members' images back through ``mem``.  The outputs,
+        and the ``xpp.fft64.overflow.stage*`` probe records, are those
+        of B transforms one by one; ``last_stats`` holds each stage's
+        stats summed over the members.
+        """
         re = np.asarray(x_re, dtype=np.int64)
         im = np.asarray(x_im, dtype=np.int64)
-        if re.size != N or im.size != N:
-            raise ValueError("FFT64 needs 64 samples")
+        if re.shape != im.shape or re.ndim not in (1, 2) \
+                or re.shape[-1] != N or not re.size:
+            raise ValueError("FFT64 needs 64 samples per transform")
         # load in digit-reversed order (the paper's initial streaming of
         # 64 samples into the data RAM through the address LUT)
         rev = _DIGIT_REVERSED
-        data = pack_array(re[rev] + 1j * im[rev], LANE_BITS)
+        data = pack_array(re[..., rev] + 1j * im[..., rev],
+                          LANE_BITS).reshape(-1, N)
 
         if self._sim is None:
             self._config, self._sim, self._luts = resident_stage(
@@ -231,23 +242,24 @@ class Fft64Kernel:
         ram = cfg.object("data_ram")
         self.last_stats = []
         for stage in range(3):
-            # read the previous stage's RAM image back in, with this
+            # read the previous stage's RAM images back in, with this
             # stage's address/twiddle tables
             cfg.reload({"data_ram": data, **self._luts[stage]})
             stats = sim.drain(20_000)
             self.last_stats.append(stats)
-            data = np.array(ram.mem, dtype=np.int64)
+            data = ram.mem
             probes = get_probes()
             if probes.enabled:
-                # scan the stage's RAM image against the paper's 12-bit
-                # storage budget (the lanes themselves are wider)
+                # scan each member's RAM image against the paper's
+                # 12-bit storage budget (the lanes themselves are wider)
                 bound = 1 << (STORAGE_BITS - 1)
                 words = unpack_array(data, LANE_BITS)
-                overflows = int(np.count_nonzero(
+                overflows = np.count_nonzero(
                     (words.real < -bound) | (words.real >= bound)
-                    | (words.imag < -bound) | (words.imag >= bound)))
-                probes.record(f"xpp.fft64.overflow.stage{stage}",
-                              overflows, unit="words", kind="saturation")
+                    | (words.imag < -bound) | (words.imag >= bound), axis=1)
+                for count in overflows.tolist():
+                    probes.record(f"xpp.fft64.overflow.stage{stage}",
+                                  count, unit="words", kind="saturation")
 
-        out = unpack_array(data, LANE_BITS)
+        out = unpack_array(data if re.ndim == 2 else data[0], LANE_BITS)
         return out.real.astype(np.int64), out.imag.astype(np.int64)

@@ -126,10 +126,11 @@ class Hiperlan2Receiver(OfdmReceiver):
             raise PacketError("no data symbols in capture")
         report.n_data_symbols = n_symbols
 
+        bins = self._ffts(self._windows(
+            rx, data_start + N_CP + SYMBOL * np.arange(n_symbols)))
         soft_all = []
         for i in range(n_symbols):
-            start = data_start + SYMBOL * i
-            points = self._equalized_symbol(rx, start, h, polarity[1 + i])
+            points = self._equalize(bins[i], h, polarity[1 + i])
             soft_all.append(soft_demap(points, rp.modulation))
         deint = deinterleave(np.concatenate(soft_all), rp.n_cbps, rp.n_bpsc)
         mother = depuncture(deint, rp.coding_rate)

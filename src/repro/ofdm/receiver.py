@@ -8,7 +8,10 @@ dedicated-hardware model from :mod:`repro.ofdm.viterbi`.
 
 ``use_fixed_fft=True`` routes the FFT through the bit-accurate
 fixed-point FFT64 of Fig. 9 to study the 10-bit/scaling precision
-budget.
+budget.  Every receiver transforms its FFT windows through one hook,
+:meth:`OfdmReceiver._ffts`, in two batches per packet: the two long
+training symbols and the SIGNAL symbol as soon as timing is known, then
+every data symbol; equalisation takes the bins.
 """
 
 from __future__ import annotations
@@ -161,29 +164,41 @@ class OfdmReceiver:
 
     # -- pipeline stages ---------------------------------------------------------
 
-    def _fft(self, samples: np.ndarray) -> np.ndarray:
+    def _ffts(self, windows: np.ndarray) -> np.ndarray:
+        """The bins of ``(k, 64)`` sample windows, one row per window:
+        the one FFT hook of every receiver."""
         if self.use_fixed_fft:
-            return fft64_fixed_complex(samples,
-                                       frac_bits=self.input_frac_bits) \
+            return np.array([fft64_fixed_complex(
+                w, frac_bits=self.input_frac_bits) for w in windows]) \
                 / np.sqrt(N_FFT)
-        return np.fft.fft(samples) / np.sqrt(N_FFT)
+        return np.fft.fft(windows, axis=-1) / np.sqrt(N_FFT)
+
+    @staticmethod
+    def _windows(rx: np.ndarray, starts) -> np.ndarray:
+        """The 64-sample FFT windows of ``rx`` at ``starts``, one row
+        each."""
+        return rx[np.asarray(starts)[:, None] + np.arange(N_FFT)]
 
     def estimate_channel(self, rx: np.ndarray, t1: int) -> np.ndarray:
         """Average the two long training symbols and divide by the known
         pattern; returns the 64-bin channel estimate."""
-        sym1 = self._fft(rx[t1:t1 + N_FFT])
-        sym2 = self._fft(rx[t1 + N_FFT:t1 + 2 * N_FFT])
+        return self._channel(self._ffts(
+            self._windows(rx, (t1, t1 + N_FFT))))
+
+    @staticmethod
+    def _channel(lts: np.ndarray) -> np.ndarray:
+        """The channel estimate from the bins of the two long training
+        symbols."""
         ref = long_training_bins()
         h = np.zeros(N_FFT, dtype=np.complex128)
         used = ref != 0
-        h[used] = (sym1[used] + sym2[used]) / (2 * ref[used])
+        h[used] = (lts[0][used] + lts[1][used]) / (2 * ref[used])
         return h
 
-    def _equalized_symbol(self, rx: np.ndarray, start: int,
-                          h: np.ndarray, polarity: int) -> np.ndarray:
-        """FFT + equalise one symbol; returns the 48 data points after
+    def _equalize(self, bins: np.ndarray, h: np.ndarray,
+                  polarity: int) -> np.ndarray:
+        """Equalise one symbol's bins; returns the 48 data points after
         pilot-based common phase correction."""
-        bins = self._fft(rx[start + N_CP:start + SYMBOL])
         used = h != 0
         eq = np.zeros(N_FFT, dtype=np.complex128)
         eq[used] = bins[used] / h[used]
@@ -247,15 +262,19 @@ class OfdmReceiver:
             cfo += fine
         report.cfo_hz = cfo
         report.timing_index = t1
-        h = self.estimate_channel(rx, t1)
+        # SIGNAL symbol follows the two long training symbols; the three
+        # are transformed as one batch
+        sig_start = t1 + 2 * N_FFT
+        if sig_start + SYMBOL > rx.size:
+            raise PacketError("capture truncated mid-packet")
+        first = self._ffts(self._windows(
+            rx, (t1, t1 + N_FFT, sig_start + N_CP)))
+        h = self._channel(first[:2])
         report.channel = h
 
         polarity = pilot_polarity_sequence(2048)
-
-        # SIGNAL symbol follows the two long training symbols
-        sig_start = t1 + 2 * N_FFT
         sig_rp = rate_params(6)
-        sig_points = self._equalized_symbol(rx, sig_start, h, polarity[0])
+        sig_points = self._equalize(first[2], h, polarity[0])
         sig_soft = soft_demap(sig_points, sig_rp.modulation)
         sig_bits = self._decode_bits(sig_soft, sig_rp)
         try:
@@ -281,16 +300,17 @@ class OfdmReceiver:
         if n_symbols <= 0:
             raise PacketError("no data symbols in capture")
 
+        starts = sig_start + SYMBOL * np.arange(1, n_symbols + 1)
+        if starts[-1] + SYMBOL > rx.size:
+            raise PacketError("capture truncated mid-packet")
+        bins = self._ffts(self._windows(rx, starts + N_CP))
         soft_all = []
         evm_acc = []
         n_data = len(DATA_CARRIERS)
         err_power = np.zeros(n_data)
         ref_power = np.zeros(n_data)
         for i in range(n_symbols):
-            start = sig_start + SYMBOL * (1 + i)
-            if start + SYMBOL > rx.size:
-                raise PacketError("capture truncated mid-packet")
-            points = self._equalized_symbol(rx, start, h, polarity[1 + i])
+            points = self._equalize(bins[i], h, polarity[1 + i])
             soft_all.append(soft_demap(points, rp.modulation))
             evm_acc.append(np.mean(np.abs(points) ** 2))
             # decision-directed error vector: distance to the nearest

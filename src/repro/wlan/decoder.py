@@ -51,25 +51,25 @@ class ArrayOfdmReceiver(OfdmReceiver):
         self._eq_config_h = None
         self._eq_weights = None
 
-    def _fft(self, samples: np.ndarray) -> np.ndarray:
+    def _ffts(self, windows: np.ndarray) -> np.ndarray:
+        """The windows' bins through the Fig. 9 kernel, all of them in
+        one batched run."""
         scale = float(1 << self.input_frac_bits)
-        re = np.round(np.real(samples) * scale).astype(np.int64)
-        im = np.round(np.imag(samples) * scale).astype(np.int64)
+        re = np.round(np.real(windows) * scale).astype(np.int64)
+        im = np.round(np.imag(windows) * scale).astype(np.int64)
         yr, yi = self.kernel.run(re, im)
-        self.fft_invocations += 1
+        self.fft_invocations += len(windows)
         self.array_cycles += sum(s.cycles for s in self.kernel.last_stats)
         norm = scale / float(1 << (N_STAGES * STAGE_SHIFT))
         return (yr + 1j * yi) / norm / np.sqrt(N_FFT)
 
-    def _equalized_symbol(self, rx: np.ndarray, start: int,
-                          h: np.ndarray, polarity: int) -> np.ndarray:
+    def _equalize(self, bins: np.ndarray, h: np.ndarray,
+                  polarity: int) -> np.ndarray:
         if not self.use_array_equalizer:
-            return super()._equalized_symbol(rx, start, h, polarity)
-        from repro.ofdm.params import DATA_CARRIERS, N_CP, PILOT_CARRIERS, \
+            return super()._equalize(bins, h, polarity)
+        from repro.ofdm.params import DATA_CARRIERS, PILOT_CARRIERS, \
             PILOT_VALUES
-        from repro.ofdm.receiver import SYMBOL
 
-        bins = self._fft(rx[start + N_CP:start + SYMBOL])
         if self._eq_weights is None or self._eq_config_h is not h:
             # DSP side: conj(h)/|h|^2 per used carrier (clamped by the
             # weight quantiser on deeply faded carriers)

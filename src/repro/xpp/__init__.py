@@ -24,6 +24,7 @@ from repro.xpp.alu import AluPae, make_alu, opcodes
 from repro.xpp.array import Slot, XppArray
 from repro.xpp.config import ConfigBuilder, Configuration
 from repro.xpp.errors import (
+    BatchRunError,
     ConfigurationError,
     ResourceError,
     RoutingError,
@@ -71,6 +72,7 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "RAM_WORDS",
     "AluPae",
+    "BatchRunError",
     "ConfigBuilder",
     "Configuration",
     "ConfigurationError",

@@ -11,6 +11,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Optional
 
+import numpy as np
+
 from repro.xpp.alu import make_alu
 from repro.xpp.errors import ConfigurationError
 from repro.xpp.io import StreamSink, StreamSource
@@ -33,6 +35,8 @@ class Configuration:
         #: attached by the pnr compiler; the manager honours them
         #: best-effort at load time.
         self.placement = None
+        #: members the next run carries (a batched :meth:`reload`), or 0
+        self._pending = 0
 
     # -- composition -----------------------------------------------------------
 
@@ -91,10 +95,55 @@ class Configuration:
         Settles once, then resets every object and wire without a
         settle each.  An open fastpath session whose whole graph lies
         inside this configuration writes back only what the reset keeps.
+        A batched configuration restarts its batch: the next run carries
+        every member again.
         """
         for mgr in self._managers():
             mgr.settle(covering=self)
+        self._arm()
         self._reset()
+
+    def _batched(self) -> list:
+        """The RAM-PAEs holding one image per member."""
+        return [o for o in self.objects
+                if type(o) is RamPae and o._batch is not None]
+
+    def _arm(self) -> None:
+        """Point the batch (if any) back at member 0, pending a run.  A
+        batch of one member runs, steps and stops as any configuration
+        does."""
+        rams = self._batched()
+        for ram in rams:
+            ram._member = 0
+        members = len(rams[0]._batch) if rams else 0
+        self._pending = members if members > 1 else 0
+        for mgr in self._managers():
+            mgr._touched = False
+
+    def _start_member(self, m: int) -> None:
+        """Begin member ``m`` of the batch a run carries one member at a
+        time: the finished member keeps its RAM images, everything else
+        restarts from its configured state, as a reload would."""
+        rams = self._batched()
+        for mgr in self._managers():
+            for ram in rams:
+                mgr.settle_ram(ram)
+            mgr.settle(covering=self)
+        for ram in rams:
+            ram._member = m
+        self._reset()
+
+    def _spend(self, skipped_resets: int = 0) -> None:
+        """Close the batch a run carried: the live state is its last
+        member's, and ``skipped_resets`` (the resets of the members a
+        shared run carried alongside member 0) are counted."""
+        self._pending = 0
+        for ram in self._batched():
+            ram._member = len(ram._batch) - 1
+            ram._mem = ram._members[-1]
+        if skipped_resets:
+            for x in (*self.objects, *self.wires):
+                x.resets += skipped_resets
 
     def _reset(self) -> None:
         for o in self.objects:
@@ -127,11 +176,23 @@ class Configuration:
 
         ``contents`` maps RAM-PAE names (FIFO or RAM mode) to their new
         preloads, checked and wrapped as the constructors do (an integer
-        ndarray wraps in NumPy); nothing changes when any of them is
-        refused.  This is the paper's RAM read-back (Fig. 9): a resident
-        configuration gets new data words without a ``load``/``remove``,
-        so the manager's ``version`` stays put and schedulers keep their
-        structure.
+        ndarray wraps in NumPy, an :class:`~repro.xpp.ram.Image` of the
+        PAE's width passes as it is); nothing changes when any of them
+        is refused.  This is the paper's RAM read-back (Fig. 9): a
+        resident configuration gets new data words without a
+        ``load``/``remove``, so the manager's ``version`` stays put and
+        schedulers keep their structure.
+
+        A RAM-mode PAE also takes a ``(B, words)`` integer array: one
+        image per *member*, members differing only there.  The next
+        ``Simulator.run`` then carries all B members, observably as B
+        reloads of the rows, each followed by that run, in member order
+        (summed stats, each member's final image in :attr:`RamPae.mem
+        <repro.xpp.ram.RamPae.mem>`, everything else the last member's);
+        with more than one member, it cannot be stepped.  FIFO contents
+        stay one image, shared.  Every batched RAM of the
+        configuration holds the same number of members; a one-image
+        reload of a RAM ends its batch.
         """
         images = []
         for name, data in contents.items():
@@ -139,11 +200,34 @@ class Configuration:
             if not isinstance(obj, (RamPae, FifoPae)):
                 raise ConfigurationError(
                     f"{self.name}: {name!r} is not a RAM-PAE")
-            images.append((obj, obj.image(data)))
+            if isinstance(data, np.ndarray) and data.ndim == 2:
+                if not isinstance(obj, RamPae):
+                    raise ConfigurationError(
+                        f"{self.name}: {name!r} is a FIFO; its contents "
+                        f"are one image for every member")
+                images.append((obj, obj.images(data)))
+            else:
+                images.append((obj, obj.image(data)))
+        batches = {id(o): len(o._batch) for o in self._batched()}
+        for obj, image in images:
+            if type(obj) is RamPae:
+                batches.pop(id(obj), None)
+                if type(image) is list:
+                    batches[id(obj)] = len(image)
+        if len(set(batches.values())) > 1:
+            raise ConfigurationError(
+                f"{self.name}: batched RAMs disagree on the member count")
         for mgr in self._managers():
             mgr.settle(covering=self)
         for obj, image in images:
-            obj._preload = image
+            if type(image) is list:         # one image per member
+                obj._batch = image
+                obj._preload = image[0]
+            else:
+                if type(obj) is RamPae:
+                    obj._batch = None
+                obj._preload = image
+        self._arm()
         self._reset()
 
     def validate(self) -> None:

@@ -28,3 +28,16 @@ class ConfigLoadError(XppError):
 
 class SimulationError(XppError):
     """Runtime protocol violation during simulation."""
+
+
+class BatchRunError(SimulationError):
+    """A batched configuration (a RAM-PAE reloaded with one image per
+    member, :meth:`~repro.xpp.config.Configuration.reload`) was stepped
+    or run toward an ``until`` predicate: a batch only runs to a stop,
+    all members at once.  ``code`` is
+    :data:`repro.diagnostics.BATCH_RUN`."""
+
+    def __init__(self, message: str):
+        from repro.diagnostics import BATCH_RUN
+        super().__init__(message)
+        self.code = BATCH_RUN

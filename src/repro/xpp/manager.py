@@ -70,6 +70,10 @@ class ConfigurationManager:
         #: weak reference to the scheduler whose cached view of the
         #: array is current (:meth:`claim`), or None after a touch
         self._stepper = None
+        #: whether an object or wire was touched from outside since the
+        #: last batched reload armed its batch: the batch's first member
+        #: may then start elsewhere than its reset state
+        self._touched = False
 
     # -- load / remove ------------------------------------------------------------
 
@@ -351,6 +355,15 @@ class ConfigurationManager:
 
     def is_loaded(self, name: str) -> bool:
         return name in self.loaded
+
+    def batched(self) -> Optional[Configuration]:
+        """The resident configuration whose batch the next run carries
+        (a batched :meth:`Configuration.reload
+        <repro.xpp.config.Configuration.reload>`), or None."""
+        for entry in self.loaded.values():
+            if entry.config._pending:
+                return entry.config
+        return None
 
     def active_objects(self) -> tuple:
         """All objects of resident configurations (cached flat tuple)."""

@@ -144,6 +144,7 @@ class Wire:
         ref = self._manager
         mgr = ref() if ref is not None else None
         if mgr is not None:
+            mgr._touched = True
             mgr.settle()
 
     def reset(self) -> None:

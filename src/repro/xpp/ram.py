@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from collections import deque
 
+import numpy as np
+
 from repro.fixed import wrap, wrap_list
 from repro.xpp.errors import ConfigurationError
 from repro.xpp.objects import DataflowObject
@@ -17,6 +19,19 @@ from repro.xpp.objects import DataflowObject
 #: Words per RAM-PAE in the XPP-64A.
 RAM_WORDS = 512
 RAM_BITS = 24
+
+
+class Image(list):
+    """A preload as a PAE's ``image`` configures it: words wrapped to
+    ``bits`` and checked against the PAE's size.  A PAE of the same
+    width takes one as it is, with no second wrap, so a resident kernel
+    wraps each of its constant tables once (:func:`repro.kernels.fft64.
+    resident_stage`).  Treat it as read-only: the PAE keeps it as its
+    configured contents."""
+
+    def __init__(self, words, bits: int):
+        super().__init__(words)
+        self.bits = bits
 
 
 class RamPae(DataflowObject):
@@ -43,39 +58,76 @@ class RamPae(DataflowObject):
         self.bits = bits
         self._preload = self.image(() if preload is None else preload)
         self._mem = list(self._preload)
+        self._batch = None      # configured member images, or None
+        self._members = None    # the members' current images
+        self._member = 0
         self._do_read = False
         self._do_write = False
 
-    def image(self, data) -> list:
+    def image(self, data) -> Image:
         """The memory image a preload of ``data`` configures: values
-        wrapped to ``bits``, zero-filled to ``words``."""
+        wrapped to ``bits``, zero-filled to ``words`` (an :class:`Image`
+        of this width and size passes as it is)."""
+        if type(data) is Image and data.bits == self.bits \
+                and len(data) == self.words:
+            return data
         mem = wrap_list(data, self.bits)
         if len(mem) > self.words:
             raise ConfigurationError(
                 f"{self.name}: preload exceeds {self.words} words")
-        return mem + [0] * (self.words - len(mem))
+        return Image(mem + [0] * (self.words - len(mem)), self.bits)
+
+    def images(self, data: np.ndarray) -> list:
+        """The member images of a batched preload: one :meth:`image` per
+        row of a ``(B, words)`` integer array, wrapped in one NumPy
+        fold."""
+        if data.dtype.kind not in "iu" or self.bits > 64:
+            raise ConfigurationError(
+                f"{self.name}: a batched image is an integer array of "
+                f"words up to 64 bits")
+        if not len(data):
+            raise ConfigurationError(f"{self.name}: a batch needs a member")
+        if data.shape[1] > self.words:
+            raise ConfigurationError(
+                f"{self.name}: preload exceeds {self.words} words")
+        fill = [0] * (self.words - data.shape[1])
+        return [Image(row + fill, self.bits)
+                for row in wrap(data, self.bits).tolist()]
 
     @property
-    def mem(self) -> list:
+    def mem(self):
         """The memory image, current after any run: a session that still
         holds this RAM writes it back first (the RAM alone, when the
         session is absorbed: :meth:`ConfigurationManager.settle_ram
-        <repro.xpp.manager.ConfigurationManager.settle_ram>`)."""
+        <repro.xpp.manager.ConfigurationManager.settle_ram>`).  After a
+        batched reload, the members' images as one ``(B, words)`` int64
+        array (final once the batch has run); a one-image reload ends
+        the batch."""
         ref = self._manager
         mgr = ref() if ref is not None else None
         if mgr is not None:
             mgr.settle_ram(self)
-        return self._mem
+        if self._batch is None:
+            return self._mem
+        return np.array(self._members, dtype=np.int64)
 
     @mem.setter
     def mem(self, image) -> None:
         self.settle()
         self._mem = image
+        if self._batch is not None:
+            self._members[self._member] = image
 
     def _reset(self) -> None:
-        """Restore the configured memory image (configuration reload)."""
+        """Restore the configured memory image (configuration reload):
+        of member ``_member`` in a batch, all members' from member 0."""
         super()._reset()
-        self._mem = list(self._preload)
+        if self._batch is None:
+            self._mem = list(self._preload)
+        else:
+            if not self._member:
+                self._members = [list(image) for image in self._batch]
+            self._mem = self._members[self._member]
         self._do_read = False
         self._do_write = False
 
@@ -141,13 +193,17 @@ class FifoPae(DataflowObject):
         self._do_in = False
         self._do_out = False
 
-    def image(self, data) -> list:
+    def image(self, data) -> Image:
         """The FIFO contents a preload of ``data`` configures: values
-        wrapped to ``bits``, at most ``depth`` of them."""
+        wrapped to ``bits``, at most ``depth`` of them (an :class:`Image`
+        of this width that fits passes as it is)."""
+        if type(data) is Image and data.bits == self.bits \
+                and len(data) <= self.depth:
+            return data
         q = wrap_list(data, self.bits)
         if len(q) > self.depth:
             raise ConfigurationError(f"{self.name}: preload exceeds depth")
-        return q
+        return Image(q, self.bits)
 
     def __len__(self) -> int:
         return len(self._q)

@@ -20,6 +20,7 @@ from typing import Callable, Optional
 
 from repro.telemetry import get_metrics, get_tracer
 from repro.xpp.config import Configuration
+from repro.xpp.errors import BatchRunError
 from repro.xpp.manager import ConfigurationManager
 from repro.xpp.scheduler import make_scheduler
 from repro.xpp.stats import (
@@ -82,7 +83,10 @@ class Simulator:
         State touched between steps (a refilled source, a reloaded RAM)
         settles the manager, and the scheduler's next claim on it fails,
         so it starts from live state (see :mod:`repro.xpp.scheduler`).
+        A batched configuration only runs to a stop: stepping one raises
+        :class:`~repro.xpp.errors.BatchRunError`.
         """
+        self._unbatched("step")
         fired = self.scheduler.step()
         self.cycle += 1
         return fired
@@ -95,6 +99,7 @@ class Simulator:
         claim.  Under recording telemetry the per-cycle loop runs
         instead, to the same results.
         """
+        self._unbatched("step_n")
         sched = self.scheduler
         emit = self._emitter(get_tracer(), get_metrics())
         batched = getattr(sched, "step_n", None)
@@ -120,7 +125,47 @@ class Simulator:
         is called every cycle; a touch it makes settles the manager, so
         the next step starts from live state.  Installed telemetry never
         changes which path runs: it is fed afterwards, cycle by cycle.
+
+        After a batched reload (:meth:`Configuration.reload
+        <repro.xpp.config.Configuration.reload>` with one RAM image per
+        member) one run carries all B members, as B runs of the members
+        in turn would: the stats are their sum (:meth:`RunStats.merge`),
+        ``cycle`` and the ``sim.*`` telemetry advance per member (one
+        ``sim.runs`` each).  A scheduler with a ``share`` method
+        (fastpath) may run them all in one session; otherwise the
+        members run one by one.  A batch runs only to a stop: with an
+        ``until`` it raises :class:`~repro.xpp.errors.BatchRunError`.
         """
+        batch = self.manager.batched()
+        if batch is None:
+            return self._run(max_cycles, until, quiescent_limit)
+        if until is not None:
+            raise BatchRunError(
+                f"{batch.name}: a batched configuration runs to a stop, "
+                f"not toward an until predicate")
+        members = batch._pending
+        share = getattr(self.scheduler, "share", None)
+        if share is not None and share(batch, members):
+            stats = self._run(max_cycles, None, quiescent_limit, members)
+            if stats.stop_reason != STOP_QUIESCENT:
+                # a cut session must not carry every member on later
+                self.manager.settle()
+            batch._spend(members - 1)
+            return stats
+        stats = None
+        for m in range(members):
+            if m:
+                batch._start_member(m)
+            one = self._run(max_cycles, None, quiescent_limit)
+            stats = one if stats is None else stats.merge(one)
+        batch._spend()
+        return stats
+
+    def _run(self, max_cycles: int, until, quiescent_limit: int,
+             members: int = 1) -> RunStats:
+        """One run (see :meth:`run`); ``members`` > 1 when the scheduler
+        carried that many members in it, whose cycles, telemetry and
+        stats repeat the first member's."""
         start_cycle = self.cycle
         tracer = get_tracer()
         metrics = get_metrics()
@@ -136,28 +181,42 @@ class Simulator:
         if whole is None:
             stop_reason = self._loop(max_cycles, until, quiescent_limit,
                                      emit)[0]
+            cycles = self.cycle - start_cycle
         else:
             cycles, stop_reason = whole
-            self.cycle += cycles
-            if emit is not None:
-                emit(cycles)
-        cycles = self.cycle - start_cycle
-        if tracer.enabled:
-            tracer.complete("sim.run", ts=start_cycle, dur=cycles, cat="sim",
-                            args={"stop_reason": stop_reason,
-                                  "cycles": cycles})
-            tracer.instant("sim.stop", "sim", ts=self.cycle,
-                           args={"reason": stop_reason})
         stats = self.collect_stats(cycles)
         stats.stop_reason = stop_reason
-        if metrics.enabled:
-            self._finish_metrics(metrics, stats)
-        return stats
+        total = None
+        for m in range(members):
+            start = start_cycle
+            if whole is not None or m:
+                start = self.cycle
+                if m and tracer.enabled:
+                    tracer.set_time(start)
+                self.cycle += cycles
+                if emit is not None:
+                    emit(cycles)
+            if tracer.enabled:
+                tracer.complete("sim.run", ts=start, dur=cycles, cat="sim",
+                                args={"stop_reason": stop_reason,
+                                      "cycles": cycles})
+                tracer.instant("sim.stop", "sim", ts=self.cycle,
+                               args={"reason": stop_reason})
+            if metrics.enabled:
+                self._finish_metrics(metrics, stats)
+            total = stats if total is None else total.merge(stats)
+        return total
 
     def drain(self, max_cycles: int = 100_000, *,
               quiescent_limit: int = 8) -> RunStats:
         """Run with no stop predicate until the array goes quiescent."""
         return self.run(max_cycles, quiescent_limit=quiescent_limit)
+
+    def _unbatched(self, what: str) -> None:
+        batch = self.manager.batched()
+        if batch is not None:
+            raise BatchRunError(f"{batch.name}: a batched configuration "
+                                f"runs to a stop; {what} cannot step it")
 
     def _loop(self, n: int, until, quiescent_limit: int, emit):
         """The per-cycle loop: step at most ``n`` cycles, checking

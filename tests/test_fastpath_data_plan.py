@@ -282,7 +282,7 @@ def test_resident_fft64_builds_its_plan_once(monkeypatch, trace_calls,
                 out_re, out_im = kern.run(re, im)
             got.append((out_re.tolist(), out_im.tolist(),
                         [_stats_key(s) for s in kern.last_stats],
-                        [list(o.mem) for o in kern._config.objects
+                        [o.mem.tolist() for o in kern._config.objects
                          if isinstance(o, RamPae)]))
         results[sched] = got
     assert results["event"] == results["naive"]

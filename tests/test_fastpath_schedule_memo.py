@@ -198,7 +198,7 @@ def test_resident_fft64_traces_one_stage_schedule(monkeypatch, trace_calls):
                 out_re, out_im = kern.run(re, im)
             got.append((out_re.tolist(), out_im.tolist(),
                         [_stats_key(s) for s in kern.last_stats],
-                        list(kern._config.object("data_ram").mem)))
+                        kern._config.object("data_ram").mem.tolist()))
         results[sched] = got
     assert results["event"] == results["naive"]
     assert results["fastpath"] == results["naive"]

@@ -32,6 +32,17 @@ keeps when the session's graph lies inside the reloaded configuration,
 and everything otherwise, and a refill that keeps the count state
 meets the schedule memo with new select tokens.
 
+The batch leg reloads the netlist's RAMs with one image per member
+(``(B, words)`` arrays, B from 1 to 5 or a source's length, where a
+missed lift would broadcast without an error) and drains once; every
+scheduler must match B literal reloads of the rows, each followed by a
+drain, on naive: summed stats, each member's final RAM images, the last
+member's sink tokens, wire and FIFO state, transfer and reset counts,
+the simulator's cycle and, when observed, every ``sim.*`` instrument,
+snapshot and trace event.  RAM data reaching a select or an address,
+and a second configuration beside the netlist, make fastpath run the
+members one by one; fixed netlists pin both paths to their counters.
+
 The properties take their example counts from the active hypothesis
 profile: 100 by default, more under ``--hypothesis-profile=compilers``
 (registered in ``tests/conftest.py``).
@@ -40,12 +51,15 @@ profile: 100 by default, more under ``--hypothesis-profile=compilers``
 import copy
 import warnings
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.fastpath import FastpathFallbackWarning
 from repro.fixed import pack_complex
+from repro.telemetry.metrics import collecting
+from repro.telemetry.tracer import tracing
 from repro.xpp import (
     ConfigBuilder,
     ConfigurationManager,
@@ -584,3 +598,161 @@ def test_a_refill_after_a_drain_matches_naive(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error", FastpathFallbackWarning)
         assert _refill(case[0], "fastpath", *case[1:]) == ref
+
+
+# -- batch ---------------------------------------------------------------------
+
+
+@st.composite
+def batches(draw):
+    """``(netlist, members, contents, partner, observe)``: a netlist with
+    at least one RAM, a member count, the reload contents (a ``(B,
+    words)`` array for each batched RAM, at least one; one image for
+    some other RAM-PAEs), a partner configuration's stream (empty:
+    none) and whether to run under a recording tracer and registry."""
+    cfg = draw(netlists(writer=draw(st.booleans())).filter(
+        lambda c: any(isinstance(o, RamPae) for o in c.objects)))
+    lengths = [len(src._data) for src in cfg.sources.values()]
+    members = draw(st.one_of(st.integers(1, 5), st.sampled_from(lengths)))
+    rams = [o for o in cfg.objects if isinstance(o, RamPae)]
+    batched = draw(st.lists(st.sampled_from(rams), min_size=1,
+                            unique_by=id))
+    contents = {}
+    for o in cfg.objects:
+        if o in batched:
+            k = draw(st.integers(0, o.words))
+            rows = [draw(_words(o.bits, k, k)) for _ in range(members)]
+            contents[o.name] = np.array(rows, dtype=np.int64).reshape(
+                members, k)
+        elif isinstance(o, (RamPae, FifoPae)) and draw(st.booleans()):
+            size = o.words if isinstance(o, RamPae) else o.depth
+            contents[o.name] = draw(_words(o.bits, size))
+    partner = draw(st.one_of(st.just([]), _words(12)))
+    return cfg, members, contents, partner, draw(st.booleans())
+
+
+def _legged(leg, cfg, scheduler, members, contents, partner, observe):
+    """Load the netlist (and the partner), run ``leg``, and read what it
+    shows: stats, sinks, RAM images, then, after a settle, wire, FIFO
+    and reset state, the cycle and the ``sim`` telemetry."""
+    mgr, sim = _load(cfg, scheduler)
+    if partner:
+        mgr.load(_partner(partner))
+    telemetry = None
+    if observe:
+        with collecting(snapshot_every=16) as registry, tracing() as tracer:
+            got = leg(cfg, sim, members, contents)
+        telemetry = (
+            {k: v for k, v in registry.to_dict().items()
+             if k.startswith("sim.")},
+            [(x["cycle"], {k: v for k, v in x["metrics"].items()
+                           if k.startswith("sim.")})
+             for x in registry.snapshots],
+            [(e.name, e.ph, e.ts, e.dur, e.args) for e in tracer.events
+             if e.cat == "sim"])
+    else:
+        got = leg(cfg, sim, members, contents)
+    sim.manager.settle()
+    return got + _state(cfg) + (sim.cycle, telemetry)
+
+
+def _stats(stats):
+    return (stats.cycles, stats.stop_reason, stats.total_firings,
+            stats.energy, dict(stats.firings), dict(stats.tokens_out))
+
+
+def _batched_leg(cfg, sim, members, contents):
+    """One batched reload, one drain."""
+    cfg.reload(contents)
+    stats = sim.run(3000)
+    return (_stats(stats),
+            {name: list(s.received) for name, s in cfg.sinks.items()},
+            [o.mem.tolist() if isinstance(contents.get(o.name), np.ndarray)
+             else list(o.mem) for o in cfg.objects if isinstance(o, RamPae)])
+
+
+def _sequential_leg(cfg, sim, members, contents):
+    """``members`` reloads of the rows, each drained: the oracle."""
+    total, finals = None, []
+    for m in range(members):
+        cfg.reload({name: data[m] if isinstance(data, np.ndarray) else data
+                    for name, data in contents.items()})
+        stats = sim.run(3000)
+        total = stats if total is None else total.merge(stats)
+        finals.append([list(o.mem) for o in cfg.objects
+                       if isinstance(o, RamPae)])
+    images = [[f[k] for f in finals]
+              if isinstance(contents.get(o.name), np.ndarray) else finals[-1][k]
+              for k, o in enumerate(o for o in cfg.objects
+                                    if isinstance(o, RamPae))]
+    return (_stats(total),
+            {name: list(s.received) for name, s in cfg.sinks.items()},
+            images)
+
+
+@_FUZZ
+@given(batches())
+def test_a_batched_reload_matches_sequential_reloads(case):
+    cfg, *args = case
+    ref = _legged(_sequential_leg, copy.deepcopy(cfg), "naive", *args)
+    for scheduler in ("naive", "event", "fastpath"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", FastpathFallbackWarning)
+            assert _legged(_batched_leg, copy.deepcopy(cfg), scheduler,
+                           *args) == ref, scheduler
+
+
+def _ram_fed(select: bool):
+    """A counter-addressed RAM whose read data feeds a MUX's select
+    (``select``) or another RAM's read address, and a CMUL against a
+    shared stream, so that both members' data reach a sink."""
+    b = ConfigBuilder("ram_fed")
+    cnt = b.alu("COUNTER", limit=4, count=6, bits=8)
+    ram = b.ram(name="ram", words=4, bits=8)
+    b.connect(cnt, "value", ram, "raddr")
+    if select:
+        mux = b.alu("MUX")
+        b.connect(ram, "rdata", mux, "sel")
+        b.connect(b.source("a", [1, 2, 3, 4, 5, 6], bits=8), 0, mux, "a")
+        b.connect(b.source("b", [9, 8, 7, 6, 5, 4], bits=8), 0, mux, "b")
+        b.connect(mux, 0, b.sink("out"), 0)
+    else:
+        other = b.ram(name="other", words=4, bits=8, preload=[3, 1, 4, 1])
+        b.connect(ram, "rdata", other, "raddr")
+        b.connect(other, "rdata", b.sink("out"), 0)
+    return b.build()
+
+
+def _shared(twiddle):
+    b = ConfigBuilder("shared")
+    cnt = b.alu("COUNTER", limit=4, count=4, bits=8)
+    ram = b.ram(name="ram", words=4, bits=16)
+    b.connect(cnt, "value", ram, "raddr")
+    mul = b.alu("CMUL", half_bits=8, shift=1)
+    b.connect(ram, "rdata", mul, "a")
+    b.connect(b.source("w", twiddle, bits=16), 0, mul, "b")
+    b.connect(mul, 0, b.sink("out"), 0)
+    return b.build()
+
+
+@pytest.mark.parametrize("name, build, members, counter", [
+    # four members over four-token streams: a missed lift would
+    # broadcast a shared (4,) stream across the members silently
+    ("shared", lambda: _shared([pack_complex(3, -2, 8)] * 4), 4,
+     "fastpath.batch.shared"),
+    ("select", lambda: _ram_fed(True), 2, "fastpath.batch.split"),
+    ("address", lambda: _ram_fed(False), 3, "fastpath.batch.split"),
+])
+def test_a_batch_shares_a_session_unless_ram_data_steers(name, build,
+                                                         members, counter):
+    images = np.array([[m, 1 - m, 2 * m + 1, -m] for m in range(members)],
+                      dtype=np.int64)
+    args = (members, {"ram": images}, [], False)
+    ref = _legged(_sequential_leg, build(), "naive", *args)
+    with collecting() as registry, warnings.catch_warnings():
+        warnings.simplefilter("error", FastpathFallbackWarning)
+        assert _legged(_batched_leg, build(), "fastpath", *args) == ref
+    assert registry.counter(counter).value == 1
+    assert registry.counter("fastpath.batch.shared").value \
+        + registry.counter("fastpath.batch.split").value == 1
+    assert len(set(map(tuple, ref[2][0]))) == members     # members differ

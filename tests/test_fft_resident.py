@@ -300,3 +300,43 @@ def test_every_stage_session_shares_one_netlist(monkeypatch):
                for s in sessions)
     assert len(netlist.memo) == 1           # one stage schedule
     assert len(netlist.plan.states) == 1    # one data-plan state
+
+
+def test_a_stage_reload_takes_the_resident_tables_as_they_are(monkeypatch):
+    """The resident stage wraps each lookup table once; every stage
+    reload takes that configured image without wrapping it again."""
+    import repro.xpp.ram as ram_module
+    kernel = Fft64Kernel()
+    kernel.run(*_inputs(1)[0])
+    calls = [0]
+    wrap_list = ram_module.wrap_list
+
+    def counted(*args):
+        calls[0] += 1
+        return wrap_list(*args)
+
+    monkeypatch.setattr(ram_module, "wrap_list", counted)
+    for re, im in _inputs(3):
+        yr, yi = kernel.run(re, im)
+        gr, gi = fft64_fixed(re, im)
+        assert np.array_equal(yr, gr) and np.array_equal(yi, gi)
+    assert calls[0] == 0
+    cfg = kernel._config
+    assert all(cfg.object(name)._preload is image
+               for name, image in kernel._luts[2].items())
+
+
+def test_a_writable_table_changed_between_reloads_takes_effect():
+    cfg = build_fft_stage_config(0, _ram_image(0))
+    fifo = cfg.object("raddr_lut")
+    table = np.array(_luts(1)["raddr_lut"], dtype=np.int64)
+    cfg.reload({"raddr_lut": table})
+    assert list(fifo._q) == table.tolist()
+    table[:3] = (7, 1 << 30, -5)
+    cfg.reload({"raddr_lut": table})
+    assert list(fifo._q)[:3] == [7, 0, -5]          # 24 bits, wrapped
+    assert list(fifo._q)[3:] == table[3:].tolist()
+    # an image configured for another width is wrapped again
+    wide = FifoPae("wide", depth=N, bits=40).image([1 << 33, 3])
+    cfg.reload({"raddr_lut": wide})
+    assert list(fifo._q) == [0, 3]
